@@ -28,12 +28,9 @@ from .linops import (  # noqa: F401
 from .tree_codec import (  # noqa: F401
     Bitstream,
     BitstreamError,
-    TreeCode,
     TreeCodecPlug,
     decode,
     encode,
-    rate_of,
-    reconstruct,
 )
 from .admm import AdmmConfig, AdmmState, CodecPlug, run, system_distortion_dc  # noqa: F401
 from .gauss_theory import (  # noqa: F401

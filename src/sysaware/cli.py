@@ -312,10 +312,11 @@ def cmd_theory_curve(cfg: TheoryConfig, out_dir: Path) -> None:
 def cmd_codec(args) -> None:
     if args.codec_cmd == "encode":
         signal = system_sim.load_signal(args.input)
-        _, stream = tree_codec.encode(signal, nu=args.nu, d=args.depth, q_bits=args.q_bits)
-        Path(args.output).write_bytes(stream.to_bytes())
+        stream = tree_codec.encode(signal, nu=args.nu, d=args.depth, q_bits=args.q_bits)
+        data = stream.to_bytes()
+        Path(args.output).write_bytes(data)
         print(f"encoded {signal.size} samples: {stream.reported_rate_bits} rate bits, "
-              f"{len(stream.to_bytes())} bytes")
+              f"{len(data)} bytes")
     else:
         data = Path(args.input).read_bytes()
         recon = tree_codec.decode(data)

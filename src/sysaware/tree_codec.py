@@ -20,21 +20,20 @@ import numpy as np
 
 __all__ = [
     "MAGIC",
+    "MAX_LEN",
+    "MAX_Q_BITS",
     "BitstreamError",
-    "Leaf",
-    "TreeCode",
     "Bitstream",
     "quantize",
     "segment_mean",
     "encode",
     "decode",
-    "reconstruct",
-    "rate_of",
-    "lagrangian_cost",
     "TreeCodecPlug",
 ]
 
 MAGIC = b"SAC1"
+MAX_LEN = 1 << 24  # longest signal the codec writes or reads
+MAX_Q_BITS = 52  # widest index whose rounding and reconstruction are exact in float64
 _HEADER_LEN = 11  # magic, d0, d, q_bits, M as 4-byte big-endian
 
 
@@ -46,28 +45,12 @@ class BitstreamError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """One leaf: tree level, half-open sample interval, quantized mean index."""
-
-    level: int
-    start: int
-    stop: int
-    index: int
-
-
-@dataclass(frozen=True)
-class TreeCode:
-    depth_full: int
-    signal_len: int
-    q_bits: int
-    nu: float
-    leaves: tuple[Leaf, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bitstream:
-    """Parsed form of the serialized codec output.
+    """A coded tree: header fields plus its leaves in left-to-right order.
+
+    ``leaf_levels[i]`` is the tree level of leaf i, which covers
+    ``m >> leaf_levels[i]`` samples; ``leaf_indices[i]`` is its quantized mean.
 
     Wire layout: 4 magic bytes "SAC1"; d0, d, q_bits as single bytes; M as a
     4-byte big-endian integer; the pre-order tree description, one bit per
@@ -80,30 +63,28 @@ class Bitstream:
     d: int
     q_bits: int
     m: int
-    tree_bits: tuple[int, ...]
-    leaf_indices: tuple[int, ...]
+    leaf_levels: np.ndarray
+    leaf_indices: np.ndarray
 
     @property
     def reported_rate_bits(self) -> int:
         """Rate charged by the codec: payload bits only, q_bits per leaf."""
         return self.q_bits * len(self.leaf_indices)
 
-    @property
-    def serialized_size_bits(self) -> int:
-        tree_bytes = (len(self.tree_bits) + 7) // 8
-        payload_bytes = (self.q_bits * len(self.leaf_indices) + 7) // 8
-        return 8 * (_HEADER_LEN + tree_bytes + payload_bytes)
-
     def to_bytes(self) -> bytes:
-        out = bytearray(MAGIC)
-        out += bytes([self.d0, self.d, self.q_bits])
-        out += struct.pack(">I", self.m)
-        out += _pack_bits(self.tree_bits)
-        payload = []
-        for index in self.leaf_indices:
-            payload.extend((index >> shift) & 1 for shift in range(self.q_bits - 1, -1, -1))
-        out += _pack_bits(payload)
-        return bytes(out)
+        levels = self.leaf_levels
+        widths = self.m >> levels
+        starts = np.cumsum(widths) - widths
+        # In pre-order, leaf i is preceded by the splits of the nodes that start
+        # at s_i from the shallowest one, at level d0 - ctz(s_i) (0 for s_i = 0).
+        low = starts | self.m
+        first = self.d0 + 1 - np.frexp(low & -low)[1]
+        runs = levels - first + 1
+        tree = np.ones(int(runs.sum()), dtype=np.uint8)
+        tree[np.cumsum(runs) - 1] = 0
+        payload = (self.leaf_indices[:, None] >> np.arange(self.q_bits - 1, -1, -1)) & 1
+        header = MAGIC + bytes([self.d0, self.d, self.q_bits]) + struct.pack(">I", self.m)
+        return header + np.packbits(tree).tobytes() + np.packbits(payload).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
@@ -113,18 +94,19 @@ class Bitstream:
             raise BitstreamError(f"bad magic {data[:4]!r}", offset=0)
         d0, d, q_bits = data[4], data[5], data[6]
         m = struct.unpack(">I", data[7:11])[0]
-        if d0 > 31 or m != 1 << d0:
+        if m > MAX_LEN:
+            raise BitstreamError(f"signal length {m} exceeds MAX_LEN={MAX_LEN}", offset=7)
+        if m != 1 << d0:
             raise BitstreamError(f"signal length {m} inconsistent with d0={d0}", offset=7)
         if not 1 <= d <= d0:
             raise BitstreamError(f"depth d={d} outside [1, d0={d0}]", offset=5)
-        if q_bits < 1:
-            raise BitstreamError("q_bits must be >= 1", offset=6)
+        if not 1 <= q_bits <= MAX_Q_BITS:
+            raise BitstreamError(f"q_bits={q_bits} outside [1, {MAX_Q_BITS}]", offset=6)
 
-        tree_bits, n_leaves = _parse_tree_bits(data, d)
-        tree_bytes = (len(tree_bits) + 7) // 8
-        payload_start = _HEADER_LEN + tree_bytes
-        payload_bits = q_bits * n_leaves
-        expected_len = payload_start + (payload_bits + 7) // 8
+        levels, n_bits = _parse_tree(data, d)
+        n_leaves = levels.size
+        payload_start = _HEADER_LEN + (n_bits + 7) // 8
+        expected_len = payload_start + (q_bits * n_leaves + 7) // 8
         if len(data) < expected_len:
             raise BitstreamError(
                 f"truncated leaf payload: need {expected_len} bytes, have {len(data)}",
@@ -133,50 +115,51 @@ class Bitstream:
         if len(data) > expected_len:
             raise BitstreamError("trailing data after leaf payload", offset=expected_len)
 
-        indices = []
-        for leaf in range(n_leaves):
-            value = 0
-            for bit in range(q_bits):
-                pos = leaf * q_bits + bit
-                byte = data[payload_start + pos // 8]
-                value = (value << 1) | ((byte >> (7 - pos % 8)) & 1)
-            indices.append(value)
-        return cls(d0=d0, d=d, q_bits=q_bits, m=m, tree_bits=tree_bits, leaf_indices=tuple(indices))
+        payload = np.unpackbits(
+            np.frombuffer(data, dtype=np.uint8, offset=payload_start), count=q_bits * n_leaves
+        )
+        indices = payload.reshape(n_leaves, q_bits) @ (1 << np.arange(q_bits - 1, -1, -1))
+        return cls(d0=d0, d=d, q_bits=q_bits, m=m, leaf_levels=levels, leaf_indices=indices)
 
 
-def _pack_bits(bits) -> bytes:
-    out = bytearray((len(bits) + 7) // 8)
-    for pos, bit in enumerate(bits):
-        if bit:
-            out[pos // 8] |= 1 << (7 - pos % 8)
-    return bytes(out)
+def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
+    """Read the pre-order tree section; return (leaf levels, bits consumed).
 
+    A walk that neither ends nor splits below depth d visits distinct nodes of
+    the full depth-d tree, so it decides within its 2**(d+1) - 1 bits.
+    """
+    n_bytes = ((1 << (d + 1)) + 6) // 8
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=_HEADER_LEN)[:n_bytes])
+    # open slots after each bit: +1 per split, -1 per leaf, starting from the root's 1
+    open_after = 2 * np.cumsum(bits, dtype=np.int64) - np.arange(bits.size)
+    ends = np.flatnonzero(open_after == 0)
+    n_bits = int(ends[0]) + 1 if ends.size else bits.size
+    bits = bits[:n_bits]
+    # A split at p has its left child at p + 1 and its right child at the next
+    # position whose open count before reading equals that at p.
+    open_before = open_after[:n_bits] - 2 * bits + 1
+    order = np.argsort(open_before, kind="stable")
+    right = np.full(n_bits, n_bits)
+    same = open_before[order[1:]] == open_before[order[:-1]]
+    right[order[:-1][same]] = order[1:][same]
 
-def _parse_tree_bits(data: bytes, d: int) -> tuple[tuple[int, ...], int]:
-    """Walk the pre-order tree section; return (bits consumed, leaf count)."""
-    avail = 8 * (len(data) - _HEADER_LEN)
-    bits = []
-    n_leaves = 0
-    pending = [0]  # levels of nodes awaiting their bit, pre-order
-    while pending:
-        level = pending.pop()
-        pos = len(bits)
-        if pos >= avail:
-            raise BitstreamError("truncated tree description", offset=len(data))
-        byte = data[_HEADER_LEN + pos // 8]
-        bit = (byte >> (7 - pos % 8)) & 1
-        bits.append(bit)
-        if bit:
-            if level >= d:
-                raise BitstreamError(
-                    "tree bits split below the maximum depth",
-                    offset=_HEADER_LEN + pos // 8,
-                )
-            pending.append(level + 1)  # right pushed first, left popped first
-            pending.append(level + 1)
-        else:
-            n_leaves += 1
-    return tuple(bits), n_leaves
+    node_level = np.zeros(n_bits, dtype=np.int64)
+    nodes = np.arange(min(n_bits, 1))  # the root, if any bit was read
+    for level in range(d):
+        if not nodes.size:
+            break
+        splits = nodes[bits[nodes] == 1]
+        nodes = np.concatenate((splits + 1, right[splits]))
+        nodes = nodes[nodes < n_bits]
+        node_level[nodes] = level + 1
+    below = nodes[bits[nodes] == 1]
+    if below.size:
+        raise BitstreamError(
+            "tree bits split below the maximum depth", offset=_HEADER_LEN + int(below.min()) // 8
+        )
+    if not ends.size:
+        raise BitstreamError("truncated tree description", offset=len(data))
+    return node_level[bits == 0], n_bits
 
 
 def quantize(value: float, q_bits: int) -> tuple[int, float]:
@@ -209,25 +192,29 @@ def segment_mean(w, interval: tuple[int, int]) -> float:
     return float(w[start:stop].mean())
 
 
-def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> tuple[TreeCode, Bitstream]:
-    """Encode ``w`` (length a power of two) at Lagrangian weight ``nu``.
+def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
+    """Encode ``w`` (length a power of two, finite samples) at Lagrangian weight ``nu``.
 
     ``d`` defaults to the maximal depth log2(len(w)). Returns the pruned tree
-    and its serialized form.
+    as a :class:`Bitstream`.
     """
     w = np.asarray(w, dtype=float)
     m = w.size
     if m < 2 or m & (m - 1):
         raise ValueError(f"signal length must be a power of two >= 2, got {m}")
+    if m > MAX_LEN:
+        raise ValueError(f"signal length {m} exceeds MAX_LEN={MAX_LEN}")
     d0 = m.bit_length() - 1
     if d is None:
         d = d0
     if not 1 <= d <= d0:
         raise ValueError(f"depth must be in [1, {d0}], got {d}")
-    if nu < 0:
+    if not nu >= 0:  # also rejects NaN
         raise ValueError("nu must be non-negative")
-    if q_bits < 1:
-        raise ValueError("q_bits must be >= 1")
+    if not 1 <= q_bits <= MAX_Q_BITS:
+        raise ValueError(f"q_bits must be in [1, {MAX_Q_BITS}], got {q_bits}")
+    if not np.isfinite(w).all():
+        raise ValueError("signal contains non-finite samples")
 
     leaf_bits = float(nu) * q_bits
     indices = []
@@ -242,83 +229,40 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> tuple[TreeCod
     # Bottom-up exact minimization: a node splits only when its children's
     # combined best cost does not exceed its own leaf cost (merge on strict >).
     best = costs[d]
-    split = [None] * d
+    split = [None] * d + [np.zeros(1 << d, dtype=bool)]
     for level in range(d - 1, -1, -1):
         child_sum = best[0::2] + best[1::2]
         keep = child_sum <= costs[level]
         split[level] = keep
         best = np.where(keep, child_sum, costs[level])
 
-    bits = []
-    leaves = []
-    stack = [(0, 0)]
-    while stack:
-        level, i = stack.pop()
-        is_leaf = level == d or not split[level][i]
-        bits.append(0 if is_leaf else 1)
-        if is_leaf:
-            width = m >> level
-            leaves.append(Leaf(level, i * width, (i + 1) * width, int(indices[level][i])))
-        else:
-            stack.append((level + 1, 2 * i + 1))
-            stack.append((level + 1, 2 * i))
-
-    code = TreeCode(depth_full=d, signal_len=m, q_bits=q_bits, nu=float(nu), leaves=tuple(leaves))
-    stream = Bitstream(
+    # Top-down: the nodes reached through splits that are not split are leaves.
+    starts, levels, leaf_indices = [], [], []
+    reached = np.ones(1, dtype=bool)
+    for level in range(d + 1):
+        pos = np.flatnonzero(reached & ~split[level])
+        starts.append(pos << (d0 - level))
+        levels.append(np.full(pos.size, level))
+        leaf_indices.append(indices[level][pos])
+        reached = np.repeat(reached & split[level], 2)
+        if not reached.any():
+            break
+    order = np.argsort(np.concatenate(starts))
+    return Bitstream(
         d0=d0,
         d=d,
         q_bits=q_bits,
         m=m,
-        tree_bits=tuple(bits),
-        leaf_indices=tuple(leaf.index for leaf in leaves),
+        leaf_levels=np.concatenate(levels)[order],
+        leaf_indices=np.concatenate(leaf_indices)[order],
     )
-    return code, stream
-
-
-def reconstruct(code: TreeCode) -> np.ndarray:
-    """Piecewise-constant reconstruction from the quantized leaf indices."""
-    levels = (1 << code.q_bits) - 1
-    out = np.empty(code.signal_len)
-    for leaf in code.leaves:
-        out[leaf.start : leaf.stop] = leaf.index / levels
-    return out
 
 
 def decode(data: Bitstream | bytes) -> np.ndarray:
     """Decode a stream (parsed or raw bytes) into the reconstructed signal."""
     stream = data if isinstance(data, Bitstream) else Bitstream.from_bytes(data)
     levels = (1 << stream.q_bits) - 1
-    out = np.empty(stream.m)
-    cursor = 0
-    pos = 0  # sample position of the next leaf
-    stack = [0]
-    for bit in stream.tree_bits:
-        level = stack.pop()
-        if bit:
-            stack.append(level + 1)
-            stack.append(level + 1)
-        else:
-            width = stream.m >> level
-            out[pos : pos + width] = stream.leaf_indices[cursor] / levels
-            cursor += 1
-            pos += width
-    return out
-
-
-def rate_of(code: TreeCode) -> int:
-    """Rate in bits charged by the codec: q_bits per leaf."""
-    return code.q_bits * len(code.leaves)
-
-
-def lagrangian_cost(code: TreeCode, w) -> float:
-    """Squared reconstruction error plus nu * q_bits per leaf, summed leaf by leaf."""
-    w = np.asarray(w, dtype=float)
-    levels = (1 << code.q_bits) - 1
-    total = 0.0
-    for leaf in code.leaves:
-        recon = leaf.index / levels
-        total += float(((w[leaf.start : leaf.stop] - recon) ** 2).sum())
-    return total + code.nu * code.q_bits * len(code.leaves)
+    return np.repeat(stream.leaf_indices / levels, stream.m >> stream.leaf_levels)
 
 
 class TreeCodecPlug:
@@ -332,8 +276,7 @@ class TreeCodecPlug:
         self.q_bits = int(q_bits)
 
     def compress(self, signal, theta: float) -> bytes:
-        _, stream = encode(signal, nu=theta, d=self.depth, q_bits=self.q_bits)
-        return stream.to_bytes()
+        return encode(signal, nu=theta, d=self.depth, q_bits=self.q_bits).to_bytes()
 
     def decompress(self, data: bytes) -> np.ndarray:
         return decode(data)

@@ -117,8 +117,11 @@ def test_3_tree_codec_global_optimality():
             def cost(partition):
                 return sum(sse[(lv, s)] + leaf_price for lv, s, _ in partition)
 
-            code, _ = tree_codec.encode(w, nu=nu, d=4, q_bits=8)
-            chosen = cost(tuple((leaf.level, leaf.start, leaf.stop) for leaf in code.leaves))
+            stream = tree_codec.encode(w, nu=nu, d=4, q_bits=8)
+            widths = 16 >> stream.leaf_levels
+            stops = np.cumsum(widths)
+            leaves = zip(stream.leaf_levels.tolist(), (stops - widths).tolist(), stops.tolist())
+            chosen = cost(tuple(leaves))
             ok &= chosen == min(cost(p) for p in partitions)
     report(3, "tree codec global optimality", ok, f" ({time.monotonic() - start:.1f} s)")
 

@@ -244,7 +244,7 @@ def test_codec_encode_matches_library_bit_exact(tmp_path):
     save_signal(sig, x)
     bit = tmp_path / "chirp.bin"
     assert run_cli(["codec", "encode", sig, bit, "--nu", "0.0005"]) == 0
-    _, stream = tree_codec.encode(x, nu=0.0005)
+    stream = tree_codec.encode(x, nu=0.0005)
     assert bit.read_bytes() == stream.to_bytes()
 
 

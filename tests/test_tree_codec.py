@@ -2,7 +2,8 @@
 
 The optimality checks enumerate every pruned subtree (677 of them at depth 4)
 and score each candidate with one shared cost function, so the encoder's
-output can be compared against the exhaustive minimum bit for bit.
+output can be compared against the exhaustive minimum bit for bit. The wire
+format is checked against scalar bit-by-bit reference walkers.
 """
 
 import math
@@ -10,18 +11,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sysaware.tree_codec import (
     MAGIC,
+    MAX_LEN,
+    MAX_Q_BITS,
     Bitstream,
     BitstreamError,
     TreeCodecPlug,
     decode,
     encode,
-    lagrangian_cost,
     quantize,
-    rate_of,
-    reconstruct,
     segment_mean,
 )
 
@@ -51,6 +53,94 @@ def partition_cost(w, partition, nu, q_bits):
         recon = index / levels
         total += float(((seg - recon) ** 2).sum()) + nu * q_bits
     return total
+
+
+def leaf_partition(stream):
+    """(level, start, stop) of each leaf of a coded tree, left to right."""
+    widths = stream.m >> stream.leaf_levels
+    stops = np.cumsum(widths)
+    return list(zip(stream.leaf_levels.tolist(), (stops - widths).tolist(), stops.tolist()))
+
+
+def _pack_bits(bits):
+    out = bytearray((len(bits) + 7) // 8)
+    for pos, bit in enumerate(bits):
+        if bit:
+            out[pos // 8] |= 1 << (7 - pos % 8)
+    return bytes(out)
+
+
+def oracle_to_bytes(stream):
+    """Scalar writer: pre-order walk one node at a time, bits packed one by one."""
+    tree = []
+    leaves = iter(stream.leaf_levels.tolist())
+    next_leaf = next(leaves)
+    pending = [0]
+    while pending:
+        level = pending.pop()
+        if level == next_leaf:  # the next leaf in order starts at this node
+            tree.append(0)
+            next_leaf = next(leaves, None)
+        else:
+            tree.append(1)
+            pending += [level + 1, level + 1]
+    payload = [
+        (index >> shift) & 1
+        for index in stream.leaf_indices.tolist()
+        for shift in range(stream.q_bits - 1, -1, -1)
+    ]
+    header = MAGIC + bytes([stream.d0, stream.d, stream.q_bits]) + struct.pack(">I", stream.m)
+    return header + _pack_bits(tree) + _pack_bits(payload)
+
+
+def oracle_decode(data):
+    """Scalar parser and decoder: header checks, pre-order walk, payload read bit by bit."""
+    if len(data) < 11:
+        raise BitstreamError("truncated header", offset=len(data))
+    if data[:4] != MAGIC:
+        raise BitstreamError("bad magic", offset=0)
+    d0, d, q_bits = data[4], data[5], data[6]
+    m = struct.unpack(">I", data[7:11])[0]
+    if m > MAX_LEN or m != 1 << d0:
+        raise BitstreamError("bad signal length", offset=7)
+    if not 1 <= d <= d0:
+        raise BitstreamError("bad depth", offset=5)
+    if not 1 <= q_bits <= MAX_Q_BITS:
+        raise BitstreamError("bad q_bits", offset=6)
+
+    def bit_at(start, pos):
+        return (data[start + pos // 8] >> (7 - pos % 8)) & 1
+
+    levels = []
+    pending = [0]  # levels of nodes awaiting their bit, pre-order
+    pos = 0
+    while pending:
+        level = pending.pop()
+        if pos >= 8 * (len(data) - 11):
+            raise BitstreamError("truncated tree description", offset=len(data))
+        if bit_at(11, pos):
+            if level >= d:
+                raise BitstreamError("split below the maximum depth", offset=11 + pos // 8)
+            pending += [level + 1, level + 1]  # right pushed first, left popped first
+        else:
+            levels.append(level)
+        pos += 1
+    payload_start = 11 + (pos + 7) // 8
+    expected_len = payload_start + (q_bits * len(levels) + 7) // 8
+    if len(data) < expected_len:
+        raise BitstreamError("truncated leaf payload", offset=len(data))
+    if len(data) > expected_len:
+        raise BitstreamError("trailing data", offset=expected_len)
+
+    out = np.empty(m)
+    start = 0
+    for leaf, level in enumerate(levels):
+        index = 0
+        for bit in range(leaf * q_bits, (leaf + 1) * q_bits):
+            index = (index << 1) | bit_at(payload_start, bit)
+        out[start : start + (m >> level)] = index / ((1 << q_bits) - 1)
+        start += m >> level
+    return out
 
 
 def test_partition_enumeration_count():
@@ -119,31 +209,29 @@ def test_segment_mean_rejects_bad_intervals():
 
 
 def test_encode_constant_signal_collapses_to_root():
-    code, stream = encode(np.full(16, 0.5), nu=0.01)
-    assert len(code.leaves) == 1
-    assert code.leaves[0].level == 0
-    assert code.leaves[0].index == 128
-    assert rate_of(code) == 8
-    assert stream.tree_bits == (0,)
+    stream = encode(np.full(16, 0.5), nu=0.01)
+    assert leaf_partition(stream) == [(0, 0, 16)]
+    assert stream.leaf_indices.tolist() == [128]
+    assert stream.reported_rate_bits == 8
+    assert stream.to_bytes()[11:] == bytes([0b00000000, 128])  # one tree bit: a leaf
 
 
 def test_encode_zero_nu_keeps_full_depth():
     rng = np.random.default_rng(1)
     w = rng.uniform(size=16)
-    code, _ = encode(w, nu=0.0)
-    assert len(code.leaves) == 16
-    assert all(leaf.level == 4 for leaf in code.leaves)
+    stream = encode(w, nu=0.0)
+    assert stream.leaf_levels.tolist() == [4] * 16
 
 
 def test_encode_step_signal_matches_enumeration():
     w = np.zeros(16)
     w[8:] = 1.0
-    code, _ = encode(w, nu=0.001, d=4, q_bits=8)
+    stream = encode(w, nu=0.001, d=4, q_bits=8)
     best = min(partition_cost(w, p, 0.001, 8) for p in enumerate_partitions(4, m=16))
-    chosen = partition_cost(w, [(l.level, l.start, l.stop) for l in code.leaves], 0.001, 8)
+    chosen = partition_cost(w, leaf_partition(stream), 0.001, 8)
     assert chosen == best
     # a two-segment step costs nothing beyond the rate of two leaves
-    assert len(code.leaves) == 2
+    assert len(stream.leaf_levels) == 2
 
 
 def test_encode_optimal_over_random_signals():
@@ -152,12 +240,10 @@ def test_encode_optimal_over_random_signals():
         for nu in (0.0, 1e-4, 1e-3, 1e-2, 0.1):
             for _ in range(5):
                 w = rng.uniform(size=m)
-                code, _ = encode(w, nu=nu, d=d)
-                chosen = partition_cost(
-                    w, [(l.level, l.start, l.stop) for l in code.leaves], nu, code.q_bits
-                )
+                stream = encode(w, nu=nu, d=d)
+                chosen = partition_cost(w, leaf_partition(stream), nu, stream.q_bits)
                 best = min(
-                    partition_cost(w, p, nu, code.q_bits) for p in enumerate_partitions(d, m=m)
+                    partition_cost(w, p, nu, stream.q_bits) for p in enumerate_partitions(d, m=m)
                 )
                 assert chosen == best
 
@@ -166,7 +252,7 @@ def test_encode_rate_monotone_in_nu():
     rng = np.random.default_rng(5)
     for _ in range(10):
         w = rng.uniform(size=64)
-        rates = [encode(w, nu=nu)[1].reported_rate_bits for nu in (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)]
+        rates = [encode(w, nu=nu).reported_rate_bits for nu in (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
@@ -175,13 +261,12 @@ def test_encode_partition_tiles_signal():
     for _ in range(20):
         w = rng.uniform(size=32)
         d = int(rng.integers(1, 6))
-        code, _ = encode(w, nu=float(rng.uniform(0, 0.05)), d=d)
-        spans = sorted((leaf.start, leaf.stop) for leaf in code.leaves)
-        assert spans[0][0] == 0 and spans[-1][1] == 32
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        for leaf in code.leaves:
-            assert leaf.stop - leaf.start == 32 >> leaf.level
-            assert leaf.level <= d
+        stream = encode(w, nu=float(rng.uniform(0, 0.05)), d=d)
+        widths = 32 >> stream.leaf_levels
+        starts = np.cumsum(widths) - widths
+        assert widths.sum() == 32
+        assert np.all(starts % widths == 0)  # every leaf is a node of the dyadic tree
+        assert stream.leaf_levels.max() <= d
 
 
 def test_encode_argument_errors():
@@ -193,21 +278,29 @@ def test_encode_argument_errors():
     with pytest.raises(ValueError):
         encode(w, nu=-0.1)
     with pytest.raises(ValueError):
+        encode(w, nu=float("nan"))
+    with pytest.raises(ValueError):
         encode(w, nu=0.0, d=0)
     with pytest.raises(ValueError):
         encode(w, nu=0.0, d=5)
     with pytest.raises(ValueError):
         encode(w, nu=0.0, q_bits=0)
+    with pytest.raises(ValueError):
+        encode(w, nu=0.0, q_bits=MAX_Q_BITS + 1)
 
 
-def test_lagrangian_cost_recomputed_from_first_principles():
-    rng = np.random.default_rng(13)
-    w = rng.uniform(size=32)
-    code, _ = encode(w, nu=0.002)
-    recon = reconstruct(code)
-    sse = math.fsum((float(a) - float(b)) ** 2 for a, b in zip(w, recon))
-    expected = sse + 0.002 * 8 * len(code.leaves)
-    assert abs(lagrangian_cost(code, w) - expected) <= 1e-12
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_non_finite_samples(bad):
+    w = np.full(16, 0.5)
+    w[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        encode(w, nu=0.01)
+
+
+def test_encode_rejects_signal_longer_than_max_len():
+    w = np.broadcast_to(0.5, (2 * MAX_LEN,))  # a zero-stride view: nothing is allocated
+    with pytest.raises(ValueError, match="MAX_LEN"):
+        encode(w, nu=0.01)
 
 
 # ------------------------------------------------------------- round trip #
@@ -219,33 +312,35 @@ def test_round_trip_exact():
         w = rng.uniform(size=64)
         nu = float(rng.uniform(0, 0.02))
         q = int(rng.integers(1, 12))
-        code, stream = encode(w, nu=nu, q_bits=q)
+        stream = encode(w, nu=nu, q_bits=q)
         data = stream.to_bytes()
+        assert data == oracle_to_bytes(stream)
         parsed = Bitstream.from_bytes(data)
-        assert parsed == stream
-        assert np.array_equal(decode(data), reconstruct(code))
-        assert parsed.reported_rate_bits == rate_of(code) == q * len(code.leaves)
+        assert np.array_equal(parsed.leaf_levels, stream.leaf_levels)
+        assert np.array_equal(parsed.leaf_indices, stream.leaf_indices)
+        assert np.array_equal(decode(data), oracle_decode(data))
+        assert np.array_equal(decode(stream), oracle_decode(data))
+        assert parsed.reported_rate_bits == q * len(stream.leaf_indices)
 
 
 def test_single_leaf_stream_decodes_to_constant():
     data = MAGIC + bytes([2, 2, 8]) + struct.pack(">I", 4) + b"\x00" + bytes([128])
     assert np.array_equal(decode(data), np.full(4, 128 / 255))
     stream = Bitstream.from_bytes(data)
-    assert stream.tree_bits == (0,)
-    assert stream.leaf_indices == (128,)
+    assert stream.leaf_levels.tolist() == [0]
+    assert stream.leaf_indices.tolist() == [128]
     assert stream.reported_rate_bits == 8
 
 
 def test_encoded_constant_half_signal_bytes():
-    _, stream = encode(np.full(4, 0.5), nu=0.01)
+    stream = encode(np.full(4, 0.5), nu=0.01)
     expected = MAGIC + bytes([2, 2, 8]) + struct.pack(">I", 4) + b"\x00" + bytes([128])
     assert stream.to_bytes() == expected
 
 
 def test_padding_bits_are_zero():
     w = np.arange(16) / 16
-    _, stream = encode(w, nu=0.0, q_bits=3)
-    data = stream.to_bytes()
+    data = encode(w, nu=0.0, q_bits=3).to_bytes()
     # 31 tree bits in 4 bytes, 48 payload bits in 6 bytes
     assert len(data) == 11 + 4 + 6
     assert data[14] & 1 == 0  # final padding bit of the tree section
@@ -255,8 +350,7 @@ def test_padding_bits_are_zero():
 
 
 def _valid_stream_bytes():
-    _, stream = encode(np.full(4, 0.5), nu=0.01)
-    return stream.to_bytes()
+    return encode(np.full(4, 0.5), nu=0.01).to_bytes()
 
 
 def test_parse_error_bad_magic():
@@ -290,11 +384,23 @@ def test_parse_error_depth_out_of_range():
 
 
 def test_parse_error_zero_q_bits():
-    data = bytearray(_valid_stream_bytes())
-    data[6] = 0
+    for bad_q in (0, MAX_Q_BITS + 1):
+        data = bytearray(_valid_stream_bytes())
+        data[6] = bad_q
+        with pytest.raises(BitstreamError) as err:
+            Bitstream.from_bytes(bytes(data))
+        assert err.value.offset == 6
+
+
+def test_parse_error_length_above_max_len():
+    # consistent header for M = 2**31 and a valid one-leaf tree: decoding it
+    # would allocate 16 GiB, so only the parse is attempted
+    data = MAGIC + bytes([31, 1, 8]) + struct.pack(">I", 1 << 31) + b"\x00\x80"
+    assert len(data) == 13
     with pytest.raises(BitstreamError) as err:
-        Bitstream.from_bytes(bytes(data))
-    assert err.value.offset == 6
+        Bitstream.from_bytes(data)
+    assert err.value.offset == 7
+    assert "MAX_LEN" in str(err.value)
 
 
 def test_parse_error_truncated_tree():
@@ -328,6 +434,42 @@ def test_parse_error_trailing_data():
     assert err.value.offset == len(data)
 
 
+@st.composite
+def mutated_streams(draw):
+    """A valid stream with one to three bit flips, truncations or appended bytes."""
+    d0 = draw(st.integers(1, 6))
+    d = draw(st.integers(1, d0))
+    q_bits = draw(st.integers(1, 12))
+    nu = draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 1e-1]))
+    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=1 << d0)
+    data = bytearray(encode(w, nu=nu, d=d, q_bits=q_bits).to_bytes())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "flip from end", "truncate", "append"]))
+        if kind.startswith("flip") and data:
+            pos = draw(st.integers(0, 8 * len(data) - 1))
+            if kind == "flip from end":  # reach the tree and payload as often as the header
+                pos = 8 * len(data) - 1 - pos
+            data[pos // 8] ^= 0x80 >> (pos % 8)
+        elif kind == "truncate":
+            del data[len(data) - draw(st.integers(0, len(data))) :]
+        else:
+            data += draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_streams())
+def test_parser_matches_scalar_oracle_on_mutated_streams(data):
+    try:
+        expected = oracle_decode(data)
+    except BitstreamError as oracle_err:
+        with pytest.raises(BitstreamError) as err:
+            decode(data)
+        assert err.value.offset == oracle_err.offset
+    else:
+        assert np.array_equal(decode(data), expected)
+
+
 # ------------------------------------------------------------------- plug #
 
 
@@ -336,10 +478,10 @@ def test_plug_matches_library_calls():
     w = rng.uniform(size=32)
     plug = TreeCodecPlug(q_bits=8)
     blob = plug.compress(w, 0.003)
-    code, stream = encode(w, nu=0.003, q_bits=8)
+    stream = encode(w, nu=0.003, q_bits=8)
     assert blob == stream.to_bytes()
-    assert np.array_equal(plug.decompress(blob), reconstruct(code))
-    assert plug.rate_bits(blob) == rate_of(code)
+    assert np.array_equal(plug.decompress(blob), oracle_decode(blob))
+    assert plug.rate_bits(blob) == 8 * len(stream.leaf_indices)
 
 
 def test_plug_fixed_depth():
