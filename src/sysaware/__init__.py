@@ -19,8 +19,8 @@ from .linops import (  # noqa: F401
     Replicate,
     Scale,
     SolverError,
-    SpectralOperator,
     Subsample,
+    circulant_symbol,
     pseudoinverse_apply,
     project_range,
     solve_regularized,
@@ -32,7 +32,7 @@ from .tree_codec import (  # noqa: F401
     decode,
     encode,
 )
-from .admm import AdmmConfig, AdmmState, CodecPlug, run, system_distortion_dc  # noqa: F401
+from .admm import AdmmConfig, AdmmState, run, system_distortion_dc  # noqa: F401
 from .gauss_theory import (  # noqa: F401
     SpectralAllocation,
     SpectralModel,

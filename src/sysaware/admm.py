@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .linops import LinearMap, solve_regularized
+from .linops import Compose, LinearMap, circulant_symbol, solve_regularized
 
 __all__ = [
     "AdmmConfig",
     "AdmmState",
-    "CodecPlug",
     "CodecError",
     "run",
     "stopping_check",
@@ -30,16 +28,6 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-30  # keeps the relative stopping rule meaningful near zero
-
-
-@dataclass(frozen=True)
-class CodecPlug:
-    """Codec callables: compress(signal, theta) -> bytes, decompress(bytes) ->
-    signal, rate_bits(bytes) -> int. Any object with these attributes works."""
-
-    compress: Callable
-    decompress: Callable
-    rate_bits: Callable
 
 
 class CodecError(RuntimeError):
@@ -58,7 +46,8 @@ class AdmmConfig:
     proximity to the codec output against data fidelity in the z-update; the
     loop stops after max_iters iterations or once the primal residual
     ||v_hat - z_hat|| drops below tol relative to the iterate norms.
-    cg_tol / cg_maxiter are forwarded to the normal-equation solver.
+    cg_tol / cg_maxiter are forwarded to the normal-equation solver, which
+    uses them only when A(B(.)) is not circulant.
     """
 
     theta: float
@@ -122,6 +111,11 @@ def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, l
     equations for the new z_hat with target v_tilde = v_hat + u, and updates
     u by the primal residual v_hat - z_hat. Returns the final iteration's
     blob and the full iteration trace.
+
+    ``codec`` is any object with compress(signal, theta) -> bytes,
+    decompress(bytes) -> signal and rate_bits(bytes) -> int. The z-update is
+    solved in closed form when A(B(.)) is circulant on the coded grid (probed
+    once per run) and by conjugate gradients otherwise.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size != a.out_dim:
@@ -132,6 +126,8 @@ def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, l
         raise ValueError(f"A.in_dim={a.in_dim} and B.out_dim={b.out_dim} do not compose")
 
     m = w.size
+    symbol = circulant_symbol(Compose([b, a]))
+    method = "cg" if symbol is None else "dft"
     z_hat = w.copy()
     u = np.zeros(m)
     trace: list[AdmmState] = []
@@ -147,7 +143,8 @@ def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, l
             raise CodecError(f"codec returned shape {v_hat.shape}, expected ({m},)", iteration=t)
         v_tilde = v_hat + u
         z_hat = solve_regularized(
-            a, b, w, v_tilde, cfg.beta_tilde, cg_tol=cfg.cg_tol, cg_maxiter=cfg.cg_maxiter
+            a, b, w, v_tilde, cfg.beta_tilde,
+            method=method, cg_tol=cfg.cg_tol, cg_maxiter=cfg.cg_maxiter, symbol=symbol,
         )
         state = AdmmState(
             t=t,

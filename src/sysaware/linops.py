@@ -21,16 +21,18 @@ __all__ = [
     "CirculantSpectral",
     "Convolution",
     "Compose",
-    "SpectralOperator",
     "kernel_spectrum",
     "pseudoinverse_apply",
     "project_range",
     "mask_spectrum",
+    "circulant_symbol",
     "solve_regularized",
 ]
 
 # Relative magnitude below which a frequency-response entry counts as zero.
 ZERO_TOL = 1e-12
+# Relative defect below which a probed square operator counts as circulant.
+CIRCULANT_TOL = 1e-12
 
 
 class DimensionMismatchError(ValueError):
@@ -158,27 +160,6 @@ class Replicate(LinearMap):
         return y.reshape(self.in_dim, self.factor).sum(axis=1)
 
 
-class SpectralOperator:
-    """A circulant operator described by its DFT-domain frequency response.
-
-    Response entries with magnitude at most ``ZERO_TOL`` times the largest
-    magnitude are treated as exact zeros. They define the null space: the
-    pseudoinverse response is 1/c_k on the support and 0 elsewhere.
-    """
-
-    def __init__(self, freq_response):
-        c = np.array(freq_response, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("frequency response must be a non-empty 1D vector")
-        self.freq_response = c
-        self.length = c.size
-        peak = float(np.max(np.abs(c)))
-        self.support = np.abs(c) > ZERO_TOL * peak if peak > 0 else np.zeros(c.size, dtype=bool)
-        pinv = np.zeros_like(c)
-        np.divide(1.0, c, out=pinv, where=self.support)
-        self.pinv_response = pinv
-
-
 def kernel_spectrum(n: int, kernel, center: int | None = None) -> np.ndarray:
     """Frequency response of centered circular convolution with ``kernel``.
 
@@ -208,27 +189,31 @@ class CirculantSpectral(LinearMap):
 
     The adjoint is the circulant operator with the conjugate response. The
     response should be conjugate-symmetric when modeling a real filter;
-    :func:`kernel_spectrum` guarantees that by construction.
+    :func:`kernel_spectrum` guarantees that by construction. Response entries
+    with magnitude at most ``ZERO_TOL`` times the largest magnitude count as
+    exact zeros: ``support`` marks the others, and ``pinv_response`` holds
+    1/c_k on the support and 0 elsewhere.
     """
 
     def __init__(self, freq_response):
-        spectrum = (
-            freq_response
-            if isinstance(freq_response, SpectralOperator)
-            else SpectralOperator(freq_response)
-        )
-        super().__init__(spectrum.length, spectrum.length)
-        self.spectrum = spectrum
+        c = np.array(freq_response, dtype=complex)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("frequency response must be a non-empty 1D vector")
+        super().__init__(c.size, c.size)
+        self.freq_response = c
+        magnitude = np.abs(c)
+        self.support = magnitude > ZERO_TOL * magnitude.max()
+        self.pinv_response = np.divide(1.0, c, out=np.zeros_like(c), where=self.support)
 
     @classmethod
     def from_kernel(cls, n: int, kernel, center: int | None = None) -> "CirculantSpectral":
         return cls(kernel_spectrum(n, kernel, center))
 
     def _apply(self, x):
-        return np.fft.ifft(np.fft.fft(x) * self.spectrum.freq_response).real
+        return np.fft.ifft(np.fft.fft(x) * self.freq_response).real
 
     def _adjoint(self, y):
-        return np.fft.ifft(np.fft.fft(y) * np.conj(self.spectrum.freq_response)).real
+        return np.fft.ifft(np.fft.fft(y) * np.conj(self.freq_response)).real
 
 
 class Convolution(CirculantSpectral):
@@ -282,37 +267,48 @@ class Compose(LinearMap):
         return y if self.stages else y.copy()
 
 
-def _spectrum_of(op: SpectralOperator | CirculantSpectral) -> SpectralOperator:
-    if isinstance(op, CirculantSpectral):
-        return op.spectrum
-    if isinstance(op, SpectralOperator):
-        return op
-    raise TypeError(f"expected a spectral operator, got {type(op).__name__}")
-
-
-def pseudoinverse_apply(op, x) -> np.ndarray:
+def pseudoinverse_apply(op: CirculantSpectral, x) -> np.ndarray:
     """Apply the circulant pseudoinverse: divide DFT bins on the support, zero the rest."""
-    spec = _spectrum_of(op)
     x = _as_vector(x)
-    if x.size != spec.length:
-        raise DimensionMismatchError("pseudoinverse_apply", spec.length, x.size)
-    return np.fft.ifft(np.fft.fft(x) * spec.pinv_response).real
+    if x.size != op.in_dim:
+        raise DimensionMismatchError("pseudoinverse_apply", op.in_dim, x.size)
+    return np.fft.ifft(np.fft.fft(x) * op.pinv_response).real
 
 
-def project_range(op, x) -> np.ndarray:
+def project_range(op: CirculantSpectral, x) -> np.ndarray:
     """Orthogonal projection onto the operator's range (zero the off-support DFT bins)."""
-    spec = _spectrum_of(op)
     x = _as_vector(x)
-    if x.size != spec.length:
-        raise DimensionMismatchError("project_range", spec.length, x.size)
-    return np.fft.ifft(mask_spectrum(spec, np.fft.fft(x))).real
+    if x.size != op.in_dim:
+        raise DimensionMismatchError("project_range", op.in_dim, x.size)
+    return np.fft.ifft(mask_spectrum(op, np.fft.fft(x))).real
 
 
-def mask_spectrum(op: SpectralOperator, xf: np.ndarray) -> np.ndarray:
+def mask_spectrum(op: CirculantSpectral, xf: np.ndarray) -> np.ndarray:
     """Zero the DFT bins outside the operator's support. Idempotent by construction."""
     out = np.array(xf, dtype=complex)
     out[~op.support] = 0.0
     return out
+
+
+def circulant_symbol(op: LinearMap) -> np.ndarray | None:
+    """DFT symbol h with op(x) == ifft(h * fft(x)), or None if op is not circulant.
+
+    h is the DFT of the impulse response op(e0). It is accepted when that
+    identity holds, to ``CIRCULANT_TOL`` relative to max|h| * ||x||, on a
+    fixed-seed random probe and on the probe rolled by one sample; any square
+    map, composite or not, is checked the same way.
+    """
+    if op.in_dim != op.out_dim:
+        return None
+    impulse = np.zeros(op.in_dim)
+    impulse[0] = 1.0
+    h = np.fft.fft(op.apply(impulse))
+    probe = np.random.default_rng(0).standard_normal(op.in_dim)
+    limit = CIRCULANT_TOL * float(np.abs(h).max()) * float(np.linalg.norm(probe))
+    for x in (probe, np.roll(probe, 1)):
+        if np.linalg.norm(op.apply(x) - np.fft.ifft(h * np.fft.fft(x)).real) > limit:
+            return None
+    return h
 
 
 def solve_regularized(
@@ -324,18 +320,22 @@ def solve_regularized(
     method: str = "auto",
     cg_tol: float = 1e-10,
     cg_maxiter: int | None = None,
+    symbol: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve (B*A*AB + beta_tilde I) z = B*A*w + beta_tilde v_tilde for z.
 
     The solution balances fidelity of A(B(z)) to the measurements w against
-    proximity to the target v_tilde. When both operators are circulant the
-    normal equations are diagonal in the DFT domain and solved componentwise;
-    otherwise conjugate gradients run matrix-free on the normal operator,
+    proximity to the target v_tilde. When H = A(B(.)) is circulant with DFT
+    symbol h, the normal equations are diagonal in the DFT domain and solved
+    bin by bin: (|h|^2 + beta_tilde) z_k = conj(h_k) w_k + beta_tilde v_k.
+    Otherwise conjugate gradients run matrix-free on the normal operator,
     stopping at ``cg_tol`` relative residual with an iteration cap of
     ``cg_maxiter`` (default 10x the problem dimension).
 
-    method: "auto" picks the DFT path when both a and b are CirculantSpectral,
-    "dft" and "cg" force the respective path.
+    method: "auto" takes the closed form when :func:`circulant_symbol` finds
+    H circulant and CG otherwise; "dft" and "cg" force the respective path.
+    ``symbol`` is H's symbol when the caller already has it, which skips the
+    probe.
     """
     w = _as_vector(w)
     v_tilde = _as_vector(v_tilde)
@@ -348,18 +348,18 @@ def solve_regularized(
     beta = float(beta_tilde)
     if not beta > 0:
         raise ValueError("beta_tilde must be positive")
-
-    if method == "auto":
-        both_circulant = isinstance(a, CirculantSpectral) and isinstance(b, CirculantSpectral)
-        method = "dft" if both_circulant else "cg"
-    if method == "dft":
-        if not (isinstance(a, CirculantSpectral) and isinstance(b, CirculantSpectral)):
-            raise ValueError("dft method requires both operators to be CirculantSpectral")
-        h = a.spectrum.freq_response * b.spectrum.freq_response
-        zf = (np.conj(h) * np.fft.fft(w) + beta * np.fft.fft(v_tilde)) / (np.abs(h) ** 2 + beta)
-        return np.fft.ifft(zf).real
-    if method != "cg":
+    if method not in ("auto", "dft", "cg"):
         raise ValueError(f"unknown method {method!r}")
+
+    if method == "cg":
+        symbol = None
+    elif symbol is None:
+        symbol = circulant_symbol(Compose([b, a]))
+        if symbol is None and method == "dft":
+            raise ValueError("dft method requires A(B(.)) to be circulant")
+    if symbol is not None:
+        zf = np.conj(symbol) * np.fft.fft(w) + beta * np.fft.fft(v_tilde)
+        return np.fft.ifft(zf / (np.abs(symbol) ** 2 + beta)).real
 
     rhs = b.adjoint(a.adjoint(w)) + beta * v_tilde
 

@@ -9,7 +9,6 @@ bit-reproducible from the recorded seed.
 from __future__ import annotations
 
 import io
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "save_signal",
     "load_signal",
 ]
-
-log = logging.getLogger(__name__)
 
 PSNR_CAP_DB = 200.0
 
@@ -160,7 +157,7 @@ def sweep(
 
     method "regular" compresses the measurements directly; "proposed" runs the
     ADMM loop (admm_cfg required; its theta is replaced by each parameter).
-    A failing point is logged with its parameter and skipped.
+    A failing point raises RuntimeError naming the method and the parameter.
     """
     if method not in ("regular", "proposed"):
         raise ValueError(f"method must be 'regular' or 'proposed', got {method!r}")
@@ -190,8 +187,9 @@ def sweep(
                     blob=blob,
                 )
             )
-        except Exception:
-            log.warning("sweep point failed (method=%s, param=%r)", method, param, exc_info=True)
+        except Exception as exc:
+            message = f"sweep point failed (method={method}, param={param!r}): {exc}"
+            raise RuntimeError(message) from exc
     return sorted(points, key=lambda p: p.rate_bpp)
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "MAX_Q_BITS",
     "BitstreamError",
     "Bitstream",
-    "quantize",
-    "segment_mean",
     "encode",
     "decode",
     "TreeCodecPlug",
@@ -162,34 +160,11 @@ def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
     return node_level[bits == 0], n_bits
 
 
-def quantize(value: float, q_bits: int) -> tuple[int, float]:
-    """Uniform scalar quantization of a value clamped to [0, 1].
-
-    Returns (index, reconstruction) with index = round(value * (2**q_bits - 1)),
-    ties rounding up, and reconstruction = index / (2**q_bits - 1).
-    """
-    if q_bits < 1:
-        raise ValueError("q_bits must be >= 1")
-    levels = (1 << q_bits) - 1
-    clamped = min(max(float(value), 0.0), 1.0)
-    index = int(np.floor(clamped * levels + 0.5))
-    return index, index / levels
-
-
 def _quantize_array(values: np.ndarray, q_bits: int) -> tuple[np.ndarray, np.ndarray]:
     levels = (1 << q_bits) - 1
     clamped = np.clip(values, 0.0, 1.0)
     index = np.floor(clamped * levels + 0.5).astype(np.int64)
     return index, index / levels
-
-
-def segment_mean(w, interval: tuple[int, int]) -> float:
-    """Mean of w over the half-open interval [start, stop)."""
-    w = np.asarray(w, dtype=float)
-    start, stop = interval
-    if not 0 <= start < stop <= w.size:
-        raise ValueError(f"invalid interval [{start}, {stop}) for length {w.size}")
-    return float(w[start:stop].mean())
 
 
 def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:

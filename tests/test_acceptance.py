@@ -194,8 +194,8 @@ def test_6_z_update_equivalence():
             w = rng.normal(size=n)
             v = rng.normal(size=n)
             beta = float(rng.uniform(0.1, 2.0))
-            ad = (f.conj().T @ np.diag(a.spectrum.freq_response) @ f / n).real
-            bd = (f.conj().T @ np.diag(b.spectrum.freq_response) @ f / n).real
+            ad = (f.conj().T @ np.diag(a.freq_response) @ f / n).real
+            bd = (f.conj().T @ np.diag(b.freq_response) @ f / n).real
             dense = np.linalg.solve(
                 bd.T @ ad.T @ ad @ bd + beta * np.eye(n), bd.T @ ad.T @ w + beta * v
             )
@@ -222,8 +222,8 @@ def test_7_range_decomposition_identity():
         w = rng.normal(size=n)
         v = rng.normal(size=n)
         lhs = float(np.sum((w - op.apply(v)) ** 2))
-        out_of_range = w - project_range(op.spectrum, w)
-        in_range = op.apply(pseudoinverse_apply(op.spectrum, w) - v)
+        out_of_range = w - project_range(op, w)
+        in_range = op.apply(pseudoinverse_apply(op, w) - v)
         rhs = float(np.sum(out_of_range**2) + np.sum(in_range**2))
         ok &= abs(lhs - rhs) <= 1e-10 * max(lhs, rhs, 1e-12)
     report(7, "range decomposition identity", ok, f" ({time.monotonic() - start:.1f} s)")

@@ -1,13 +1,16 @@
 """Tests for the codec-in-the-loop ADMM driver."""
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
+from sysaware import admm
 from sysaware.admm import (
     AdmmConfig,
     AdmmState,
     CodecError,
-    CodecPlug,
     best_distortion_iteration,
     run,
     stopping_check,
@@ -16,6 +19,16 @@ from sysaware.admm import (
 )
 from sysaware.linops import Compose, Convolution, Identity, Replicate, Subsample
 from sysaware.tree_codec import TreeCodecPlug
+
+
+@dataclass(frozen=True)
+class CodecPlug:
+    """Codec callables: compress(signal, theta) -> bytes, decompress(bytes) ->
+    signal, rate_bits(bytes) -> int. Any object with these attributes works."""
+
+    compress: Callable
+    decompress: Callable
+    rate_bits: Callable
 
 
 def make_state(t, residual=0.0, norm=1.0, d_c=0.0):
@@ -94,6 +107,33 @@ def test_z_update_satisfies_normal_equations():
         lhs = b.adjoint(a.adjoint(a.apply(b.apply(state.z_hat)))) + beta * state.z_hat
         rhs = b.adjoint(a.adjoint(w)) + beta * state.v_tilde
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def test_run_probes_the_chain_once_per_run(monkeypatch):
+    probes, methods = [], []
+    probe, solve = admm.circulant_symbol, admm.solve_regularized
+
+    def counted_probe(op):
+        probes.append(op)
+        return probe(op)
+
+    def recorded_solve(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(admm, "circulant_symbol", counted_probe)
+    monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
+    w = np.random.default_rng(8).uniform(size=32)
+    cfg = AdmmConfig(theta=1e-3, max_iters=3, tol=0.0)
+    a = Compose([Convolution(64, [0.25, 0.5, 0.25]), Subsample(64, 2)])
+    run(w, a, Replicate(32, 2), TreeCodecPlug(), cfg)
+    assert len(probes) == 1 and methods == ["dft"] * 3
+    # a sample-and-hold stage makes A(B(.)) shift-variant: CG every iteration
+    hold = Compose([a, Subsample(32, 2), Replicate(16, 2)])
+    probes.clear()
+    methods.clear()
+    run(w, hold, Replicate(32, 2), TreeCodecPlug(), cfg)
+    assert len(probes) == 1 and methods == ["cg"] * 3
 
 
 def test_chirp_loop_terminates_and_stays_bounded():

@@ -116,6 +116,22 @@ def test_run_stage_failure_exits_1(tmp_path, capsys):
     assert "system setup" in err
 
 
+def test_run_failed_sweep_point_exits_1(tmp_path, capsys, monkeypatch):
+    class Picky(tree_codec.TreeCodecPlug):
+        def compress(self, signal, theta):
+            if theta == 666.0:
+                raise RuntimeError("unsupported setting")
+            return super().compress(signal, theta)
+
+    monkeypatch.setattr(cli, "TreeCodecPlug", Picky)
+    small = SMALL_RUN.replace("0.0001, 0.001, 0.01", "0.001, 666")
+    cfg = write_config(tmp_path / "exp.cfg", small)
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "sweep (regular)" in err
+    assert "param=666.0" in err
+
+
 def test_run_signal_from_file(tmp_path):
     x = make_chirp(128)
     save_signal(tmp_path / "sig.txt", x)

@@ -3,23 +3,26 @@
 import numpy as np
 import pytest
 
+from sysaware import linops
 from sysaware.linops import (
     CirculantSpectral,
     Compose,
     Convolution,
     DimensionMismatchError,
     Identity,
+    LinearMap,
     Replicate,
     Scale,
     SolverError,
-    SpectralOperator,
     Subsample,
+    circulant_symbol,
     kernel_spectrum,
     mask_spectrum,
     project_range,
     pseudoinverse_apply,
     solve_regularized,
 )
+from sysaware.system_sim import make_blur_subsample_system
 
 # ---------------------------------------------------------------- oracles #
 
@@ -64,6 +67,21 @@ def dense_circulant(freq_response):
     return (f.conj().T @ np.diag(h) @ f / n).real
 
 
+class Window(LinearMap):
+    """Diagonal windowing y[i] = weights[i] * x[i]: shift-variant, never circulant
+    unless the weights are constant."""
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, float)
+        super().__init__(self.weights.size, self.weights.size)
+
+    def _apply(self, x):
+        return self.weights * x
+
+    def _adjoint(self, y):
+        return self.weights * y
+
+
 def dense_of(op):
     """Materialize any operator kind from its defining parameters (not via apply)."""
     if isinstance(op, Identity):
@@ -77,7 +95,9 @@ def dense_of(op):
     if isinstance(op, Replicate):
         return dense_replicate(op.in_dim, op.factor)
     if isinstance(op, CirculantSpectral):
-        return dense_circulant(op.spectrum.freq_response)
+        return dense_circulant(op.freq_response)
+    if isinstance(op, Window):
+        return np.diag(op.weights)
     if isinstance(op, Compose):
         mat = np.eye(op.in_dim)
         for stage in op.stages:
@@ -208,20 +228,20 @@ def test_adjoint_probe(kind):
 
 
 def test_pseudoinverse_full_support_is_inverse():
-    spec = SpectralOperator(np.ones(4))
+    op = CirculantSpectral(np.ones(4))
     x = np.array([3.0, -1.0, 2.0, 0.5])
-    assert np.allclose(pseudoinverse_apply(spec, x), x, atol=1e-12)
+    assert np.allclose(pseudoinverse_apply(op, x), x, atol=1e-12)
 
 
 def test_pseudoinverse_zero_bins():
-    spec = SpectralOperator([1.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(spec.support, [True, False, True, False])
-    assert np.array_equal(spec.pinv_response, [1.0, 0.0, 1.0, 0.0])
+    op = CirculantSpectral([1.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(op.support, [True, False, True, False])
+    assert np.array_equal(op.pinv_response, [1.0, 0.0, 1.0, 0.0])
 
 
 def test_pseudoinverse_threshold_rule():
-    spec = SpectralOperator([1.0, 1e-13, 0.5, 2.0])
-    assert not spec.support[1]  # below 1e-12 * max mag counts as zero
+    op = CirculantSpectral([1.0, 1e-13, 0.5, 2.0])
+    assert not op.support[1]  # below 1e-12 * max mag counts as zero
 
 
 def test_pseudoinverse_matches_numpy_pinv():
@@ -233,20 +253,20 @@ def test_pseudoinverse_matches_numpy_pinv():
             h[[j, (n - j) % n]] = 0.0  # conjugate pair, keeps the filter real
             dense = dense_circulant(h)
             pinv = np.linalg.pinv(dense)
-            spec = SpectralOperator(h)
+            op = CirculantSpectral(h)
             x = rng.normal(size=n)
-            assert np.allclose(pseudoinverse_apply(spec, x), pinv @ x, atol=1e-10)
+            assert np.allclose(pseudoinverse_apply(op, x), pinv @ x, atol=1e-10)
             # C+ C x is the range projection of the transpose problem; for
             # circulant C the range and row-space projections coincide
             assert np.allclose(
-                pseudoinverse_apply(spec, dense @ x), project_range(spec, x), atol=1e-10
+                pseudoinverse_apply(op, dense @ x), project_range(op, x), atol=1e-10
             )
 
 
 def test_project_range_frozen_case():
-    spec = SpectralOperator([1.0, 1.0, 0.0, 1.0])
+    op = CirculantSpectral([1.0, 1.0, 0.0, 1.0])
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    got = project_range(spec, x)
+    got = project_range(op, x)
     # dense oracle: F^-1 diag([1,1,0,1]) F, frozen output
     f = dft_matrix(4)
     oracle = (f.conj().T @ np.diag([1.0, 1, 0, 1]) @ f / 4 @ x).real
@@ -257,20 +277,20 @@ def test_project_range_frozen_case():
 
 def test_project_range_full_and_empty_support():
     x = np.array([1.0, -2.0, 0.5, 4.0])
-    assert np.allclose(project_range(SpectralOperator(np.ones(4) * 2), x), x, atol=1e-12)
-    assert np.allclose(project_range(SpectralOperator(np.zeros(4)), x), 0.0, atol=1e-15)
+    assert np.allclose(project_range(CirculantSpectral(np.ones(4) * 2), x), x, atol=1e-12)
+    assert np.allclose(project_range(CirculantSpectral(np.zeros(4)), x), 0.0, atol=1e-15)
 
 
 def test_projection_idempotent():
     rng = np.random.default_rng(3)
     # support pattern is mirror-symmetric so the mask describes a real filter
-    spec = SpectralOperator(np.array([1.0, 0.0, 2.0, 2.0, 0.0]))
+    op = CirculantSpectral(np.array([1.0, 0.0, 2.0, 2.0, 0.0]))
     xf = rng.normal(size=5) + 1j * rng.normal(size=5)
-    once = mask_spectrum(spec, xf)
-    assert np.array_equal(mask_spectrum(spec, once), once)  # bin zeroing: exact
+    once = mask_spectrum(op, xf)
+    assert np.array_equal(mask_spectrum(op, once), once)  # bin zeroing: exact
     x = rng.normal(size=5)
-    p = project_range(spec, x)
-    assert np.allclose(project_range(spec, p), p, atol=1e-14)  # fft round trip
+    p = project_range(op, x)
+    assert np.allclose(project_range(op, p), p, atol=1e-14)  # fft round trip
 
 
 def test_range_decomposition_identity():
@@ -286,8 +306,8 @@ def test_range_decomposition_identity():
         w = rng.normal(size=n)
         v = rng.normal(size=n)
         lhs = float(np.sum((w - op.apply(v)) ** 2))
-        out_of_range = w - project_range(op.spectrum, w)
-        in_range = op.apply(pseudoinverse_apply(op.spectrum, w) - v)
+        out_of_range = w - project_range(op, w)
+        in_range = op.apply(pseudoinverse_apply(op, w) - v)
         rhs = float(np.sum(out_of_range**2) + np.sum(in_range**2))
         assert abs(lhs - rhs) <= 1e-10 * max(lhs, rhs, 1e-12)
 
@@ -335,11 +355,87 @@ def test_solve_auto_dispatches_to_dft():
     a = CirculantSpectral(kernel_spectrum(8, [0.5, 0.5]))
     b = Identity(8)
     w = np.ones(8)
-    # mixed kinds use CG; both circulant uses the closed form; outputs agree
-    z_cg = solve_regularized(a, b, w, w, 0.5)
+    # the chain is circulant whatever b's type, so both take the closed form
+    z_identity = solve_regularized(a, b, w, w, 0.5)
     b_circ = CirculantSpectral(np.ones(8))
-    z_dft = solve_regularized(a, b_circ, w, w, 0.5)
-    assert np.allclose(z_cg, z_dft, atol=1e-8)
+    z_circulant = solve_regularized(a, b_circ, w, w, 0.5)
+    assert np.allclose(z_identity, z_circulant, atol=1e-8)
+
+
+def dense_regularized_solve(a, b, w, v, beta):
+    ad, bd = dense_of(a), dense_of(b)
+    normal = bd.T @ ad.T @ ad @ bd + beta * np.eye(bd.shape[1])
+    return np.linalg.solve(normal, bd.T @ ad.T @ w + beta * v)
+
+
+@pytest.fixture
+def cg_calls(monkeypatch):
+    """Counts the solver's conjugate-gradient runs."""
+    calls = []
+    original = linops._conjugate_gradients
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linops, "_conjugate_gradients", counted)
+    return calls
+
+
+def test_circulant_symbol_of_circulant_operators():
+    rng = np.random.default_rng(37)
+    h = kernel_spectrum(16, rng.normal(size=5))
+    assert np.allclose(circulant_symbol(CirculantSpectral(h)), h, atol=1e-12)
+    assert np.allclose(circulant_symbol(Identity(16)), np.ones(16), atol=1e-15)
+    # replicate -> convolve -> subsample is circulant on the coarse grid
+    chain = Compose([Replicate(8, 2), Convolution(16, rng.normal(size=5)), Subsample(16, 2)])
+    symbol = circulant_symbol(chain)
+    assert symbol is not None
+    assert np.allclose(dense_circulant(symbol), dense_of(chain), atol=1e-12)
+
+
+def test_circulant_symbol_rejects_shift_variant_and_non_square():
+    weights = np.linspace(0.5, 1.5, 16)
+    assert circulant_symbol(Window(weights)) is None
+    assert circulant_symbol(Compose([Convolution(16, [0.25, 0.5, 0.25]), Window(weights)])) is None
+    assert circulant_symbol(Subsample(16, 2)) is None
+    # the impulse alone cannot see a window that is 1 at sample 0
+    assert circulant_symbol(Window(np.r_[1.0, np.full(15, 2.0)])) is None
+
+
+def test_solve_shift_variant_chain_falls_back_to_cg(cg_calls):
+    rng = np.random.default_rng(41)
+    window = Window(rng.uniform(0.5, 1.5, 16))
+    a = Compose([Convolution(16, rng.normal(size=5)), window, Subsample(16, 2)])
+    b = Replicate(8, 2)
+    assert circulant_symbol(Compose([b, a])) is None
+    w = rng.normal(size=8)
+    v = rng.normal(size=8)
+    z = solve_regularized(a, b, w, v, 0.3)
+    assert len(cg_calls) == 1
+    dense = dense_regularized_solve(a, b, w, v, 0.3)
+    assert np.linalg.norm(z - dense) <= 1e-10 * np.linalg.norm(dense)
+    with pytest.raises(ValueError):
+        solve_regularized(a, b, w, v, 0.3, method="dft")
+
+
+def test_solve_default_chain_takes_closed_form(cg_calls):
+    system = make_blur_subsample_system()
+    a, b = system.a, system.b
+    symbol = circulant_symbol(Compose([b, a]))
+    assert symbol is not None and symbol.size == 256
+    rng = np.random.default_rng(43)
+    w = rng.normal(size=256)
+    v = rng.normal(size=256)
+    z = solve_regularized(a, b, w, v, 0.25)
+    assert cg_calls == []
+    assert np.array_equal(z, solve_regularized(a, b, w, v, 0.25, symbol=symbol))
+    z_cg = solve_regularized(a, b, w, v, 0.25, method="cg", cg_tol=1e-12)
+    assert len(cg_calls) == 1  # method="cg" forces CG on a circulant chain
+    dense = dense_regularized_solve(a, b, w, v, 0.25)
+    scale = np.linalg.norm(dense)
+    assert np.linalg.norm(z - z_cg) <= 1e-10 * scale
+    assert np.linalg.norm(z - dense) <= 1e-10 * scale
 
 
 def test_solve_satisfies_normal_equations():
@@ -372,6 +468,7 @@ def test_cg_iteration_cap_raises_with_residual():
     rng = np.random.default_rng(31)
     a = Convolution(16, rng.normal(size=7))
     b = Identity(16)
-    with pytest.raises(SolverError) as err:
-        solve_regularized(a, b, rng.normal(size=16), rng.normal(size=16), 1e-6, cg_maxiter=1)
+    w, v = rng.normal(size=16), rng.normal(size=16)
+    with pytest.raises(SolverError) as err:  # the chain is circulant: force CG
+        solve_regularized(a, b, w, v, 1e-6, method="cg", cg_maxiter=1)
     assert err.value.residual > 0

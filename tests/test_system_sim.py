@@ -1,6 +1,5 @@
 """Chirp experiment plumbing: signal, system, metrics, sweeps."""
 
-import logging
 import math
 
 import numpy as np
@@ -210,7 +209,7 @@ def test_sweep_requires_admm_config_for_proposed():
         sweep(x, identity_system(32), TreeCodecPlug(), [1e-3], "fast")
 
 
-def test_sweep_skips_failing_point_with_log(caplog):
+def test_sweep_failing_point_raises_naming_param():
     class Picky:
         def __init__(self):
             self.inner = TreeCodecPlug()
@@ -227,11 +226,10 @@ def test_sweep_skips_failing_point_with_log(caplog):
             return self.inner.rate_bits(blob)
 
     x = make_chirp(64)
-    with caplog.at_level(logging.WARNING, logger="sysaware.system_sim"):
-        points = sweep(x, identity_system(64), Picky(), [1e-3, 666.0, 1e-2], "regular")
-    assert len(points) == 2
-    assert all(p.nu_or_theta != 666.0 for p in points)
-    assert any("666" in rec.getMessage() for rec in caplog.records)
+    with pytest.raises(RuntimeError, match="method=regular") as err:
+        sweep(x, identity_system(64), Picky(), [1e-3, 666.0, 1e-2], "regular")
+    assert "666" in str(err.value)
+    assert isinstance(err.value.__cause__, RuntimeError)  # the codec's own error is chained
 
 
 # -------------------------------------------------------------------- csv #

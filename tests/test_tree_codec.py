@@ -23,11 +23,32 @@ from sysaware.tree_codec import (
     TreeCodecPlug,
     decode,
     encode,
-    quantize,
-    segment_mean,
 )
 
 # ---------------------------------------------------------------- oracles #
+
+
+def quantize(value: float, q_bits: int) -> tuple[int, float]:
+    """Uniform scalar quantization of a value clamped to [0, 1].
+
+    Returns (index, reconstruction) with index = round(value * (2**q_bits - 1)),
+    ties rounding up, and reconstruction = index / (2**q_bits - 1).
+    """
+    if q_bits < 1:
+        raise ValueError("q_bits must be >= 1")
+    levels = (1 << q_bits) - 1
+    clamped = min(max(float(value), 0.0), 1.0)
+    index = int(np.floor(clamped * levels + 0.5))
+    return index, index / levels
+
+
+def segment_mean(w, interval: tuple[int, int]) -> float:
+    """Mean of w over the half-open interval [start, stop)."""
+    w = np.asarray(w, dtype=float)
+    start, stop = interval
+    if not 0 <= start < stop <= w.size:
+        raise ValueError(f"invalid interval [{start}, {stop}) for length {w.size}")
+    return float(w[start:stop].mean())
 
 
 def enumerate_partitions(depth_left, level=0, start=0, stop=None, m=None):
@@ -45,13 +66,10 @@ def enumerate_partitions(depth_left, level=0, start=0, stop=None, m=None):
 
 def partition_cost(w, partition, nu, q_bits):
     """Lagrangian cost of a candidate partition, same arithmetic as the codec."""
-    levels = (1 << q_bits) - 1
     total = 0.0
     for _, start, stop in partition:
-        seg = w[start:stop]
-        index = int(np.floor(np.clip(seg.mean(), 0.0, 1.0) * levels + 0.5))
-        recon = index / levels
-        total += float(((seg - recon) ** 2).sum()) + nu * q_bits
+        _, recon = quantize(segment_mean(w, (start, stop)), q_bits)
+        total += float(((w[start:stop] - recon) ** 2).sum()) + nu * q_bits
     return total
 
 
