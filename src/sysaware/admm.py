@@ -46,16 +46,12 @@ class AdmmConfig:
     proximity to the codec output against data fidelity in the z-update; the
     loop stops after max_iters iterations or once the primal residual
     ||v_hat - z_hat|| drops below tol relative to the iterate norms.
-    cg_tol / cg_maxiter are forwarded to the normal-equation solver, which
-    uses them only when A(B(.)) is not circulant.
     """
 
     theta: float
     beta_tilde: float = 0.25
     max_iters: int = 40
     tol: float = 1e-4
-    cg_tol: float = 1e-10
-    cg_maxiter: int | None = None
 
     def __post_init__(self):
         if not self.beta_tilde > 0:
@@ -127,7 +123,6 @@ def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, l
 
     m = w.size
     symbol = circulant_symbol(Compose([b, a]))
-    method = "cg" if symbol is None else "dft"
     z_hat = w.copy()
     u = np.zeros(m)
     trace: list[AdmmState] = []
@@ -142,10 +137,7 @@ def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, l
         if v_hat.shape != (m,):
             raise CodecError(f"codec returned shape {v_hat.shape}, expected ({m},)", iteration=t)
         v_tilde = v_hat + u
-        z_hat = solve_regularized(
-            a, b, w, v_tilde, cfg.beta_tilde,
-            method=method, cg_tol=cfg.cg_tol, cg_maxiter=cfg.cg_maxiter, symbol=symbol,
-        )
+        z_hat = solve_regularized(a, b, w, v_tilde, cfg.beta_tilde, symbol=symbol)
         state = AdmmState(
             t=t,
             z_tilde=z_tilde,

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, gauss_theory, system_sim, tree_codec
 from .admm import AdmmConfig
 from .gauss_theory import SpectralModel
-from .tree_codec import BitstreamError, TreeCodecPlug
+from .tree_codec import TreeCodecPlug
 
 __all__ = ["main", "ConfigError", "ExperimentConfig", "TheoryConfig"]
 
@@ -179,20 +179,9 @@ def _write_manifest(out_dir: Path, cfg, seed: int | None, outputs: list[Path]) -
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-class _Stage:
-    """Names the stage a runtime failure happened in, for the exit-1 message."""
-
-    def __init__(self):
-        self.name = "setup"
-
-    def __call__(self, name: str) -> None:
-        self.name = name
-
-
 def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
-    stage = _Stage()
+    stage = "signal"
     try:
-        stage("signal")
         if cfg.signal_kind == "chirp":
             x = system_sim.make_chirp(cfg.signal_n)
         elif cfg.signal_kind == "file":
@@ -200,7 +189,7 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
         else:
             raise ValueError(f"unknown signal kind {cfg.signal_kind!r}")
 
-        stage("system setup")
+        stage = "system setup"
         system = system_sim.make_blur_subsample_system(
             n=x.size,
             kernel_std=cfg.kernel_std,
@@ -217,37 +206,36 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
             tol=cfg.admm_tol,
         )
 
-        stage("sweep (regular)")
+        stage = "sweep (regular)"
         regular = system_sim.sweep(x, system, codec, cfg.sweep_params, "regular")
-        stage("sweep (proposed)")
+        stage = "sweep (proposed)"
         proposed = system_sim.sweep(x, system, codec, cfg.sweep_params, "proposed", admm_cfg)
 
-        stage("write outputs")
+        stage = "write outputs"
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
 
-        def emit(name: str, data) -> Path:
+        def emit(name: str, data) -> None:
             path = out_dir / name
             if isinstance(data, bytes):
                 path.write_bytes(data)
-            else:
+            elif isinstance(data, str):
                 path.write_text(data)
+            else:
+                system_sim.save_signal(path, data)
             outputs.append(path)
-            return path
 
         emit("rd_curve.csv", system_sim.rd_points_to_csv(regular + proposed, cfg.seed))
-        system_sim.save_signal(out_dir / "source.txt", x)
-        outputs.append(out_dir / "source.txt")
-        system_sim.save_signal(out_dir / "acquired.txt", system_sim.acquire(x, system))
-        outputs.append(out_dir / "acquired.txt")
+        emit("source.txt", x)
+        emit("acquired.txt", system_sim.acquire(x, system))
         for points in (regular, proposed):
             for i, point in enumerate(points):
                 emit(f"{point.method}_{i:02d}.bin", point.blob)
                 y = system_sim.render(codec.decompress(point.blob), system)
-                emit(f"recon_{point.method}_{i:02d}.txt", "".join(f"{v!r}\n" for v in y.tolist()))
+                emit(f"recon_{point.method}_{i:02d}.txt", y)
         _write_manifest(out_dir, cfg, cfg.seed, outputs)
     except Exception as exc:
-        raise RuntimeError(f"stage '{stage.name}' failed: {exc}") from exc
+        raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
 
 
 def _parse_response(spec: str, n: int, field: str) -> np.ndarray:
@@ -288,9 +276,8 @@ def _parse_spectrum(spec: str, n: int) -> np.ndarray:
 
 
 def cmd_theory_curve(cfg: TheoryConfig, out_dir: Path) -> None:
-    stage = _Stage()
+    stage = "model setup"
     try:
-        stage("model setup")
         model = SpectralModel(
             n=cfg.n,
             lambda_x=_parse_spectrum(cfg.lambda_x, cfg.n),
@@ -299,14 +286,14 @@ def cmd_theory_curve(cfg: TheoryConfig, out_dir: Path) -> None:
         )
         if not model.k_ab.any():
             print("warning: empty joint support, the curve carries zero rate", file=sys.stderr)
-        stage("curve")
+        stage = "curve"
         csv_text = gauss_theory.curve_to_csv(model, sorted(cfg.d_grid))
-        stage("write outputs")
+        stage = "write outputs"
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "theory_curve.csv").write_text(csv_text)
         _write_manifest(out_dir, cfg, None, [out_dir / "theory_curve.csv"])
     except Exception as exc:
-        raise RuntimeError(f"stage '{stage.name}' failed: {exc}") from exc
+        raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
 
 
 def cmd_codec(args) -> None:
@@ -320,9 +307,7 @@ def cmd_codec(args) -> None:
     else:
         data = Path(args.input).read_bytes()
         recon = tree_codec.decode(data)
-        with open(args.output, "w") as fh:
-            for value in recon.tolist():
-                fh.write(f"{value!r}\n")
+        system_sim.save_signal(args.output, recon)
         print(f"decoded {recon.size} samples")
 
 
@@ -371,9 +356,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BitstreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 _THETA_FLOOR = 1e-15  # rate evaluation floor when the water level hits zero
-_BISECT_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -109,15 +108,35 @@ def expected_min_distortion(model: SpectralModel) -> float:
     return float(model.lambda_w[lost].sum()) / model.n
 
 
+def _water_level(weighted: np.ndarray, target: float) -> float:
+    """Level theta with sum(min(theta, weighted)) == target, for non-negative
+    ``weighted`` and 0 <= target <= its sum (up to rounding).
+
+    Closed form (Cover & Thomas, Elements of Information Theory, 10.3.3):
+    with the values sorted ascending, theta is the first equal share of the
+    budget left after the smaller values that does not exceed the next one.
+    When no share fits (a budget at saturation) it is the largest value, and
+    0 when there are no values.
+    """
+    levels = np.sort(weighted)
+    below = np.concatenate(([0.0], np.cumsum(levels[:-1])))
+    shares = (target - below) / np.arange(levels.size, 0, -1)
+    fits = np.flatnonzero(shares <= levels)
+    if fits.size:
+        return float(shares[fits[0]])
+    return float(levels[-1]) if levels.size else 0.0
+
+
 def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     """Reverse water-filling at per-sample distortion budget ``total_d``.
 
-    Finds theta by bisection so that sum over the joint support of
-    min(theta, |a_k b_k|^2 lambda_w_tilde_k) equals N * total_d, then assigns
+    The water level theta solves sum over the joint support of
+    min(theta, |a_k b_k|^2 lambda_w_tilde_k) = N * total_d in closed form
+    (see :func:`_water_level`). Bins below saturation get
     D_k = theta / |a_k b_k|^2 and R_k = 0.5 * ln(|a_k b_k|^2 lambda_w_tilde_k
-    / theta) on bins below saturation, and D_k = lambda_w_tilde_k, R_k = 0 on
-    the rest. Budgets beyond the saturation point return the all-saturated
-    allocation with ``clamped`` set.
+    / theta); the rest keep D_k = lambda_w_tilde_k, R_k = 0. Budgets beyond
+    the saturation point return the all-saturated allocation with
+    ``clamped`` set.
     """
     total_d = float(total_d)
     if total_d < 0:
@@ -129,22 +148,11 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     d_k = np.where(model.k_ab, model.lambda_w_tilde, 0.0)
     r_k = np.zeros(model.n)
     if target > saturation * (1 + 1e-12):
-        theta = float(weighted.max()) if model.n else 0.0
+        theta = float(weighted.max())
         total = float((model.gain * d_k).sum())
         return SpectralAllocation(d_k, r_k, theta, total, 0.0, clamped=True)
 
-    if target == 0.0:
-        theta = 0.0  # the boundary budget needs no search and stays exact
-    else:
-        lo, hi = 0.0, float(weighted.max())
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if float(np.minimum(mid, weighted)[model.k_ab].sum()) < target:
-                lo = mid
-            else:
-                hi = mid
-        theta = 0.5 * (lo + hi)
-
+    theta = _water_level(weighted[model.k_ab], target)
     active = model.k_ab & (theta < weighted)
     d_k[active] = theta / model.gain[active]
     rate_floored = bool(active.any()) and theta < _THETA_FLOOR

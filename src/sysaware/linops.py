@@ -160,19 +160,18 @@ class Replicate(LinearMap):
         return y.reshape(self.in_dim, self.factor).sum(axis=1)
 
 
-def kernel_spectrum(n: int, kernel, center: int | None = None) -> np.ndarray:
+def kernel_spectrum(n: int, kernel) -> np.ndarray:
     """Frequency response of centered circular convolution with ``kernel``.
 
     The operator computes y[i] = sum_j kernel[j] * x[(i + j - center) mod n]
-    with ``center`` defaulting to (len(kernel) - 1) // 2, so a symmetric
-    kernel does not shift the signal. The response is built from the real
-    first column via rfft and mirrored, making it exactly conjugate-symmetric.
+    with center = (len(kernel) - 1) // 2, so a symmetric kernel does not
+    shift the signal. The response is built from the real first column via
+    rfft and mirrored, making it exactly conjugate-symmetric.
     """
     kernel = _as_vector(kernel)
     if kernel.size == 0:
         raise ValueError("kernel must be non-empty")
-    if center is None:
-        center = (kernel.size - 1) // 2
+    center = (kernel.size - 1) // 2
     col0 = np.zeros(n)
     for j, kj in enumerate(kernel.tolist()):
         col0[(center - j) % n] += kj
@@ -205,10 +204,6 @@ class CirculantSpectral(LinearMap):
         self.support = magnitude > ZERO_TOL * magnitude.max()
         self.pinv_response = np.divide(1.0, c, out=np.zeros_like(c), where=self.support)
 
-    @classmethod
-    def from_kernel(cls, n: int, kernel, center: int | None = None) -> "CirculantSpectral":
-        return cls(kernel_spectrum(n, kernel, center))
-
     def _apply(self, x):
         return np.fft.ifft(np.fft.fft(x) * self.freq_response).real
 
@@ -217,18 +212,11 @@ class CirculantSpectral(LinearMap):
 
 
 class Convolution(CirculantSpectral):
-    """Centered circular convolution with a finite kernel.
+    """Centered circular convolution with a finite kernel."""
 
-    Only the periodic boundary rule is implemented; the argument exists so the
-    choice shows up explicitly at call sites and in configs.
-    """
-
-    def __init__(self, n: int, kernel, boundary: str = "circular"):
-        if boundary != "circular":
-            raise ValueError(f"unsupported boundary rule {boundary!r}; only 'circular' is implemented")
+    def __init__(self, n: int, kernel):
         super().__init__(kernel_spectrum(n, kernel))
         self.kernel = _as_vector(kernel).copy()
-        self.boundary = boundary
 
 
 class Compose(LinearMap):
@@ -317,7 +305,6 @@ def solve_regularized(
     w,
     v_tilde,
     beta_tilde: float,
-    method: str = "auto",
     cg_tol: float = 1e-10,
     cg_maxiter: int | None = None,
     symbol: np.ndarray | None = None,
@@ -325,17 +312,13 @@ def solve_regularized(
     """Solve (B*A*AB + beta_tilde I) z = B*A*w + beta_tilde v_tilde for z.
 
     The solution balances fidelity of A(B(z)) to the measurements w against
-    proximity to the target v_tilde. When H = A(B(.)) is circulant with DFT
-    symbol h, the normal equations are diagonal in the DFT domain and solved
-    bin by bin: (|h|^2 + beta_tilde) z_k = conj(h_k) w_k + beta_tilde v_k.
-    Otherwise conjugate gradients run matrix-free on the normal operator,
+    proximity to the target v_tilde. Given the DFT ``symbol`` h of a circulant
+    H = A(B(.)), as :func:`circulant_symbol` returns it, the normal equations
+    are diagonal in the DFT domain and solved bin by bin:
+    (|h|^2 + beta_tilde) z_k = conj(h_k) w_k + beta_tilde v_k. Without a
+    symbol, conjugate gradients run matrix-free on the normal operator,
     stopping at ``cg_tol`` relative residual with an iteration cap of
     ``cg_maxiter`` (default 10x the problem dimension).
-
-    method: "auto" takes the closed form when :func:`circulant_symbol` finds
-    H circulant and CG otherwise; "dft" and "cg" force the respective path.
-    ``symbol`` is H's symbol when the caller already has it, which skips the
-    probe.
     """
     w = _as_vector(w)
     v_tilde = _as_vector(v_tilde)
@@ -348,15 +331,6 @@ def solve_regularized(
     beta = float(beta_tilde)
     if not beta > 0:
         raise ValueError("beta_tilde must be positive")
-    if method not in ("auto", "dft", "cg"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "cg":
-        symbol = None
-    elif symbol is None:
-        symbol = circulant_symbol(Compose([b, a]))
-        if symbol is None and method == "dft":
-            raise ValueError("dft method requires A(B(.)) to be circulant")
     if symbol is not None:
         zf = np.conj(symbol) * np.fft.fft(w) + beta * np.fft.fft(v_tilde)
         return np.fft.ifft(zf / (np.abs(symbol) ** 2 + beta)).real

@@ -204,8 +204,7 @@ def rd_points_to_csv(points: list[RDPoint], seed: int) -> str:
 def save_signal(path, x) -> None:
     """Write a signal as plain text, one value per line."""
     with open(path, "w") as fh:
-        for value in np.asarray(x, dtype=float).tolist():
-            fh.write(f"{value!r}\n")
+        fh.write("".join(f"{value!r}\n" for value in np.asarray(x, dtype=float).tolist()))
 
 
 def load_signal(path) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 The oracle solves for the water level in closed form: sort the saturation
 values, walk the piecewise-linear total-distortion function segment by
-segment, and invert it exactly. The implementation uses bisection, so
-agreement is evidence both routes hit the same level.
+segment in a scalar loop, and invert it exactly. The implementation reads the
+same level off vectorized cumulative sums, so agreement checks that code
+rather than the formula; the constraint and slackness checks and the
+bisection oracle of acceptance 4 check the formula.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from sysaware.cli import TheoryConfig
 from sysaware.gauss_theory import (
     CurvePoint,
     SpectralModel,
@@ -146,6 +149,28 @@ def test_water_fill_clamps_infeasible_budget():
     assert np.array_equal(alloc.d_k, np.ones(4))
     assert alloc.total_rate == 0.0
     assert not water_fill(m, 1.0).clamped  # exactly at saturation is feasible
+
+
+def test_water_fill_white_identity_level_equals_budget():
+    cfg = TheoryConfig()
+    n = cfg.n
+    m = SpectralModel(n=n, lambda_x=np.ones(n), a_f=np.ones(n), b_f=np.ones(n))
+    for d in cfg.d_grid:
+        alloc = water_fill(m, d)
+        assert alloc.theta == d  # one equal share of N * D over N unit bins
+        assert not alloc.clamped
+
+
+def test_water_fill_budget_inside_saturation_slack():
+    # weighted variances [4, 2, 1, 0.5] sum to 7.5 exactly
+    m = SpectralModel(n=4, lambda_x=[4.0, 2, 1, 0.5], a_f=np.ones(4), b_f=np.ones(4))
+    total_d = 7.5 * (1 + 1e-13) / 4
+    assert 4 * total_d > 7.5
+    alloc = water_fill(m, total_d)
+    assert not alloc.clamped
+    assert alloc.theta == 4.0
+    assert np.array_equal(alloc.r_k, np.zeros(4))
+    assert np.array_equal(alloc.d_k, [4.0, 2.0, 1.0, 0.5])
 
 
 def test_water_fill_negative_budget_rejected():

@@ -344,22 +344,23 @@ def test_solve_cg_dft_dense_agree():
             ad, bd = dense_of(a), dense_of(b)
             normal = bd.T @ ad.T @ ad @ bd + beta * np.eye(n)
             dense = np.linalg.solve(normal, bd.T @ ad.T @ w + beta * v)
-            z_dft = solve_regularized(a, b, w, v, beta, method="dft")
-            z_cg = solve_regularized(a, b, w, v, beta, method="cg", cg_tol=1e-12)
+            z_dft = solve_regularized(a, b, w, v, beta, symbol=circulant_symbol(Compose([b, a])))
+            z_cg = solve_regularized(a, b, w, v, beta, cg_tol=1e-12)
             scale = np.linalg.norm(dense)
             assert np.linalg.norm(z_dft - dense) <= 1e-10 * scale
             assert np.linalg.norm(z_cg - dense) <= 1e-10 * scale
 
 
-def test_solve_auto_dispatches_to_dft():
+def test_solve_closed_form_ignores_operator_types(cg_calls):
     a = CirculantSpectral(kernel_spectrum(8, [0.5, 0.5]))
-    b = Identity(8)
     w = np.ones(8)
-    # the chain is circulant whatever b's type, so both take the closed form
-    z_identity = solve_regularized(a, b, w, w, 0.5)
-    b_circ = CirculantSpectral(np.ones(8))
-    z_circulant = solve_regularized(a, b_circ, w, w, 0.5)
-    assert np.allclose(z_identity, z_circulant, atol=1e-8)
+    # the chain is circulant whatever b's type, so both have a symbol
+    z = [
+        solve_regularized(a, b, w, w, 0.5, symbol=circulant_symbol(Compose([b, a])))
+        for b in (Identity(8), CirculantSpectral(np.ones(8)))
+    ]
+    assert cg_calls == []
+    assert np.allclose(z[0], z[1], atol=1e-8)
 
 
 def dense_regularized_solve(a, b, w, v, beta):
@@ -415,8 +416,6 @@ def test_solve_shift_variant_chain_falls_back_to_cg(cg_calls):
     assert len(cg_calls) == 1
     dense = dense_regularized_solve(a, b, w, v, 0.3)
     assert np.linalg.norm(z - dense) <= 1e-10 * np.linalg.norm(dense)
-    with pytest.raises(ValueError):
-        solve_regularized(a, b, w, v, 0.3, method="dft")
 
 
 def test_solve_default_chain_takes_closed_form(cg_calls):
@@ -427,11 +426,10 @@ def test_solve_default_chain_takes_closed_form(cg_calls):
     rng = np.random.default_rng(43)
     w = rng.normal(size=256)
     v = rng.normal(size=256)
-    z = solve_regularized(a, b, w, v, 0.25)
+    z = solve_regularized(a, b, w, v, 0.25, symbol=symbol)
     assert cg_calls == []
-    assert np.array_equal(z, solve_regularized(a, b, w, v, 0.25, symbol=symbol))
-    z_cg = solve_regularized(a, b, w, v, 0.25, method="cg", cg_tol=1e-12)
-    assert len(cg_calls) == 1  # method="cg" forces CG on a circulant chain
+    z_cg = solve_regularized(a, b, w, v, 0.25, cg_tol=1e-12)
+    assert len(cg_calls) == 1  # no symbol runs CG, even on a circulant chain
     dense = dense_regularized_solve(a, b, w, v, 0.25)
     scale = np.linalg.norm(dense)
     assert np.linalg.norm(z - z_cg) <= 1e-10 * scale
@@ -460,8 +458,6 @@ def test_solve_dimension_and_argument_errors():
         solve_regularized(a, b, w, np.zeros(5), 1.0)
     with pytest.raises(ValueError):
         solve_regularized(a, b, w, w, beta_tilde=0.0)
-    with pytest.raises(ValueError):
-        solve_regularized(a, b, w, w, 1.0, method="qr")
 
 
 def test_cg_iteration_cap_raises_with_residual():
@@ -469,6 +465,6 @@ def test_cg_iteration_cap_raises_with_residual():
     a = Convolution(16, rng.normal(size=7))
     b = Identity(16)
     w, v = rng.normal(size=16), rng.normal(size=16)
-    with pytest.raises(SolverError) as err:  # the chain is circulant: force CG
-        solve_regularized(a, b, w, v, 1e-6, method="cg", cg_maxiter=1)
+    with pytest.raises(SolverError) as err:  # no symbol: CG, capped at one step
+        solve_regularized(a, b, w, v, 1e-6, cg_maxiter=1)
     assert err.value.residual > 0
