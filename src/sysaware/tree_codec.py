@@ -9,6 +9,15 @@ of its samples, so the rate is q_bits per leaf. Pruning minimizes, exactly,
 over every tree reachable by merging sibling leaves: costs are accumulated
 bottom-up and a node keeps its children only when their combined subtree cost
 does not exceed the node's own leaf cost (ties keep the split).
+
+A leaf's cost needs only its segment's sum and second moment about the mean,
+m2, since ||w[leaf] - r||^2 = m2 + width * (mean - r)^2. The encoder reads the
+samples only at level d and merges every shallower node from its two children
+(Chan, Golub & LeVeque, 1983): sums add, and m2 = m2_L + m2_R + (mean_L -
+mean_R)^2 * width_child / 2. The merged moments round differently from a
+direct pass over each segment, so where two trees tie in exact arithmetic the
+computed costs may break the tie either way; the split is kept whenever the
+computed children's cost does not exceed the computed leaf cost.
 """
 
 from __future__ import annotations
@@ -80,7 +89,9 @@ class Bitstream:
         runs = levels - first + 1
         tree = np.ones(int(runs.sum()), dtype=np.uint8)
         tree[np.cumsum(runs) - 1] = 0
-        payload = (self.leaf_indices[:, None] >> np.arange(self.q_bits - 1, -1, -1)) & 1
+        # each index as 8 big-endian bytes, unpacked MSB-first: its low q_bits are the last
+        index_bytes = self.leaf_indices.astype(">u8").view(np.uint8).reshape(-1, 8)
+        payload = np.unpackbits(index_bytes, axis=1)[:, 64 - self.q_bits :]
         header = MAGIC + bytes([self.d0, self.d, self.q_bits]) + struct.pack(">I", self.m)
         return header + np.packbits(tree).tobytes() + np.packbits(payload).tobytes()
 
@@ -191,25 +202,37 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     if not np.isfinite(w).all():
         raise ValueError("signal contains non-finite samples")
 
-    leaf_bits = float(nu) * q_bits
-    indices = []
-    costs = []
-    for level in range(d + 1):
-        segments = w.reshape(1 << level, m >> level)
-        q_index, recon = _quantize_array(segments.mean(axis=1), q_bits)
-        sse = ((segments - recon[:, None]) ** 2).sum(axis=1)
-        indices.append(q_index)
-        costs.append(sse + leaf_bits)
+    # Moments of the level-d segments in one direct pass (none at width 1, where
+    # m2 is exactly 0); each shallower level merges its children's.
+    width = m >> d
+    if width == 1:
+        sums = mean = w
+        m2 = np.zeros(m)
+    else:
+        segments = w.reshape(1 << d, width)
+        sums = segments.sum(axis=1)
+        mean = sums / width
+        m2 = ((segments - mean[:, None]) ** 2).sum(axis=1)
 
     # Bottom-up exact minimization: a node splits only when its children's
     # combined best cost does not exceed its own leaf cost (merge on strict >).
-    best = costs[d]
+    leaf_bits = float(nu) * q_bits
+    indices = [None] * (d + 1)
     split = [None] * d + [np.zeros(1 << d, dtype=bool)]
-    for level in range(d - 1, -1, -1):
-        child_sum = best[0::2] + best[1::2]
-        keep = child_sum <= costs[level]
-        split[level] = keep
-        best = np.where(keep, child_sum, costs[level])
+    for level in range(d, -1, -1):
+        if level < d:
+            delta = mean[0::2] - mean[1::2]
+            m2 = m2[0::2] + m2[1::2] + delta * delta * (width / 2)
+            width *= 2
+            sums = sums[0::2] + sums[1::2]
+            mean = sums / width
+        indices[level], recon = _quantize_array(mean, q_bits)
+        cost = m2 + width * (mean - recon) ** 2 + leaf_bits
+        if level < d:
+            child_sum = best[0::2] + best[1::2]
+            split[level] = keep = child_sum <= cost
+            cost = np.where(keep, child_sum, cost)
+        best = cost
 
     # Top-down: the nodes reached through splits that are not split are leaves.
     starts, levels, leaf_indices = [], [], []
@@ -244,17 +267,31 @@ class TreeCodecPlug:
     """Adapter exposing the tree codec through the generic codec interface.
 
     ``compress(signal, theta)`` interprets theta as the Lagrangian weight nu.
+    The plug remembers the last blob it produced together with its coded tree,
+    so ``decompress`` and ``rate_bits`` on those same bytes skip the parse; any
+    other bytes are parsed (and rejected when malformed) as by
+    :meth:`Bitstream.from_bytes`.
     """
 
     def __init__(self, depth: int | None = None, q_bits: int = 8):
         self.depth = depth
         self.q_bits = int(q_bits)
+        self._last: tuple[bytes, Bitstream] | None = None
 
     def compress(self, signal, theta: float) -> bytes:
-        return encode(signal, nu=theta, d=self.depth, q_bits=self.q_bits).to_bytes()
+        stream = encode(signal, nu=theta, d=self.depth, q_bits=self.q_bits)
+        blob = stream.to_bytes()
+        self._last = (blob, stream)
+        return blob
+
+    def _stream(self, data: bytes) -> Bitstream:
+        last = self._last  # read once: the pair is replaced whole
+        if last is not None and data == last[0]:
+            return last[1]
+        return Bitstream.from_bytes(data)
 
     def decompress(self, data: bytes) -> np.ndarray:
-        return decode(data)
+        return decode(self._stream(data))
 
     def rate_bits(self, data: bytes) -> int:
-        return Bitstream.from_bytes(data).reported_rate_bits
+        return self._stream(data).reported_rate_bits

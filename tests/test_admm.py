@@ -18,7 +18,7 @@ from sysaware.admm import (
     trace_to_csv,
 )
 from sysaware.linops import Compose, Convolution, Identity, Replicate, Subsample
-from sysaware.tree_codec import TreeCodecPlug
+from sysaware.tree_codec import Bitstream, TreeCodecPlug
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,21 @@ def test_huge_beta_pins_z_to_codec_output():
     _, trace = run(w, a, Identity(32), TreeCodecPlug(), cfg)
     assert len(trace) == 2
     assert trace[-1].residual <= 1e-6 * np.linalg.norm(w)
+
+
+def test_run_never_parses_a_blob_with_tree_codec_plug(monkeypatch):
+    parses = []
+    original = Bitstream.from_bytes
+    monkeypatch.setattr(
+        Bitstream, "from_bytes", staticmethod(lambda data: parses.append(data) or original(data))
+    )
+    w = np.random.default_rng(13).uniform(size=32)
+    a = Compose([Convolution(64, [0.25, 0.5, 0.25]), Subsample(64, 2)])
+    cfg = AdmmConfig(theta=1e-3, max_iters=3, tol=0.0)
+    blob, trace = run(w, a, Replicate(32, 2), TreeCodecPlug(), cfg)
+    assert len(trace) == 3
+    assert parses == []
+    assert trace[-1].rate_bits == original(blob).reported_rate_bits
 
 
 def test_returns_last_iteration_blob():

@@ -2,8 +2,10 @@
 
 The optimality checks enumerate every pruned subtree (677 of them at depth 4)
 and score each candidate with one shared cost function, so the encoder's
-output can be compared against the exhaustive minimum bit for bit. The wire
-format is checked against scalar bit-by-bit reference walkers.
+output can be compared against the exhaustive minimum bit for bit. The
+moment-merging encoder is compared with a direct-statistics oracle on larger
+signals. The wire format is checked against scalar bit-by-bit reference
+walkers.
 """
 
 import math
@@ -71,6 +73,45 @@ def partition_cost(w, partition, nu, q_bits):
         _, recon = quantize(segment_mean(w, (start, stop)), q_bits)
         total += float(((w[start:stop] - recon) ** 2).sum()) + nu * q_bits
     return total
+
+
+def oracle_encode(w, nu, d, q_bits):
+    """Encoder that computes every level's segment statistics directly from the
+    samples (four full passes per level) instead of merging child moments."""
+    m = w.size
+    d0 = m.bit_length() - 1
+    levels_q = (1 << q_bits) - 1
+    indices, costs = [], []
+    for level in range(d + 1):
+        segments = w.reshape(1 << level, m >> level)
+        q_index = np.floor(np.clip(segments.mean(axis=1), 0.0, 1.0) * levels_q + 0.5)
+        q_index = q_index.astype(np.int64)
+        sse = ((segments - (q_index / levels_q)[:, None]) ** 2).sum(axis=1)
+        indices.append(q_index)
+        costs.append(sse + nu * q_bits)
+    best = costs[d]
+    split = [None] * d + [np.zeros(1 << d, dtype=bool)]
+    for level in range(d - 1, -1, -1):
+        child_sum = best[0::2] + best[1::2]
+        split[level] = child_sum <= costs[level]
+        best = np.where(split[level], child_sum, costs[level])
+    starts, leaf_levels, leaf_indices = [], [], []
+    reached = np.ones(1, dtype=bool)
+    for level in range(d + 1):
+        pos = np.flatnonzero(reached & ~split[level])
+        starts.append(pos << (d0 - level))
+        leaf_levels.append(np.full(pos.size, level))
+        leaf_indices.append(indices[level][pos])
+        reached = np.repeat(reached & split[level], 2)
+    order = np.argsort(np.concatenate(starts))
+    return Bitstream(
+        d0=d0,
+        d=d,
+        q_bits=q_bits,
+        m=m,
+        leaf_levels=np.concatenate(leaf_levels)[order],
+        leaf_indices=np.concatenate(leaf_indices)[order],
+    )
 
 
 def leaf_partition(stream):
@@ -266,6 +307,33 @@ def test_encode_optimal_over_random_signals():
                 assert chosen == best
 
 
+def test_encode_matches_direct_statistics_oracle():
+    # Merged moments round differently from direct per-segment passes, so the
+    # two encoders may break an exact tie differently: with nu = 0, or with
+    # inputs on the quantization grid. Elsewhere the streams must be equal.
+    rng = np.random.default_rng(2024)
+    for case in range(600):
+        d0 = int(rng.integers(1, 12))
+        d = int(rng.integers(1, d0 + 1))
+        q_bits = int(rng.integers(1, 17))
+        nu = 0.0 if case % 4 == 0 else float(10 ** rng.uniform(-6, -1))
+        on_grid = case % 3 == 0
+        if on_grid:
+            w = rng.integers(0, 1 << q_bits, size=1 << d0) / ((1 << q_bits) - 1)
+        else:
+            w = rng.uniform(size=1 << d0)
+        stream = encode(w, nu=nu, d=d, q_bits=q_bits)
+        expected = oracle_encode(w, nu, d, q_bits)
+        if stream.to_bytes() == expected.to_bytes():
+            continue
+        assert nu == 0.0 or on_grid, (case, d0, d, q_bits, nu)
+        cost, oracle_cost = (
+            float(((w - decode(s)) ** 2).sum()) + nu * s.reported_rate_bits
+            for s in (stream, expected)
+        )
+        assert abs(cost - oracle_cost) <= 1e-12 * max(cost, oracle_cost), case
+
+
 def test_encode_rate_monotone_in_nu():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -339,6 +407,16 @@ def test_round_trip_exact():
         assert np.array_equal(decode(data), oracle_decode(data))
         assert np.array_equal(decode(stream), oracle_decode(data))
         assert parsed.reported_rate_bits == q * len(stream.leaf_indices)
+
+
+@pytest.mark.parametrize("q_bits", [5, 8, 13, 16, MAX_Q_BITS])
+def test_payload_bytes_match_scalar_writer(q_bits):
+    w = np.random.default_rng(q_bits).uniform(size=128)
+    w[:2] = 0.0, 1.0  # the smallest and largest index
+    stream = encode(w, nu=0.0, q_bits=q_bits)
+    data = stream.to_bytes()
+    assert data == oracle_to_bytes(stream)
+    assert np.array_equal(Bitstream.from_bytes(data).leaf_indices, stream.leaf_indices)
 
 
 def test_single_leaf_stream_decodes_to_constant():
@@ -508,3 +586,53 @@ def test_plug_fixed_depth():
     blob = plug.compress(w, 0.0)
     assert Bitstream.from_bytes(blob).d == 2
     assert plug.rate_bits(blob) == 6 * 4
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every ``Bitstream.from_bytes`` call made during the test, by its bytes."""
+    calls = []
+    original = Bitstream.from_bytes
+
+    def counting(data):
+        calls.append(bytes(data))
+        return original(data)
+
+    monkeypatch.setattr(Bitstream, "from_bytes", staticmethod(counting))
+    return calls
+
+
+def test_plug_never_parses_its_own_blob(parses):
+    w = np.random.default_rng(36).uniform(size=256)
+    plug = TreeCodecPlug(q_bits=8)
+    blob = plug.compress(w, 1e-3)
+    v = plug.decompress(blob)
+    rate = plug.rate_bits(bytearray(blob))  # the same bytes in another container
+    assert parses == []
+    stream = Bitstream.from_bytes(blob)
+    assert np.array_equal(v, decode(stream))
+    assert np.array_equal(v, oracle_decode(blob))
+    assert rate == stream.reported_rate_bits
+
+
+def test_plug_parses_an_older_blob(parses):
+    rng = np.random.default_rng(37)
+    plug = TreeCodecPlug(q_bits=8)
+    blob_a = plug.compress(rng.uniform(size=64), 1e-3)
+    blob_b = plug.compress(rng.uniform(size=64), 1e-3)
+    assert blob_a != blob_b
+    assert np.array_equal(plug.decompress(blob_a), oracle_decode(blob_a))
+    assert parses == [blob_a]
+    assert plug.rate_bits(blob_b) == Bitstream.from_bytes(blob_b).reported_rate_bits
+
+
+def test_plug_rejects_truncated_last_blob():
+    plug = TreeCodecPlug(q_bits=8)
+    blob = plug.compress(np.random.default_rng(38).uniform(size=64), 1e-3)
+    for cut in (1, len(blob) - 11, len(blob) - 5):
+        with pytest.raises(BitstreamError) as expected:
+            Bitstream.from_bytes(blob[:-cut])
+        for method in (plug.decompress, plug.rate_bits):
+            with pytest.raises(BitstreamError) as err:
+                method(blob[:-cut])
+            assert err.value.offset == expected.value.offset
