@@ -20,6 +20,7 @@ __all__ = [
     "AdmmConfig",
     "AdmmState",
     "CodecError",
+    "chain_symbol",
     "run",
     "stopping_check",
     "system_distortion_dc",
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-30  # keeps the relative stopping rule meaningful near zero
+_UNPROBED = object()  # run's default symbol: probe the chain itself
 
 
 class CodecError(RuntimeError):
@@ -80,10 +82,24 @@ class AdmmState:
     d_c: float
 
 
-def system_distortion_dc(w, a: LinearMap, b: LinearMap, v) -> float:
-    """Mean squared system error (1/M) * ||w - A(B(v))||^2."""
+def system_distortion_dc(w, a: LinearMap, b: LinearMap, v, symbol: np.ndarray | None = None) -> float:
+    """Mean squared system error (1/M) * ||w - A(B(v))||^2.
+
+    Given the DFT ``symbol`` of a circulant A(B(.)), as :func:`chain_symbol`
+    returns it, A(B(v)) is evaluated on the coded grid as ifft(symbol * fft(v));
+    without one, through the operators.
+    """
     w = np.asarray(w, dtype=float)
-    return float(((w - a.apply(b.apply(v))) ** 2).mean())
+    if symbol is None:
+        system_v = a.apply(b.apply(v))
+    else:
+        system_v = np.fft.ifft(symbol * np.fft.fft(v)).real
+    return float(((w - system_v) ** 2).mean())
+
+
+def chain_symbol(a: LinearMap, b: LinearMap) -> np.ndarray | None:
+    """DFT symbol of A(B(.)) on the coded grid, or None when it is not circulant."""
+    return circulant_symbol(Compose([b, a]))
 
 
 def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
@@ -98,7 +114,9 @@ def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
     return state.residual <= cfg.tol * scale
 
 
-def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, list[AdmmState]]:
+def run(
+    w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig, symbol=_UNPROBED
+) -> tuple[bytes, list[AdmmState]]:
     """Compress w so that decoding and rendering through B approximates the
     acquisition inverse of A.
 
@@ -109,9 +127,15 @@ def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, l
     blob and the full iteration trace.
 
     ``codec`` is any object with compress(signal, theta) -> bytes,
-    decompress(bytes) -> signal and rate_bits(bytes) -> int. The z-update is
-    solved in closed form when A(B(.)) is circulant on the coded grid (probed
-    once per run) and by conjugate gradients otherwise.
+    decompress(bytes) -> signal and rate_bits(bytes) -> int.
+
+    ``symbol`` is what :func:`chain_symbol` returns for (a, b): the DFT symbol
+    of A(B(.)), or None when the chain is not circulant. A caller running many
+    loops on one chain, as a sweep over theta does, probes once and passes it;
+    when it is omitted, run probes the chain once itself. With a symbol, the
+    z-update is solved in closed form and the system distortion is evaluated
+    through it; with None, the z-update runs conjugate gradients and the
+    distortion goes through the operators.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size != a.out_dim:
@@ -122,7 +146,8 @@ def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, l
         raise ValueError(f"A.in_dim={a.in_dim} and B.out_dim={b.out_dim} do not compose")
 
     m = w.size
-    symbol = circulant_symbol(Compose([b, a]))
+    if symbol is _UNPROBED:
+        symbol = chain_symbol(a, b)
     z_hat = w.copy()
     u = np.zeros(m)
     trace: list[AdmmState] = []
@@ -148,7 +173,7 @@ def run(w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig) -> tuple[bytes, l
             u=u.copy(),
             residual=float(np.linalg.norm(v_hat - z_hat)),
             rate_bits=int(codec.rate_bits(blob)),
-            d_c=system_distortion_dc(w, a, b, v_hat),
+            d_c=system_distortion_dc(w, a, b, v_hat, symbol),
         )
         u = u + (v_hat - z_hat)
         trace.append(state)

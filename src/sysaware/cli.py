@@ -231,8 +231,7 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
         for points in (regular, proposed):
             for i, point in enumerate(points):
                 emit(f"{point.method}_{i:02d}.bin", point.blob)
-                y = system_sim.render(codec.decompress(point.blob), system)
-                emit(f"recon_{point.method}_{i:02d}.txt", y)
+                emit(f"recon_{point.method}_{i:02d}.txt", point.recon)
         _write_manifest(out_dir, cfg, cfg.seed, outputs)
     except Exception as exc:
         raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
@@ -302,8 +301,9 @@ def cmd_codec(args) -> None:
         stream = tree_codec.encode(signal, nu=args.nu, d=args.depth, q_bits=args.q_bits)
         data = stream.to_bytes()
         Path(args.output).write_bytes(data)
+        clamped = int(np.count_nonzero((signal < 0.0) | (signal > 1.0)))
         print(f"encoded {signal.size} samples: {stream.reported_rate_bits} rate bits, "
-              f"{len(data)} bytes")
+              f"{len(data)} bytes, {clamped} samples clamped to [0, 1]")
     else:
         data = Path(args.input).read_bytes()
         recon = tree_codec.decode(data)

@@ -173,8 +173,8 @@ def kernel_spectrum(n: int, kernel) -> np.ndarray:
         raise ValueError("kernel must be non-empty")
     center = (kernel.size - 1) // 2
     col0 = np.zeros(n)
-    for j, kj in enumerate(kernel.tolist()):
-        col0[(center - j) % n] += kj
+    # taps that wrap onto one entry accumulate in tap order
+    np.add.at(col0, (center - np.arange(kernel.size)) % n, kernel)
     half = np.fft.rfft(col0)
     freq = np.empty(n, dtype=complex)
     freq[: half.size] = half

@@ -9,7 +9,7 @@ bit-reproducible from the recorded seed.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,8 +56,9 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class RDPoint:
-    """One operating point of a sweep. ``blob`` keeps the compressed bytes so
-    callers can persist exactly what was measured."""
+    """One operating point of a sweep. ``blob`` keeps the compressed bytes and
+    ``recon`` the rendered reconstruction the PSNR was measured on, so callers
+    can persist exactly what was measured."""
 
     nu_or_theta: float
     rate_bpp: float
@@ -65,6 +66,7 @@ class RDPoint:
     method: str
     iterations: int
     blob: bytes = b""
+    recon: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def make_chirp(n: int) -> np.ndarray:
@@ -157,6 +159,7 @@ def sweep(
 
     method "regular" compresses the measurements directly; "proposed" runs the
     ADMM loop (admm_cfg required; its theta is replaced by each parameter).
+    The proposed method probes A(B(.)) once and hands its symbol to every loop.
     A failing point raises RuntimeError naming the method and the parameter.
     """
     if method not in ("regular", "proposed"):
@@ -166,6 +169,7 @@ def sweep(
     x = np.asarray(x, dtype=float)
     w = acquire(x, system)
     m = w.size
+    symbol = admm.chain_symbol(system.a, system.b) if method == "proposed" else None
     points = []
     for param in params:
         try:
@@ -173,7 +177,8 @@ def sweep(
                 blob = codec.compress(w, param)
                 iterations = 1
             else:
-                blob, trace = admm.run(w, system.a, system.b, codec, replace(admm_cfg, theta=param))
+                cfg = replace(admm_cfg, theta=param)
+                blob, trace = admm.run(w, system.a, system.b, codec, cfg, symbol=symbol)
                 iterations = len(trace)
             v = np.asarray(codec.decompress(blob), dtype=float)
             y = render(v, system)
@@ -185,6 +190,7 @@ def sweep(
                     method=method,
                     iterations=iterations,
                     blob=blob,
+                    recon=y,
                 )
             )
         except Exception as exc:
@@ -202,9 +208,16 @@ def rd_points_to_csv(points: list[RDPoint], seed: int) -> str:
 
 
 def save_signal(path, x) -> None:
-    """Write a signal as plain text, one value per line."""
+    """Write a signal as plain text, one value per line (its ``repr``).
+
+    Each distinct float64 bit pattern is formatted once, since a coded signal
+    takes at most 2**q_bits values. Bit patterns, not values, are compared, so
+    -0.0 keeps its own text apart from 0.0.
+    """
+    patterns, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64), return_inverse=True)
+    lines = np.array([f"{value!r}\n" for value in patterns.view(np.float64).tolist()], dtype=object)
     with open(path, "w") as fh:
-        fh.write("".join(f"{value!r}\n" for value in np.asarray(x, dtype=float).tolist()))
+        fh.write("".join(lines[inverse].tolist()))
 
 
 def load_signal(path) -> np.ndarray:

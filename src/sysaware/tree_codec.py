@@ -18,6 +18,21 @@ mean_R)^2 * width_child / 2. The merged moments round differently from a
 direct pass over each segment, so where two trees tie in exact arithmetic the
 computed costs may break the tie either way; the split is kept whenever the
 computed children's cost does not exceed the computed leaf cost.
+
+The encoder keeps every node of the depth-d tree in one flat heap: level l
+occupies positions [2**l - 1, 2**(l+1) - 1), and node p has children 2p + 1
+and 2p + 2, so each level and its children are plain slices. A numpy call
+costs about as much on 2 elements as on 256, so the work is arranged in few
+calls: only the recursions from one level to the next (the sums, the m2
+merge, the pruning, and the top-down marking of reached nodes) make a call
+per level, and everything else (the means, the quantization, every leaf
+cost) runs once over the whole heap. The float work lives in four heap-sized
+rows of one allocation per call, reused in place through ``out=``: each row
+takes the next quantity once its last one is spent. At M = 2**16 a fresh
+temporary per step costs more in allocation and page faults than the
+arithmetic it feeds; and with glibc's malloc, one 4 MB block is kept for the
+next call where four 1 MB blocks were handed back to the system and faulted
+in again (about 1200 page faults per call before, at most about 50 after).
 """
 
 from __future__ import annotations
@@ -42,6 +57,17 @@ MAGIC = b"SAC1"
 MAX_LEN = 1 << 24  # longest signal the codec writes or reads
 MAX_Q_BITS = 52  # widest index whose rounding and reconstruction are exact in float64
 _HEADER_LEN = 11  # magic, d0, d, q_bits, M as 4-byte big-endian
+# Heap slices of the nodes of each level that has children, and of their left
+# and right children: level l occupies [2**l - 1, 2**(l+1) - 1), and node p
+# has children 2p + 1 and 2p + 2.
+_LEVELS = tuple(
+    (
+        slice(first, 2 * first + 1),
+        slice(2 * first + 1, 4 * first + 3, 2),
+        slice(2 * first + 2, 4 * first + 3, 2),
+    )
+    for first in ((1 << level) - 1 for level in range(MAX_LEN.bit_length() - 1))
+)
 
 
 class BitstreamError(ValueError):
@@ -171,13 +197,6 @@ def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
     return node_level[bits == 0], n_bits
 
 
-def _quantize_array(values: np.ndarray, q_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    levels = (1 << q_bits) - 1
-    clamped = np.clip(values, 0.0, 1.0)
-    index = np.floor(clamped * levels + 0.5).astype(np.int64)
-    return index, index / levels
-
-
 def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     """Encode ``w`` (length a power of two, finite samples) at Lagrangian weight ``nu``.
 
@@ -202,58 +221,95 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     if not np.isfinite(w).all():
         raise ValueError("signal contains non-finite samples")
 
-    # Moments of the level-d segments in one direct pass (none at width 1, where
-    # m2 is exactly 0); each shallower level merges its children's.
-    width = m >> d
-    if width == 1:
-        sums = mean = w
-        m2 = np.zeros(m)
+    n_nodes = (2 << d) - 1
+    n_parents = n_nodes >> 1
+    mean, cost, width, work = np.empty((4, n_nodes))
+    sums = mean  # divided in place into the means once every level is summed
+    m2 = cost  # overwritten in place by the leaf costs
+    split = np.empty(n_nodes, dtype=bool)
+
+    # Sum and second moment of the level-d segments in one direct pass (m2 is
+    # exactly 0 at width 1); each shallower level merges its children's.
+    bottom = slice(n_parents, n_nodes)
+    if m == 1 << d:
+        sums[bottom] = w
+        m2[bottom] = 0.0
     else:
-        segments = w.reshape(1 << d, width)
-        sums = segments.sum(axis=1)
-        mean = sums / width
-        m2 = ((segments - mean[:, None]) ** 2).sum(axis=1)
+        segments = w.reshape(1 << d, m >> d)
+        segments.sum(axis=1, out=sums[bottom])
+        deviation = segments - (sums[bottom] / (m >> d))[:, None]
+        np.square(deviation, out=deviation)
+        deviation.sum(axis=1, out=m2[bottom])
+    width[bottom] = m >> d
+    for level in range(d - 1, -1, -1):
+        node, left, right = _LEVELS[level]
+        np.add(sums[left], sums[right], out=sums[node])
+        width[node] = m >> level
+    np.divide(sums, width, out=mean)
+    # (mean_L - mean_R)^2 * width_child / 2 for every parent at once; the
+    # parents' m2 rows are still free and hold width_child / 2 meanwhile.
+    merge = work[:n_parents]
+    np.subtract(mean[1::2], mean[2::2], out=merge)
+    np.multiply(merge, merge, out=merge)
+    np.multiply(width[1::2], 0.5, out=m2[:n_parents])
+    np.multiply(merge, m2[:n_parents], out=merge)
+    for node, left, right in reversed(_LEVELS[:d]):
+        parent = m2[node]
+        np.add(m2[left], m2[right], out=parent)
+        np.add(parent, merge[node], out=parent)
+
+    # Every node's leaf cost m2 + width * (mean - recon)^2 + nu * q_bits at once.
+    levels = (1 << q_bits) - 1
+    error = _quantize(mean, levels, out=work)
+    np.divide(error, levels, out=error)
+    np.subtract(mean, error, out=error)
+    np.square(error, out=error)
+    np.multiply(error, width, out=error)
+    np.add(m2, error, out=cost)
+    np.add(cost, float(nu) * q_bits, out=cost)
 
     # Bottom-up exact minimization: a node splits only when its children's
     # combined best cost does not exceed its own leaf cost (merge on strict >).
-    leaf_bits = float(nu) * q_bits
-    indices = [None] * (d + 1)
-    split = [None] * d + [np.zeros(1 << d, dtype=bool)]
-    for level in range(d, -1, -1):
-        if level < d:
-            delta = mean[0::2] - mean[1::2]
-            m2 = m2[0::2] + m2[1::2] + delta * delta * (width / 2)
-            width *= 2
-            sums = sums[0::2] + sums[1::2]
-            mean = sums / width
-        indices[level], recon = _quantize_array(mean, q_bits)
-        cost = m2 + width * (mean - recon) ** 2 + leaf_bits
-        if level < d:
-            child_sum = best[0::2] + best[1::2]
-            split[level] = keep = child_sum <= cost
-            cost = np.where(keep, child_sum, cost)
-        best = cost
+    split[bottom] = False
+    for node, left, right in reversed(_LEVELS[:d]):
+        parent, children = cost[node], work[node]
+        np.add(cost[left], cost[right], out=children)
+        np.less_equal(children, parent, out=split[node])
+        np.minimum(parent, children, out=parent)
 
-    # Top-down: the nodes reached through splits that are not split are leaves.
-    starts, levels, leaf_indices = [], [], []
-    reached = np.ones(1, dtype=bool)
-    for level in range(d + 1):
-        pos = np.flatnonzero(reached & ~split[level])
-        starts.append(pos << (d0 - level))
-        levels.append(np.full(pos.size, level))
-        leaf_indices.append(indices[level][pos])
-        reached = np.repeat(reached & split[level], 2)
-        if not reached.any():
-            break
-    order = np.argsort(np.concatenate(starts))
+    # Top-down: a node is reached when every ancestor splits, and the reached
+    # nodes that do not split are the leaves. ``split`` becomes reached & split.
+    for node, left, right in _LEVELS[: d - 1]:
+        parent = split[node]
+        np.logical_and(split[left], parent, out=split[left])
+        np.logical_and(split[right], parent, out=split[right])
+    reached = np.empty(n_nodes, dtype=bool)
+    reached[0] = True
+    reached[1::2] = reached[2::2] = split[:n_parents]
+    pos = (reached > split).nonzero()[0]
+    # p + 1 = (2**l + i) for node i of level l, so frexp gives its level as
+    # the exponent minus 1 and orders the leaves by start i / 2**l through the
+    # mantissa (2**l + i) / 2**(l+1).
+    mantissa, exponent = np.frexp(pos + 1)
+    order = np.argsort(mantissa)
+    pos = pos[order]
     return Bitstream(
         d0=d0,
         d=d,
         q_bits=q_bits,
         m=m,
-        leaf_levels=np.concatenate(levels)[order],
-        leaf_indices=np.concatenate(leaf_indices)[order],
+        leaf_levels=exponent[order].astype(np.int64) - 1,
+        leaf_indices=_quantize(mean[pos], levels).astype(np.int64),
     )
+
+
+def _quantize(mean: np.ndarray, levels: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Quantization indices floor(clamp(mean, 0, 1) * levels + 0.5), as floats."""
+    out = np.maximum(mean, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    np.multiply(out, levels, out=out)
+    np.add(out, 0.5, out=out)
+    return np.floor(out, out=out)
 
 
 def decode(data: Bitstream | bytes) -> np.ndarray:

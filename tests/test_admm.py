@@ -12,6 +12,7 @@ from sysaware.admm import (
     AdmmState,
     CodecError,
     best_distortion_iteration,
+    chain_symbol,
     run,
     stopping_check,
     system_distortion_dc,
@@ -151,6 +152,31 @@ def test_run_probes_the_chain_once_per_run(monkeypatch):
     assert len(probes) == 1 and closed_form == [False] * 3
 
 
+def test_shift_variant_chain_takes_cg_and_the_direct_distortion(monkeypatch):
+    symbols, solve_symbols = [], []
+    distortion, solve = admm.system_distortion_dc, admm.solve_regularized
+
+    def recorded_distortion(w, a, b, v, symbol=None):
+        symbols.append(symbol)
+        return distortion(w, a, b, v, symbol)
+
+    def recorded_solve(*args, **kwargs):
+        solve_symbols.append(kwargs.get("symbol"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(admm, "system_distortion_dc", recorded_distortion)
+    monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
+    w = np.random.default_rng(8).uniform(size=32)
+    conv = Compose([Convolution(64, [0.25, 0.5, 0.25]), Subsample(64, 2)])
+    hold = Compose([conv, Subsample(32, 2), Replicate(16, 2)])
+    b = Replicate(32, 2)
+    assert chain_symbol(hold, b) is None
+    _, trace = run(w, hold, b, TreeCodecPlug(), AdmmConfig(theta=1e-3, max_iters=3, tol=0.0))
+    assert symbols == [None] * 3 and solve_symbols == [None] * 3
+    for state in trace:
+        assert state.d_c == float(((w - hold.apply(b.apply(state.v_hat))) ** 2).mean())
+
+
 def test_chirp_loop_terminates_and_stays_bounded():
     from sysaware.system_sim import acquire, make_blur_subsample_system, make_chirp
 
@@ -247,6 +273,21 @@ def test_system_distortion_dc_dense_oracle():
     bd = np.column_stack([b.apply(np.eye(4)[:, j]) for j in range(4)])
     expected = float(np.mean((w - ad @ bd @ v) ** 2))
     assert abs(system_distortion_dc(w, a, b, v) - expected) <= 1e-12
+
+
+def test_system_distortion_dc_through_the_symbol_matches_the_operators():
+    from sysaware.system_sim import make_blur_subsample_system
+
+    system = make_blur_subsample_system()
+    symbol = chain_symbol(system.a, system.b)
+    assert symbol is not None
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        w = rng.normal(size=system.a.out_dim)
+        v = rng.uniform(size=system.b.in_dim)
+        direct = system_distortion_dc(w, system.a, system.b, v)
+        spectral = system_distortion_dc(w, system.a, system.b, v, symbol)
+        assert abs(spectral - direct) <= 1e-12 * direct
 
 
 def test_stopping_at_max_iters():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sysaware import cli, tree_codec
+from sysaware import cli, system_sim, tree_codec
 from sysaware.system_sim import make_chirp, save_signal
 
 
@@ -51,6 +51,20 @@ def test_run_small_config(tmp_path, capsys):
             assert tree_codec.decode(blob).shape == (64,)
             recon = (out / f"recon_{method}_{i:02d}.txt").read_text().strip().split("\n")
             assert len(recon) == 256
+
+
+def test_run_recon_files_render_their_blobs(tmp_path):
+    cfg = write_config(tmp_path / "exp.cfg", SMALL_RUN)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    system = system_sim.make_blur_subsample_system(n=256, factor=4, seed=77)
+    recons = sorted(out.glob("recon_*.txt"))
+    assert len(recons) == 6
+    for recon in recons:
+        blob = (out / recon.name.removeprefix("recon_").replace(".txt", ".bin")).read_bytes()
+        expected = tmp_path / "expected.txt"
+        save_signal(expected, system_sim.render(tree_codec.decode(blob), system))
+        assert recon.read_bytes() == expected.read_bytes()
 
 
 def test_manifest_lists_every_output_with_hash(tmp_path):
@@ -252,6 +266,18 @@ def test_codec_round_trip_constant(tmp_path, capsys):
     assert run_cli(["codec", "decode", bit, rec]) == 0
     values = [float(v) for v in rec.read_text().split()]
     assert values == [128 / 255] * 16
+
+
+def test_codec_encode_reports_clamped_samples(tmp_path, capsys):
+    sig = tmp_path / "sig.txt"
+    save_signal(sig, np.array([-0.5, 0.0, 0.25, 1.0, 1.5, 2.0, -0.0, 0.75]))
+    bit = tmp_path / "c.bin"
+    assert run_cli(["codec", "encode", sig, bit, "--nu", "0.0", "--depth", "3"]) == 0
+    assert "3 samples clamped to [0, 1]" in capsys.readouterr().out
+    assert tree_codec.decode(bit.read_bytes()).tolist() == [0.0, 0.0, 64 / 255, 1.0, 1.0, 1.0, 0.0, 191 / 255]
+    save_signal(sig, np.full(8, 0.5))
+    assert run_cli(["codec", "encode", sig, bit, "--nu", "0.0"]) == 0
+    assert "0 samples clamped" in capsys.readouterr().out
 
 
 def test_codec_encode_matches_library_bit_exact(tmp_path):

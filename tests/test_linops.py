@@ -106,7 +106,27 @@ def dense_of(op):
     raise TypeError(type(op))
 
 
+def loop_kernel_spectrum(n, kernel):
+    """kernel_spectrum's first column built tap by tap, then the same DFT."""
+    kernel = np.asarray(kernel, float)
+    center = (kernel.size - 1) // 2
+    col0 = np.zeros(n)
+    for j, kj in enumerate(kernel.tolist()):
+        col0[(center - j) % n] += kj
+    half = np.fft.rfft(col0)
+    tail = np.arange(half.size, n)
+    return np.concatenate((half, np.conj(half[n - tail])))
+
+
 # ------------------------------------------------------------------ apply #
+
+
+def test_kernel_spectrum_matches_the_tap_loop():
+    rng = np.random.default_rng(12)
+    cases = [(8, 3), (8, 8), (5, 13), (4, 29), (1, 4), (1024, 15)]  # kernels past n wrap around
+    for n, taps in cases:
+        kernel = rng.normal(size=taps)
+        assert np.array_equal(kernel_spectrum(n, kernel), loop_kernel_spectrum(n, kernel)), (n, taps)
 
 
 def test_identity_apply_adjoint():

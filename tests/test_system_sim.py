@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sysaware import admm
 from sysaware.admm import AdmmConfig
 from sysaware.linops import Identity
 from sysaware.system_sim import (
@@ -201,6 +202,40 @@ def test_sweep_rate_monotone_in_nu():
     assert [p.rate_bpp for p in points] == sorted(p.rate_bpp for p in points)
 
 
+def test_proposed_sweep_probes_the_chain_once(monkeypatch):
+    probes, symbols = [], []
+    probe, run = admm.circulant_symbol, admm.run
+
+    def counted_probe(op):
+        probes.append(op)
+        return probe(op)
+
+    def recorded_run(*args, **kwargs):
+        symbols.append(kwargs["symbol"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(admm, "circulant_symbol", counted_probe)
+    monkeypatch.setattr(admm, "run", recorded_run)
+    x = make_chirp(128)
+    system = make_blur_subsample_system(n=128, factor=4, seed=3)
+    cfg = AdmmConfig(theta=0.0, max_iters=3)
+    points = sweep(x, system, TreeCodecPlug(), [1e-4, 1e-3, 1e-2], "proposed", cfg)
+    assert len(points) == 3 and len(probes) == 1
+    assert all(symbol is not None and np.array_equal(symbol, symbols[0]) for symbol in symbols)
+
+
+def test_sweep_points_carry_the_rendered_reconstruction():
+    x = make_chirp(1024)
+    system = make_blur_subsample_system(seed=3)
+    codec = TreeCodecPlug()
+    for method, cfg in (("regular", None), ("proposed", AdmmConfig(theta=0.0, max_iters=3))):
+        for point in sweep(x, system, codec, [1e-5, 1e-3], method, cfg):
+            y = render(codec.decompress(point.blob), system)
+            assert np.unique(y).size > 1
+            assert np.array_equal(point.recon, y)
+            assert point.psnr_db == psnr(x, y)
+
+
 def test_sweep_requires_admm_config_for_proposed():
     x = make_chirp(32)
     with pytest.raises(ValueError):
@@ -262,6 +297,17 @@ def test_signal_text_round_trip(tmp_path):
     path = tmp_path / "sig.txt"
     save_signal(path, x)
     assert np.array_equal(load_signal(path), x)
+
+
+def test_save_signal_formats_each_value_with_repr(tmp_path):
+    tiny = 5e-324  # the smallest subnormal
+    x = np.array([0.5, -0.0, 0.0, 0.5, tiny, 1e300, -1e300, -0.0, 0.1 + 0.2, 0.0, tiny, 1 / 3])
+    path = tmp_path / "sig.txt"
+    save_signal(path, x)
+    assert path.read_text() == "".join(f"{v!r}\n" for v in x.tolist())
+    assert path.read_text().splitlines()[1] == "-0.0"
+    save_signal(path, np.array([]))
+    assert path.read_text() == ""
 
 
 def test_rd_point_defaults():
