@@ -17,12 +17,9 @@ from .linops import (  # noqa: F401
     Identity,
     LinearMap,
     Replicate,
-    Scale,
     SolverError,
     Subsample,
     circulant_symbol,
-    pseudoinverse_apply,
-    project_range,
     solve_regularized,
 )
 from .tree_codec import (  # noqa: F401
@@ -44,7 +41,6 @@ from .system_sim import (  # noqa: F401
     RDPoint,
     SystemModel,
     acquire,
-    ideal_distortion_check,
     make_blur_subsample_system,
     make_chirp,
     psnr,

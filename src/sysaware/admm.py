@@ -9,7 +9,6 @@ iteration's compression.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ __all__ = [
     "run",
     "stopping_check",
     "system_distortion_dc",
-    "best_distortion_iteration",
-    "trace_to_csv",
 ]
 
 _NORM_FLOOR = 1e-30  # keeps the relative stopping rule meaningful near zero
@@ -53,14 +50,16 @@ class AdmmConfig:
     theta: float
     beta_tilde: float = 0.25
     max_iters: int = 40
-    tol: float = 1e-4
+    # the relative primal residual plateaus near 1e-2 on the reference system;
+    # iterating past the plateau only refits measurement noise
+    tol: float = 2e-2
 
     def __post_init__(self):
         if not self.beta_tilde > 0:
             raise ValueError("beta_tilde must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
 
 
@@ -143,7 +142,7 @@ def run(
     if b.in_dim != w.size:
         raise ValueError(f"B.in_dim must equal len(w)={w.size}, got {b.in_dim}")
     if a.in_dim != b.out_dim:
-        raise ValueError(f"A.in_dim={a.in_dim} and B.out_dim={b.out_dim} do not compose")
+        raise ValueError(f"A.in_dim ({a.in_dim}) and B.out_dim ({b.out_dim}) do not compose")
 
     m = w.size
     if symbol is _UNPROBED:
@@ -169,8 +168,8 @@ def run(
             blob=blob,
             v_hat=v_hat,
             v_tilde=v_tilde,
-            z_hat=z_hat.copy(),
-            u=u.copy(),
+            z_hat=z_hat,
+            u=u,
             residual=float(np.linalg.norm(v_hat - z_hat)),
             rate_bits=int(codec.rate_bits(blob)),
             d_c=system_distortion_dc(w, a, b, v_hat, symbol),
@@ -181,18 +180,3 @@ def run(
             break
     return blob, trace
 
-
-def best_distortion_iteration(trace: list[AdmmState]) -> int:
-    """Iteration index with the lowest system distortion (diagnostic only:
-    the loop's result is always the last iteration's blob)."""
-    if not trace:
-        raise ValueError("empty trace")
-    return min(trace, key=lambda s: s.d_c).t
-
-
-def trace_to_csv(trace: list[AdmmState]) -> str:
-    out = io.StringIO()
-    out.write("t,rate_bits,d_c,residual\n")
-    for state in trace:
-        out.write(f"{state.t},{state.rate_bits},{state.d_c!r},{state.residual!r}\n")
-    return out.getvalue()

@@ -59,12 +59,9 @@ class ExperimentConfig:
     seed: int = 1234
     codec_depth: int | None = None
     codec_q_bits: int = 8
-    admm_beta_tilde: float = 0.25
-    admm_max_iters: int = 40
-    # experiment-level convergence detection: the relative primal residual
-    # plateaus near 1e-2 on this system, and iterating past the plateau only
-    # refits measurement noise
-    admm_tol: float = 2e-2
+    admm_beta_tilde: float = AdmmConfig.beta_tilde
+    admm_max_iters: int = AdmmConfig.max_iters
+    admm_tol: float = AdmmConfig.tol
     sweep_params: tuple = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
     output_dir: str = "out"
 
@@ -163,7 +160,7 @@ def _config_echo(cfg) -> dict[str, str]:
     return {f.name: repr(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
-def _write_manifest(out_dir: Path, cfg, seed: int | None, outputs: list[Path]) -> None:
+def _write_manifest(out_dir: Path, cfg, seed: int | None, outputs: dict[str, bytes]) -> None:
     manifest = {
         "config": _config_echo(cfg),
         "seed": seed,
@@ -173,7 +170,7 @@ def _write_manifest(out_dir: Path, cfg, seed: int | None, outputs: list[Path]) -
             "python": platform.python_version(),
         },
         "outputs": {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outputs)
+            name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -213,19 +210,16 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
 
         stage = "write outputs"
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = []
+        outputs: dict[str, bytes] = {}
 
         def emit(name: str, data) -> None:
-            path = out_dir / name
-            if isinstance(data, bytes):
-                path.write_bytes(data)
-            elif isinstance(data, str):
-                path.write_text(data)
+            if isinstance(data, np.ndarray):
+                data = system_sim.save_signal(out_dir / name, data).encode()
             else:
-                system_sim.save_signal(path, data)
-            outputs.append(path)
+                (out_dir / name).write_bytes(data)
+            outputs[name] = data
 
-        emit("rd_curve.csv", system_sim.rd_points_to_csv(regular + proposed, cfg.seed))
+        emit("rd_curve.csv", system_sim.rd_points_to_csv(regular + proposed, cfg.seed).encode())
         emit("source.txt", x)
         emit("acquired.txt", system_sim.acquire(x, system))
         for points in (regular, proposed):
@@ -286,11 +280,11 @@ def cmd_theory_curve(cfg: TheoryConfig, out_dir: Path) -> None:
         if not model.k_ab.any():
             print("warning: empty joint support, the curve carries zero rate", file=sys.stderr)
         stage = "curve"
-        csv_text = gauss_theory.curve_to_csv(model, sorted(cfg.d_grid))
+        data = gauss_theory.curve_to_csv(model, sorted(cfg.d_grid)).encode()
         stage = "write outputs"
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "theory_curve.csv").write_text(csv_text)
-        _write_manifest(out_dir, cfg, None, [out_dir / "theory_curve.csv"])
+        (out_dir / "theory_curve.csv").write_bytes(data)
+        _write_manifest(out_dir, cfg, None, {"theory_curve.csv": data})
     except Exception as exc:
         raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
 

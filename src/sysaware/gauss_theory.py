@@ -56,6 +56,9 @@ class SpectralModel:
         b_f = np.asarray(self.b_f, dtype=complex)
         if not (lam.shape == a_f.shape == b_f.shape == (self.n,)):
             raise ValueError(f"lambda_x, a_f, b_f must all have shape ({self.n},)")
+        for name, values in (("lambda_x", lam), ("a_f", a_f), ("b_f", b_f)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(lam < 0):
             raise ValueError("lambda_x must be non-negative")
         object.__setattr__(self, "lambda_x", lam)
@@ -77,7 +80,7 @@ class SpectralAllocation:
     """Per-bin distortions and rates from reverse water-filling.
 
     ``total_distortion`` is the weighted sum over bins, sum_k |a_k b_k|^2 D_k
-    (the constraint target N*D); ``total_rate`` is sum_k R_k in ``rate_units``.
+    (the constraint target N*D); ``total_rate`` is sum_k R_k in nats.
     ``clamped`` flags a request beyond the zero-rate saturation point;
     ``rate_floored`` flags rates evaluated at the theta floor (theta ~ 0, so
     the exact rates are unbounded).
@@ -90,7 +93,6 @@ class SpectralAllocation:
     total_rate: float
     clamped: bool = False
     rate_floored: bool = False
-    rate_units: str = "nats"
 
 
 @dataclass(frozen=True)

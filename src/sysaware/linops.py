@@ -15,22 +15,16 @@ __all__ = [
     "SolverError",
     "LinearMap",
     "Identity",
-    "Scale",
     "Subsample",
     "Replicate",
     "CirculantSpectral",
     "Convolution",
     "Compose",
     "kernel_spectrum",
-    "pseudoinverse_apply",
-    "project_range",
-    "mask_spectrum",
     "circulant_symbol",
     "solve_regularized",
 ]
 
-# Relative magnitude below which a frequency-response entry counts as zero.
-ZERO_TOL = 1e-12
 # Relative defect below which a probed square operator counts as circulant.
 CIRCULANT_TOL = 1e-12
 
@@ -102,44 +96,25 @@ class Identity(LinearMap):
         return y.copy()
 
 
-class Scale(LinearMap):
-    """Multiplication by a real scalar (self-adjoint)."""
-
-    def __init__(self, n: int, factor: float):
-        super().__init__(n, n)
-        self.factor = float(factor)
-
-    def _apply(self, x):
-        return self.factor * x
-
-    def _adjoint(self, y):
-        return self.factor * y
-
-
 class Subsample(LinearMap):
-    """Keep every ``factor``-th sample, starting at index ``phase``.
+    """Keep every ``factor``-th sample, starting at index 0.
 
     The adjoint inserts zeros at the discarded positions.
     """
 
-    def __init__(self, n: int, factor: int, phase: int = 0):
+    def __init__(self, n: int, factor: int):
         factor = int(factor)
-        phase = int(phase)
         if factor < 1:
             raise ValueError("subsampling factor must be >= 1")
-        if not 0 <= phase < factor:
-            raise ValueError(f"phase must be in [0, {factor}), got {phase}")
-        out = len(range(phase, n, factor))
-        super().__init__(n, out)
+        super().__init__(n, len(range(0, n, factor)))
         self.factor = factor
-        self.phase = phase
 
     def _apply(self, x):
-        return x[self.phase :: self.factor].copy()
+        return x[:: self.factor].copy()
 
     def _adjoint(self, y):
         out = np.zeros(self.in_dim)
-        out[self.phase :: self.factor] = y
+        out[:: self.factor] = y
         return out
 
 
@@ -188,10 +163,7 @@ class CirculantSpectral(LinearMap):
 
     The adjoint is the circulant operator with the conjugate response. The
     response should be conjugate-symmetric when modeling a real filter;
-    :func:`kernel_spectrum` guarantees that by construction. Response entries
-    with magnitude at most ``ZERO_TOL`` times the largest magnitude count as
-    exact zeros: ``support`` marks the others, and ``pinv_response`` holds
-    1/c_k on the support and 0 elsewhere.
+    :func:`kernel_spectrum` guarantees that by construction.
     """
 
     def __init__(self, freq_response):
@@ -200,9 +172,6 @@ class CirculantSpectral(LinearMap):
             raise ValueError("frequency response must be a non-empty 1D vector")
         super().__init__(c.size, c.size)
         self.freq_response = c
-        magnitude = np.abs(c)
-        self.support = magnitude > ZERO_TOL * magnitude.max()
-        self.pinv_response = np.divide(1.0, c, out=np.zeros_like(c), where=self.support)
 
     def _apply(self, x):
         return np.fft.ifft(np.fft.fft(x) * self.freq_response).real
@@ -222,12 +191,14 @@ class Convolution(CirculantSpectral):
 class Compose(LinearMap):
     """Pipeline of operators applied in list order (first stage acts first).
 
-    The adjoint applies the stage adjoints in reverse order. An empty pipeline
-    behaves as the identity and needs its dimension given explicitly.
+    The adjoint applies the stage adjoints in reverse order. The stage list
+    must be non-empty.
     """
 
-    def __init__(self, stages, dim: int | None = None):
+    def __init__(self, stages):
         stages = tuple(stages)
+        if not stages:
+            raise ValueError("Compose needs at least one stage")
         for s, t in zip(stages, stages[1:]):
             if s.out_dim != t.in_dim:
                 raise DimensionMismatchError(
@@ -235,47 +206,18 @@ class Compose(LinearMap):
                     s.out_dim,
                     t.in_dim,
                 )
-        if stages:
-            in_dim, out_dim = stages[0].in_dim, stages[-1].out_dim
-        else:
-            if dim is None:
-                raise ValueError("empty Compose requires an explicit dim")
-            in_dim = out_dim = dim
-        super().__init__(in_dim, out_dim)
+        super().__init__(stages[0].in_dim, stages[-1].out_dim)
         self.stages = stages
 
     def _apply(self, x):
         for stage in self.stages:
             x = stage.apply(x)
-        return x if self.stages else x.copy()
+        return x
 
     def _adjoint(self, y):
         for stage in reversed(self.stages):
             y = stage.adjoint(y)
-        return y if self.stages else y.copy()
-
-
-def pseudoinverse_apply(op: CirculantSpectral, x) -> np.ndarray:
-    """Apply the circulant pseudoinverse: divide DFT bins on the support, zero the rest."""
-    x = _as_vector(x)
-    if x.size != op.in_dim:
-        raise DimensionMismatchError("pseudoinverse_apply", op.in_dim, x.size)
-    return np.fft.ifft(np.fft.fft(x) * op.pinv_response).real
-
-
-def project_range(op: CirculantSpectral, x) -> np.ndarray:
-    """Orthogonal projection onto the operator's range (zero the off-support DFT bins)."""
-    x = _as_vector(x)
-    if x.size != op.in_dim:
-        raise DimensionMismatchError("project_range", op.in_dim, x.size)
-    return np.fft.ifft(mask_spectrum(op, np.fft.fft(x))).real
-
-
-def mask_spectrum(op: CirculantSpectral, xf: np.ndarray) -> np.ndarray:
-    """Zero the DFT bins outside the operator's support. Idempotent by construction."""
-    out = np.array(xf, dtype=complex)
-    out[~op.support] = 0.0
-    return out
+        return y
 
 
 def circulant_symbol(op: LinearMap) -> np.ndarray | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "acquire",
     "render",
     "psnr",
-    "ideal_distortion_check",
     "sweep",
     "rd_points_to_csv",
     "save_signal",
@@ -136,17 +136,6 @@ def psnr(x, y, peak: float = 1.0) -> float:
     return min(float(10 * np.log10(peak * peak / mse)), PSNR_CAP_DB)
 
 
-def ideal_distortion_check(x, system: SystemModel) -> float:
-    """Per-sample energy of the actual noise draw: (1/M)||w - A(x)||^2.
-
-    For nonzero noise this concentrates around noise_std**2, which is the
-    distortion an ideal system-aware coder approaches at high rate.
-    """
-    w = acquire(x, system)
-    clean = system.a.apply(x)
-    return float(((w - clean) ** 2).mean())
-
-
 def sweep(
     x,
     system: SystemModel,
@@ -207,8 +196,8 @@ def rd_points_to_csv(points: list[RDPoint], seed: int) -> str:
     return out.getvalue()
 
 
-def save_signal(path, x) -> None:
-    """Write a signal as plain text, one value per line (its ``repr``).
+def save_signal(path, x) -> str:
+    """Write a signal as text, one ``repr`` per LF-ended line, and return the text.
 
     Each distinct float64 bit pattern is formatted once, since a coded signal
     takes at most 2**q_bits values. Bit patterns, not values, are compared, so
@@ -216,8 +205,9 @@ def save_signal(path, x) -> None:
     """
     patterns, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64), return_inverse=True)
     lines = np.array([f"{value!r}\n" for value in patterns.view(np.float64).tolist()], dtype=object)
-    with open(path, "w") as fh:
-        fh.write("".join(lines[inverse].tolist()))
+    text = "".join(lines[inverse].tolist())
+    Path(path).write_text(text, newline="\n")
+    return text
 
 
 def load_signal(path) -> np.ndarray:

@@ -18,18 +18,12 @@ from sysaware.linops import (
     Identity,
     circulant_symbol,
     kernel_spectrum,
-    project_range,
-    pseudoinverse_apply,
     solve_regularized,
 )
-from sysaware.system_sim import (
-    SystemModel,
-    ideal_distortion_check,
-    make_blur_subsample_system,
-    make_chirp,
-    sweep,
-)
+from sysaware.system_sim import SystemModel, make_blur_subsample_system, make_chirp, sweep
 from sysaware.tree_codec import TreeCodecPlug
+
+from oracles import ideal_distortion_check, project_range, pseudoinverse_apply
 
 
 def report(num, name, ok, detail=""):

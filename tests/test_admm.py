@@ -11,12 +11,10 @@ from sysaware.admm import (
     AdmmConfig,
     AdmmState,
     CodecError,
-    best_distortion_iteration,
     chain_symbol,
     run,
     stopping_check,
     system_distortion_dc,
-    trace_to_csv,
 )
 from sysaware.linops import Compose, Convolution, Identity, Replicate, Subsample
 from sysaware.tree_codec import Bitstream, TreeCodecPlug
@@ -32,7 +30,7 @@ class CodecPlug:
     rate_bits: Callable
 
 
-def make_state(t, residual=0.0, norm=1.0, d_c=0.0):
+def make_state(t, residual=0.0, norm=1.0):
     v = np.full(3, norm / np.sqrt(3))
     return AdmmState(
         t=t,
@@ -44,7 +42,7 @@ def make_state(t, residual=0.0, norm=1.0, d_c=0.0):
         u=np.zeros(3),
         residual=residual,
         rate_bits=8,
-        d_c=d_c,
+        d_c=0.0,
     )
 
 
@@ -250,6 +248,8 @@ def test_config_validation():
         AdmmConfig(theta=0.0, max_iters=0)
     with pytest.raises(ValueError):
         AdmmConfig(theta=0.0, tol=-1.0)
+    with pytest.raises(ValueError):
+        AdmmConfig(theta=0.0, tol=float("nan"))
 
 
 # ---------------------------------------------------------- d_c and stops #
@@ -312,29 +312,3 @@ def test_stopping_first_crossing_of_scripted_sequence():
     residuals = [1.0, 0.5, 0.2, 0.009, 0.004, 0.02]
     flags = [stopping_check(make_state(t + 1, residual=r), cfg) for t, r in enumerate(residuals)]
     assert flags.index(True) == residuals.index(0.009)
-
-
-# ------------------------------------------------------------ diagnostics #
-
-
-def test_best_distortion_iteration():
-    trace = [make_state(1, d_c=0.5), make_state(2, d_c=0.1), make_state(3, d_c=0.3)]
-    assert best_distortion_iteration(trace) == 2
-    with pytest.raises(ValueError):
-        best_distortion_iteration([])
-
-
-def test_trace_csv_round_trips():
-    rng = np.random.default_rng(8)
-    w = rng.uniform(size=16)
-    cfg = AdmmConfig(theta=1e-3, max_iters=3, tol=0.0)
-    _, trace = run(w, Identity(16), Identity(16), TreeCodecPlug(), cfg)
-    lines = trace_to_csv(trace).strip().split("\n")
-    assert lines[0] == "t,rate_bits,d_c,residual"
-    assert len(lines) == len(trace) + 1
-    for line, state in zip(lines[1:], trace):
-        t, rate, d_c, residual = line.split(",")
-        assert int(t) == state.t
-        assert int(rate) == state.rate_bits
-        assert float(d_c) == state.d_c
-        assert float(residual) == state.residual

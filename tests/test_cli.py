@@ -253,6 +253,18 @@ def test_theory_empty_support_warns(tmp_path, capsys):
     assert float(row.split(",")[2]) == 0.0  # zero rate
 
 
+@pytest.mark.parametrize("key", ["lambda_x", "a_response", "b_response"])
+def test_theory_non_finite_model_exits_1(tmp_path, capsys, key):
+    values = tmp_path / "values.txt"
+    values.write_text("1.0\nnan\n1.0\n1.0\n")
+    spec = "constant:nan" if key == "lambda_x" else f"file:{values}"
+    cfg = write_config(tmp_path / "t.cfg", f"theory.n = 4\ntheory.{key} = {spec}\n")
+    out = tmp_path / "out"
+    assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
+    assert "stage 'model setup' failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- codec cmd #
 
 

@@ -87,6 +87,15 @@ def test_model_validation():
         SpectralModel(n=0, lambda_x=[], a_f=[], b_f=[])
 
 
+@pytest.mark.parametrize("field", ["lambda_x", "a_f", "b_f"])
+def test_model_rejects_non_finite_inputs(field):
+    for bad in (math.nan, math.inf, -math.inf):
+        arrays = {"lambda_x": [1.0, 1.0], "a_f": [1.0, 1.0], "b_f": [1.0, 1.0]}
+        arrays[field] = [1.0, bad]
+        with pytest.raises(ValueError, match=field):
+            SpectralModel(n=2, **arrays)
+
+
 # -------------------------------------------------- expected_min_distortion #
 
 
@@ -117,7 +126,6 @@ def test_water_fill_hand_case():
     expected_r = [0.5 * math.log(2.0 / 0.75), 0.5 * math.log(4.0 / 0.75), 0.0, 0.0]
     assert np.allclose(alloc.r_k, expected_r, atol=1e-12)
     assert abs(alloc.total_distortion - 2.0) <= 1e-12
-    assert alloc.rate_units == "nats"
     # independent closed-form route
     theta, d_k, r_k = oracle_allocation(m, 0.5)
     assert abs(alloc.theta - theta) <= 1e-12

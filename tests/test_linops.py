@@ -12,17 +12,15 @@ from sysaware.linops import (
     Identity,
     LinearMap,
     Replicate,
-    Scale,
     SolverError,
     Subsample,
     circulant_symbol,
     kernel_spectrum,
-    mask_spectrum,
-    project_range,
-    pseudoinverse_apply,
     solve_regularized,
 )
 from sysaware.system_sim import make_blur_subsample_system
+
+from oracles import mask_spectrum, pinv_response, project_range, pseudoinverse_apply, support
 
 # ---------------------------------------------------------------- oracles #
 
@@ -39,8 +37,8 @@ def dense_convolution(n, kernel, center=None):
     return mat
 
 
-def dense_subsample(n, factor, phase=0):
-    rows = range(phase, n, factor)
+def dense_subsample(n, factor):
+    rows = range(0, n, factor)
     mat = np.zeros((len(rows), n))
     for r, idx in enumerate(rows):
         mat[r, idx] = 1.0
@@ -86,12 +84,10 @@ def dense_of(op):
     """Materialize any operator kind from its defining parameters (not via apply)."""
     if isinstance(op, Identity):
         return np.eye(op.in_dim)
-    if isinstance(op, Scale):
-        return op.factor * np.eye(op.in_dim)
     if isinstance(op, Convolution):
         return dense_convolution(op.in_dim, op.kernel)
     if isinstance(op, Subsample):
-        return dense_subsample(op.in_dim, op.factor, op.phase)
+        return dense_subsample(op.in_dim, op.factor)
     if isinstance(op, Replicate):
         return dense_replicate(op.in_dim, op.factor)
     if isinstance(op, CirculantSpectral):
@@ -139,8 +135,6 @@ def test_identity_apply_adjoint():
 def test_subsample_apply():
     op = Subsample(6, 2)
     assert np.array_equal(op.apply([0.0, 1, 2, 3, 4, 5]), [0.0, 2, 4])
-    shifted = Subsample(6, 2, phase=1)
-    assert np.array_equal(shifted.apply([0.0, 1, 2, 3, 4, 5]), [1.0, 3, 5])
 
 
 def test_conv_then_subsample_matches_dense_oracle():
@@ -175,11 +169,7 @@ def test_compose_dimension_check():
         Compose([Subsample(8, 2), Convolution(8, [1.0])])
 
 
-def test_compose_empty_behaves_as_identity():
-    op = Compose([], dim=4)
-    x = np.array([1.0, 2, 3, 4])
-    assert np.array_equal(op.apply(x), x)
-    assert np.array_equal(op.adjoint(x), x)
+def test_compose_rejects_an_empty_stage_list():
     with pytest.raises(ValueError):
         Compose([])
 
@@ -188,7 +178,6 @@ def test_all_kinds_match_dense_oracle():
     rng = np.random.default_rng(7)
     ops = [
         Identity(6),
-        Scale(6, -1.75),
         Convolution(6, rng.normal(size=5)),
         Subsample(6, 3),
         Replicate(6, 2),
@@ -211,13 +200,10 @@ def _random_op(kind, rng):
     n = int(rng.integers(2, 17))
     if kind == "identity":
         return Identity(n)
-    if kind == "scale":
-        return Scale(n, float(rng.normal()))
     if kind == "convolution":
         return Convolution(n, rng.normal(size=int(rng.integers(1, n + 1))))
     if kind == "subsample":
-        factor = int(rng.integers(1, min(4, n) + 1))  # phase < factor <= n keeps out_dim > 0
-        return Subsample(n, factor, phase=int(rng.integers(0, factor)))
+        return Subsample(n, int(rng.integers(1, min(4, n) + 1)))
     if kind == "replicate":
         return Replicate(n, int(rng.integers(1, 5)))
     if kind == "circulant":
@@ -231,7 +217,7 @@ def _random_op(kind, rng):
 
 
 @pytest.mark.parametrize(
-    "kind", ["identity", "scale", "convolution", "subsample", "replicate", "circulant", "compose"]
+    "kind", ["identity", "convolution", "subsample", "replicate", "circulant", "compose"]
 )
 def test_adjoint_probe(kind):
     rng = np.random.default_rng(hash(kind) % 2**32)
@@ -255,13 +241,13 @@ def test_pseudoinverse_full_support_is_inverse():
 
 def test_pseudoinverse_zero_bins():
     op = CirculantSpectral([1.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(op.support, [True, False, True, False])
-    assert np.array_equal(op.pinv_response, [1.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(support(op), [True, False, True, False])
+    assert np.array_equal(pinv_response(op), [1.0, 0.0, 1.0, 0.0])
 
 
 def test_pseudoinverse_threshold_rule():
     op = CirculantSpectral([1.0, 1e-13, 0.5, 2.0])
-    assert not op.support[1]  # below 1e-12 * max mag counts as zero
+    assert not support(op)[1]  # below 1e-12 * max mag counts as zero
 
 
 def test_pseudoinverse_matches_numpy_pinv():

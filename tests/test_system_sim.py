@@ -13,7 +13,6 @@ from sysaware.system_sim import (
     SystemModel,
     acquire,
     gaussian_kernel,
-    ideal_distortion_check,
     load_signal,
     make_blur_subsample_system,
     make_chirp,
@@ -24,6 +23,8 @@ from sysaware.system_sim import (
     sweep,
 )
 from sysaware.tree_codec import TreeCodecPlug
+
+from oracles import ideal_distortion_check
 
 
 def identity_system(n, noise_std=0.0, seed=0):
