@@ -17,7 +17,6 @@ from .linops import (  # noqa: F401
     Identity,
     LinearMap,
     Replicate,
-    SolverError,
     Subsample,
     circulant_symbol,
     solve_regularized,

@@ -2,9 +2,10 @@
 
 The measurements w live in the codec's domain (length M); the loop alternates
 between compressing a shifted signal, re-solving the regularized normal
-equations against the acquisition operator A and rendering operator B, and a
-scaled dual update. The result is always the blob produced by the final
-iteration's compression.
+equations against the chain A(B(.)) of the acquisition operator A and the
+rendering operator B, and a scaled dual update. That chain must be circulant
+on the coded grid: its DFT symbol makes the z-update a closed-form solve.
+The result is always the blob produced by the final iteration's compression.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-30  # keeps the relative stopping rule meaningful near zero
-_UNPROBED = object()  # run's default symbol: probe the chain itself
 
 
 class CodecError(RuntimeError):
@@ -81,24 +81,27 @@ class AdmmState:
     d_c: float
 
 
-def system_distortion_dc(w, a: LinearMap, b: LinearMap, v, symbol: np.ndarray | None = None) -> float:
+def system_distortion_dc(symbol: np.ndarray, w, v) -> float:
     """Mean squared system error (1/M) * ||w - A(B(v))||^2.
 
-    Given the DFT ``symbol`` of a circulant A(B(.)), as :func:`chain_symbol`
-    returns it, A(B(v)) is evaluated on the coded grid as ifft(symbol * fft(v));
-    without one, through the operators.
+    A(B(v)) is evaluated on the coded grid as ifft(symbol * fft(v)), with the
+    DFT ``symbol`` of the circulant chain that :func:`chain_symbol` returns.
     """
     w = np.asarray(w, dtype=float)
-    if symbol is None:
-        system_v = a.apply(b.apply(v))
-    else:
-        system_v = np.fft.ifft(symbol * np.fft.fft(v)).real
+    system_v = np.fft.ifft(symbol * np.fft.fft(v)).real
     return float(((w - system_v) ** 2).mean())
 
 
-def chain_symbol(a: LinearMap, b: LinearMap) -> np.ndarray | None:
-    """DFT symbol of A(B(.)) on the coded grid, or None when it is not circulant."""
-    return circulant_symbol(Compose([b, a]))
+def chain_symbol(a: LinearMap, b: LinearMap) -> np.ndarray:
+    """DFT symbol of A(B(.)) on the coded grid.
+
+    Raises ValueError when the chain is not circulant, since the z-update
+    has no solve for it.
+    """
+    symbol = circulant_symbol(Compose([b, a]))
+    if symbol is None:
+        raise ValueError("A(B(.)) is not circulant on the coded grid, so the z-update has no solve")
+    return symbol
 
 
 def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
@@ -114,7 +117,7 @@ def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
 
 
 def run(
-    w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig, symbol=_UNPROBED
+    w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig, symbol: np.ndarray | None = None
 ) -> tuple[bytes, list[AdmmState]]:
     """Compress w so that decoding and rendering through B approximates the
     acquisition inverse of A.
@@ -129,12 +132,11 @@ def run(
     decompress(bytes) -> signal and rate_bits(bytes) -> int.
 
     ``symbol`` is what :func:`chain_symbol` returns for (a, b): the DFT symbol
-    of A(B(.)), or None when the chain is not circulant. A caller running many
-    loops on one chain, as a sweep over theta does, probes once and passes it;
-    when it is omitted, run probes the chain once itself. With a symbol, the
-    z-update is solved in closed form and the system distortion is evaluated
-    through it; with None, the z-update runs conjugate gradients and the
-    distortion goes through the operators.
+    of A(B(.)), through which every z-update is solved in closed form and
+    every system distortion is evaluated. A caller running many loops on one
+    chain, as a sweep over theta does, probes once and passes it; when it is
+    None, run probes the chain itself, and a chain that is not circulant
+    raises ValueError before the codec is first called.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size != a.out_dim:
@@ -145,7 +147,7 @@ def run(
         raise ValueError(f"A.in_dim ({a.in_dim}) and B.out_dim ({b.out_dim}) do not compose")
 
     m = w.size
-    if symbol is _UNPROBED:
+    if symbol is None:
         symbol = chain_symbol(a, b)
     z_hat = w.copy()
     u = np.zeros(m)
@@ -161,7 +163,7 @@ def run(
         if v_hat.shape != (m,):
             raise CodecError(f"codec returned shape {v_hat.shape}, expected ({m},)", iteration=t)
         v_tilde = v_hat + u
-        z_hat = solve_regularized(a, b, w, v_tilde, cfg.beta_tilde, symbol=symbol)
+        z_hat = solve_regularized(symbol, w, v_tilde, cfg.beta_tilde)
         state = AdmmState(
             t=t,
             z_tilde=z_tilde,
@@ -172,7 +174,7 @@ def run(
             u=u,
             residual=float(np.linalg.norm(v_hat - z_hat)),
             rate_bits=int(codec.rate_bits(blob)),
-            d_c=system_distortion_dc(w, a, b, v_hat, symbol),
+            d_c=system_distortion_dc(symbol, w, v_hat),
         )
         u = u + (v_hat - z_hat)
         trace.append(state)

@@ -78,7 +78,10 @@ class TheoryConfig:
 
 # config key -> (dataclass field, parser)
 def _parse_float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    values = tuple(float(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError("expected at least one value")
+    return values
 
 
 def _parse_depth(text: str):
@@ -197,7 +200,7 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
         )
         codec = TreeCodecPlug(depth=cfg.codec_depth, q_bits=cfg.codec_q_bits)
         admm_cfg = AdmmConfig(
-            theta=cfg.sweep_params[0] if cfg.sweep_params else 0.0,
+            theta=cfg.sweep_params[0],
             beta_tilde=cfg.admm_beta_tilde,
             max_iters=cfg.admm_max_iters,
             tol=cfg.admm_tol,

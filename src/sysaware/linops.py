@@ -1,9 +1,11 @@
-"""Matrix-free linear operators and the regularized normal-equation solver.
+"""Matrix-free linear operators and the regularized z-update solve.
 
 Operators act on 1D real signals. Anything circulant is handled through the
 DFT with the numpy convention (unnormalized forward transform, 1/N inverse),
 and convolution boundaries are always periodic. Instances are immutable after
-construction: ``apply`` and ``adjoint`` are pure functions of their inputs.
+construction: ``apply`` is a pure function of its input. The z-update is
+solved in closed form on the DFT symbol of a circulant chain, which
+:func:`circulant_symbol` probes; there is no iterative solver.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "SolverError",
     "LinearMap",
     "Identity",
     "Subsample",
@@ -38,14 +39,6 @@ class DimensionMismatchError(ValueError):
         self.actual = actual
 
 
-class SolverError(RuntimeError):
-    """Conjugate gradients failed to reach the requested residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 def _as_vector(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -56,8 +49,8 @@ def _as_vector(x) -> np.ndarray:
 class LinearMap:
     """Base class for matrix-free operators mapping R^in_dim -> R^out_dim.
 
-    Subclasses implement ``_apply`` and ``_adjoint``; the public methods
-    validate lengths and raise :class:`DimensionMismatchError` on mismatch.
+    Subclasses implement ``_apply``; ``apply`` validates the input length and
+    raises :class:`DimensionMismatchError` on mismatch.
     """
 
     def __init__(self, in_dim: int, out_dim: int):
@@ -72,16 +65,7 @@ class LinearMap:
             raise DimensionMismatchError(f"{type(self).__name__}.apply", self.in_dim, x.size)
         return self._apply(x)
 
-    def adjoint(self, y) -> np.ndarray:
-        y = _as_vector(y)
-        if y.size != self.out_dim:
-            raise DimensionMismatchError(f"{type(self).__name__}.adjoint", self.out_dim, y.size)
-        return self._adjoint(y)
-
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -92,15 +76,9 @@ class Identity(LinearMap):
     def _apply(self, x):
         return x.copy()
 
-    def _adjoint(self, y):
-        return y.copy()
-
 
 class Subsample(LinearMap):
-    """Keep every ``factor``-th sample, starting at index 0.
-
-    The adjoint inserts zeros at the discarded positions.
-    """
+    """Keep every ``factor``-th sample, starting at index 0."""
 
     def __init__(self, n: int, factor: int):
         factor = int(factor)
@@ -111,11 +89,6 @@ class Subsample(LinearMap):
 
     def _apply(self, x):
         return x[:: self.factor].copy()
-
-    def _adjoint(self, y):
-        out = np.zeros(self.in_dim)
-        out[:: self.factor] = y
-        return out
 
 
 class Replicate(LinearMap):
@@ -130,9 +103,6 @@ class Replicate(LinearMap):
 
     def _apply(self, x):
         return np.repeat(x, self.factor)
-
-    def _adjoint(self, y):
-        return y.reshape(self.in_dim, self.factor).sum(axis=1)
 
 
 def kernel_spectrum(n: int, kernel) -> np.ndarray:
@@ -161,8 +131,7 @@ def kernel_spectrum(n: int, kernel) -> np.ndarray:
 class CirculantSpectral(LinearMap):
     """Square circulant operator applied through the DFT.
 
-    The adjoint is the circulant operator with the conjugate response. The
-    response should be conjugate-symmetric when modeling a real filter;
+    The response should be conjugate-symmetric when modeling a real filter;
     :func:`kernel_spectrum` guarantees that by construction.
     """
 
@@ -176,9 +145,6 @@ class CirculantSpectral(LinearMap):
     def _apply(self, x):
         return np.fft.ifft(np.fft.fft(x) * self.freq_response).real
 
-    def _adjoint(self, y):
-        return np.fft.ifft(np.fft.fft(y) * np.conj(self.freq_response)).real
-
 
 class Convolution(CirculantSpectral):
     """Centered circular convolution with a finite kernel."""
@@ -191,8 +157,7 @@ class Convolution(CirculantSpectral):
 class Compose(LinearMap):
     """Pipeline of operators applied in list order (first stage acts first).
 
-    The adjoint applies the stage adjoints in reverse order. The stage list
-    must be non-empty.
+    The stage list must be non-empty.
     """
 
     def __init__(self, stages):
@@ -213,11 +178,6 @@ class Compose(LinearMap):
         for stage in self.stages:
             x = stage.apply(x)
         return x
-
-    def _adjoint(self, y):
-        for stage in reversed(self.stages):
-            y = stage.adjoint(y)
-        return y
 
 
 def circulant_symbol(op: LinearMap) -> np.ndarray | None:
@@ -241,73 +201,23 @@ def circulant_symbol(op: LinearMap) -> np.ndarray | None:
     return h
 
 
-def solve_regularized(
-    a: LinearMap,
-    b: LinearMap,
-    w,
-    v_tilde,
-    beta_tilde: float,
-    cg_tol: float = 1e-10,
-    cg_maxiter: int | None = None,
-    symbol: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve (B*A*AB + beta_tilde I) z = B*A*w + beta_tilde v_tilde for z.
+def solve_regularized(symbol: np.ndarray, w, v_tilde, beta_tilde: float) -> np.ndarray:
+    """Solve (H^T H + beta_tilde I) z = H^T w + beta_tilde v_tilde for z.
 
-    The solution balances fidelity of A(B(z)) to the measurements w against
-    proximity to the target v_tilde. Given the DFT ``symbol`` h of a circulant
-    H = A(B(.)), as :func:`circulant_symbol` returns it, the normal equations
-    are diagonal in the DFT domain and solved bin by bin:
-    (|h|^2 + beta_tilde) z_k = conj(h_k) w_k + beta_tilde v_k. Without a
-    symbol, conjugate gradients run matrix-free on the normal operator,
-    stopping at ``cg_tol`` relative residual with an iteration cap of
-    ``cg_maxiter`` (default 10x the problem dimension).
+    H = A(B(.)) is the circulant chain whose DFT ``symbol`` h
+    :func:`circulant_symbol` returns. The solution balances fidelity of H(z)
+    to the measurements w against proximity to the target v_tilde. The
+    normal equations are diagonal in the DFT domain and solved bin by bin:
+    (|h|^2 + beta_tilde) z_k = conj(h_k) w_k + beta_tilde v_k.
     """
     w = _as_vector(w)
     v_tilde = _as_vector(v_tilde)
-    if w.size != a.out_dim:
-        raise DimensionMismatchError("solve_regularized: w", a.out_dim, w.size)
-    if v_tilde.size != b.in_dim:
-        raise DimensionMismatchError("solve_regularized: v_tilde", b.in_dim, v_tilde.size)
-    if a.in_dim != b.out_dim:
-        raise DimensionMismatchError("solve_regularized: a.in_dim vs b.out_dim", b.out_dim, a.in_dim)
+    if w.size != symbol.size:
+        raise DimensionMismatchError("solve_regularized: w", symbol.size, w.size)
+    if v_tilde.size != symbol.size:
+        raise DimensionMismatchError("solve_regularized: v_tilde", symbol.size, v_tilde.size)
     beta = float(beta_tilde)
     if not beta > 0:
         raise ValueError("beta_tilde must be positive")
-    if symbol is not None:
-        zf = np.conj(symbol) * np.fft.fft(w) + beta * np.fft.fft(v_tilde)
-        return np.fft.ifft(zf / (np.abs(symbol) ** 2 + beta)).real
-
-    rhs = b.adjoint(a.adjoint(w)) + beta * v_tilde
-
-    def normal_op(z):
-        return b.adjoint(a.adjoint(a.apply(b.apply(z)))) + beta * z
-
-    maxiter = int(cg_maxiter) if cg_maxiter is not None else 10 * rhs.size
-    return _conjugate_gradients(normal_op, rhs, x0=v_tilde, tol=cg_tol, maxiter=maxiter)
-
-
-def _conjugate_gradients(op, rhs, x0, tol, maxiter):
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    limit = tol * rhs_norm
-    x = np.array(x0, dtype=float)
-    r = rhs - op(x)
-    rs = float(r @ r)
-    if np.sqrt(rs) <= limit:
-        return x
-    p = r.copy()
-    for _ in range(maxiter):
-        ap = op(p)
-        alpha = rs / float(p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= limit:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise SolverError(
-        f"conjugate gradients: residual {np.sqrt(rs):.3e} above {tol:g} * ||rhs|| after {maxiter} iterations",
-        residual=float(np.sqrt(rs)),
-    )
+    zf = np.conj(symbol) * np.fft.fft(w) + beta * np.fft.fft(v_tilde)
+    return np.fft.ifft(zf / (np.abs(symbol) ** 2 + beta)).real

@@ -50,8 +50,8 @@ class SystemModel:
                 f"a ({self.a.in_dim}->{self.a.out_dim}) and "
                 f"b ({self.b.in_dim}->{self.b.out_dim}) do not form a closed loop"
             )
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,10 @@ def sweep(
 
     method "regular" compresses the measurements directly; "proposed" runs the
     ADMM loop (admm_cfg required; its theta is replaced by each parameter).
-    The proposed method probes A(B(.)) once and hands its symbol to every loop.
-    A failing point raises RuntimeError naming the method and the parameter.
+    The proposed method probes A(B(.)) once and hands its symbol to every
+    loop; a chain that is not circulant raises ValueError before any codec
+    call. A failing point raises RuntimeError naming the method and the
+    parameter.
     """
     if method not in ("regular", "proposed"):
         raise ValueError(f"method must be 'regular' or 'proposed', got {method!r}")

@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: circulant pseudoinverse and range
-projection, and the realized noise energy of an acquisition.
+projection, the realized noise energy of an acquisition, an operator's dense
+matrix, and a conjugate-gradient solve of the regularized normal equations.
 
 Response entries of a :class:`~sysaware.linops.CirculantSpectral` with
 magnitude at most ``ZERO_TOL`` times the largest magnitude count as exact
@@ -9,7 +10,7 @@ zeros: :func:`support` marks the others, and :func:`pinv_response` holds
 
 import numpy as np
 
-from sysaware.linops import CirculantSpectral
+from sysaware.linops import CirculantSpectral, LinearMap
 from sysaware.system_sim import SystemModel, acquire
 
 # Relative magnitude below which a frequency-response entry counts as zero.
@@ -52,3 +53,41 @@ def ideal_distortion_check(x, system: SystemModel) -> float:
     w = acquire(x, system)
     clean = system.a.apply(x)
     return float(((w - clean) ** 2).mean())
+
+
+def dense_matrix(op: LinearMap) -> np.ndarray:
+    """The operator's matrix, column j being op applied to the j-th unit vector."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.in_dim)])
+
+
+def cg_regularized_solve(ad: np.ndarray, bd: np.ndarray, w, v, beta: float) -> np.ndarray:
+    """z with (B^T A^T A B + beta I) z = B^T A^T w + beta v, for the dense
+    matrices ad of A and bd of B, by conjugate gradients started at v.
+
+    Stops at 1e-12 relative residual and raises RuntimeError after 10x the
+    dimension in steps.
+    """
+    h = ad @ bd
+    normal = h.T @ h + beta * np.eye(h.shape[1])
+    rhs = h.T @ w + beta * np.asarray(v, dtype=float)
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs)
+    limit = 1e-12 * rhs_norm
+    x = np.array(v, dtype=float)
+    r = rhs - normal @ x
+    rs = float(r @ r)
+    if np.sqrt(rs) <= limit:
+        return x
+    p = r.copy()
+    for _ in range(10 * rhs.size):
+        ap = normal @ p
+        alpha = rs / float(p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) <= limit:
+            return x
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    raise RuntimeError(f"conjugate gradients: residual {np.sqrt(rs):.3e} above 1e-12 * ||rhs||")

@@ -23,7 +23,7 @@ from sysaware.linops import (
 from sysaware.system_sim import SystemModel, make_blur_subsample_system, make_chirp, sweep
 from sysaware.tree_codec import TreeCodecPlug
 
-from oracles import ideal_distortion_check, project_range, pseudoinverse_apply
+from oracles import cg_regularized_solve, ideal_distortion_check, project_range, pseudoinverse_apply
 
 
 def report(num, name, ok, detail=""):
@@ -195,8 +195,8 @@ def test_6_z_update_equivalence():
             dense = np.linalg.solve(
                 bd.T @ ad.T @ ad @ bd + beta * np.eye(n), bd.T @ ad.T @ w + beta * v
             )
-            z_dft = solve_regularized(a, b, w, v, beta, symbol=circulant_symbol(Compose([b, a])))
-            z_cg = solve_regularized(a, b, w, v, beta, cg_tol=1e-12)
+            z_dft = solve_regularized(circulant_symbol(Compose([b, a])), w, v, beta)
+            z_cg = cg_regularized_solve(ad, bd, w, v, beta)
             scale = float(np.linalg.norm(dense))
             ok &= float(np.linalg.norm(z_dft - dense)) <= 1e-10 * scale
             ok &= float(np.linalg.norm(z_cg - dense)) <= 1e-10 * scale

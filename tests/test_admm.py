@@ -17,7 +17,10 @@ from sysaware.admm import (
     system_distortion_dc,
 )
 from sysaware.linops import Compose, Convolution, Identity, Replicate, Subsample
+from sysaware.system_sim import SystemModel, sweep
 from sysaware.tree_codec import Bitstream, TreeCodecPlug
+
+from oracles import dense_matrix
 
 
 @dataclass(frozen=True)
@@ -117,23 +120,24 @@ def test_z_update_satisfies_normal_equations():
     cfg = AdmmConfig(theta=1e-3, max_iters=4, tol=0.0)
     _, trace = run(w, a, b, TreeCodecPlug(), cfg)
     beta = cfg.beta_tilde
+    h = dense_matrix(a) @ dense_matrix(b)
     for state in trace:
-        lhs = b.adjoint(a.adjoint(a.apply(b.apply(state.z_hat)))) + beta * state.z_hat
-        rhs = b.adjoint(a.adjoint(w)) + beta * state.v_tilde
+        lhs = h.T @ (h @ state.z_hat) + beta * state.z_hat
+        rhs = h.T @ w + beta * state.v_tilde
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_run_probes_the_chain_once_per_run(monkeypatch):
-    probes, closed_form = [], []
+    probes, symbols = [], []
     probe, solve = admm.circulant_symbol, admm.solve_regularized
 
     def counted_probe(op):
         probes.append(op)
         return probe(op)
 
-    def recorded_solve(*args, **kwargs):
-        closed_form.append(kwargs.get("symbol") is not None)
-        return solve(*args, **kwargs)
+    def recorded_solve(symbol, *args):
+        symbols.append(symbol)
+        return solve(symbol, *args)
 
     monkeypatch.setattr(admm, "circulant_symbol", counted_probe)
     monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
@@ -141,38 +145,29 @@ def test_run_probes_the_chain_once_per_run(monkeypatch):
     cfg = AdmmConfig(theta=1e-3, max_iters=3, tol=0.0)
     a = Compose([Convolution(64, [0.25, 0.5, 0.25]), Subsample(64, 2)])
     run(w, a, Replicate(32, 2), TreeCodecPlug(), cfg)
-    assert len(probes) == 1 and closed_form == [True] * 3
-    # a sample-and-hold stage makes A(B(.)) shift-variant: CG every iteration
-    hold = Compose([a, Subsample(32, 2), Replicate(16, 2)])
-    probes.clear()
-    closed_form.clear()
-    run(w, hold, Replicate(32, 2), TreeCodecPlug(), cfg)
-    assert len(probes) == 1 and closed_form == [False] * 3
+    assert len(probes) == 1 and len(symbols) == 3
+    assert all(symbol is symbols[0] for symbol in symbols)
 
 
-def test_shift_variant_chain_takes_cg_and_the_direct_distortion(monkeypatch):
-    symbols, solve_symbols = [], []
-    distortion, solve = admm.system_distortion_dc, admm.solve_regularized
+def test_non_circulant_chain_raises_before_any_codec_call():
+    compressed = []
 
-    def recorded_distortion(w, a, b, v, symbol=None):
-        symbols.append(symbol)
-        return distortion(w, a, b, v, symbol)
+    class Counting(TreeCodecPlug):
+        def compress(self, signal, theta):
+            compressed.append(theta)
+            return super().compress(signal, theta)
 
-    def recorded_solve(*args, **kwargs):
-        solve_symbols.append(kwargs.get("symbol"))
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(admm, "system_distortion_dc", recorded_distortion)
-    monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
     w = np.random.default_rng(8).uniform(size=32)
     conv = Compose([Convolution(64, [0.25, 0.5, 0.25]), Subsample(64, 2)])
+    # a sample-and-hold stage makes A(B(.)) shift-variant
     hold = Compose([conv, Subsample(32, 2), Replicate(16, 2)])
     b = Replicate(32, 2)
-    assert chain_symbol(hold, b) is None
-    _, trace = run(w, hold, b, TreeCodecPlug(), AdmmConfig(theta=1e-3, max_iters=3, tol=0.0))
-    assert symbols == [None] * 3 and solve_symbols == [None] * 3
-    for state in trace:
-        assert state.d_c == float(((w - hold.apply(b.apply(state.v_hat))) ** 2).mean())
+    with pytest.raises(ValueError, match="not circulant"):
+        run(w, hold, b, Counting(), AdmmConfig(theta=1e-3, max_iters=3, tol=0.0))
+    system = SystemModel(a=hold, b=b, noise_std=0.0, rng_seed=0)
+    with pytest.raises(ValueError, match="not circulant"):
+        sweep(np.zeros(64), system, Counting(), [1e-3], "proposed", AdmmConfig(theta=0.0))
+    assert compressed == []
 
 
 def test_chirp_loop_terminates_and_stays_bounded():
@@ -256,9 +251,9 @@ def test_config_validation():
 
 
 def test_system_distortion_dc_exact_cases():
-    a = Identity(2)
-    assert system_distortion_dc([1.0, 0.0], a, a, [1.0, 0.0]) == 0.0
-    assert system_distortion_dc([1.0, 0.0], a, a, [0.0, 0.0]) == 0.5
+    symbol = chain_symbol(Identity(2), Identity(2))
+    assert system_distortion_dc(symbol, [1.0, 0.0], [1.0, 0.0]) == 0.0
+    assert system_distortion_dc(symbol, [1.0, 0.0], [0.0, 0.0]) == 0.5
 
 
 def test_system_distortion_dc_dense_oracle():
@@ -268,11 +263,8 @@ def test_system_distortion_dc_dense_oracle():
     b = Replicate(4, 2)
     w = rng.normal(size=4)
     v = rng.normal(size=4)
-    # dense route: materialize A and B column by column
-    ad = np.column_stack([a.apply(np.eye(8)[:, j]) for j in range(8)])
-    bd = np.column_stack([b.apply(np.eye(4)[:, j]) for j in range(4)])
-    expected = float(np.mean((w - ad @ bd @ v) ** 2))
-    assert abs(system_distortion_dc(w, a, b, v) - expected) <= 1e-12
+    expected = float(np.mean((w - dense_matrix(a) @ dense_matrix(b) @ v) ** 2))
+    assert abs(system_distortion_dc(chain_symbol(a, b), w, v) - expected) <= 1e-12
 
 
 def test_system_distortion_dc_through_the_symbol_matches_the_operators():
@@ -280,13 +272,12 @@ def test_system_distortion_dc_through_the_symbol_matches_the_operators():
 
     system = make_blur_subsample_system()
     symbol = chain_symbol(system.a, system.b)
-    assert symbol is not None
     rng = np.random.default_rng(10)
     for _ in range(5):
         w = rng.normal(size=system.a.out_dim)
         v = rng.uniform(size=system.b.in_dim)
-        direct = system_distortion_dc(w, system.a, system.b, v)
-        spectral = system_distortion_dc(w, system.a, system.b, v, symbol)
+        direct = float(((w - system.a.apply(system.b.apply(v))) ** 2).mean())
+        spectral = system_distortion_dc(symbol, w, v)
         assert abs(spectral - direct) <= 1e-12 * direct
 
 

@@ -130,6 +130,29 @@ def test_run_stage_failure_exits_1(tmp_path, capsys):
     assert "system setup" in err
 
 
+def test_run_non_finite_noise_exits_1(tmp_path, capsys):
+    body = SMALL_RUN.replace("system.noise_std = 0.001", "system.noise_std = nan")
+    cfg = write_config(tmp_path / "exp.cfg", body)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert "stage 'system setup' failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_default_run_has_no_proposed_point_dominated_by_a_regular_one(tmp_path, seed):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--seed", seed, "--out", out]) == 0
+    rows = [line.split(",") for line in (out / "rd_curve.csv").read_text().strip().split("\n")[1:]]
+    curve = {"regular": [], "proposed": []}
+    for method, _, rate, psnr_db, _, _ in rows:
+        curve[method].append((float(rate), float(psnr_db)))
+    assert len(curve["regular"]) == len(curve["proposed"]) == 8
+    for p in curve["proposed"]:
+        # dominated: a regular point with no more rate and no less PSNR, not equal on both
+        assert not [r for r in curve["regular"] if r[0] <= p[0] and r[1] >= p[1] and r != p], p
+
+
 def test_run_failed_sweep_point_exits_1(tmp_path, capsys, monkeypatch):
     class Picky(tree_codec.TreeCodecPlug):
         def compress(self, signal, theta):
@@ -173,11 +196,15 @@ def test_run_signal_from_file(tmp_path):
         ("signal.n = seven\n", "line 1"),  # bad value
         ("signal.n = 8\nsignal.n = 16\n", "duplicate"),
         ("signal.n 8\n", "key = value"),  # missing equals
+        ("sweep.param_values =\n", "sweep.param_values"),  # empty list
+        ("sweep.param_values = , \n", "sweep.param_values"),
+        ("theory.d_grid =\n", "theory.d_grid"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     cfg = write_config(tmp_path / "exp.cfg", body)
-    assert run_cli(["run", "--config", cfg]) == 2
+    command = "theory" if body.startswith("theory.") else "run"
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert needle in err

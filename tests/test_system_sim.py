@@ -75,6 +75,12 @@ def test_system_model_validates_loop_closure():
         SystemModel(a=Identity(4), b=Identity(4), noise_std=-1.0, rng_seed=0)
 
 
+@pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
+def test_system_model_requires_finite_non_negative_noise(noise_std):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SystemModel(a=Identity(4), b=Identity(4), noise_std=noise_std, rng_seed=0)
+
+
 def test_default_system_dimensions():
     system = make_blur_subsample_system()
     assert system.a.in_dim == 1024 and system.a.out_dim == 256
