@@ -18,6 +18,7 @@ from .linops import (  # noqa: F401
     LinearMap,
     Replicate,
     Subsample,
+    ZUpdateTerms,
     circulant_symbol,
     solve_regularized,
 )

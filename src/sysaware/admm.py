@@ -6,15 +6,19 @@ equations against the chain A(B(.)) of the acquisition operator A and the
 rendering operator B, and a scaled dual update. That chain must be circulant
 on the coded grid: its DFT symbol makes the z-update a closed-form solve.
 The result is always the blob produced by the final iteration's compression.
+What depends only on (A(B(.)), w, beta_tilde) is computed once per run, so
+an iteration takes three FFTs: the z-update's forward and inverse, and
+fft(v_hat), from which the system distortion follows by Parseval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import Compose, LinearMap, circulant_symbol, solve_regularized
+from .linops import Compose, LinearMap, ZUpdateTerms, circulant_symbol, solve_regularized
 
 __all__ = [
     "AdmmConfig",
@@ -55,8 +59,8 @@ class AdmmConfig:
     tol: float = 2e-2
 
     def __post_init__(self):
-        if not self.beta_tilde > 0:
-            raise ValueError("beta_tilde must be positive")
+        if not 0 < self.beta_tilde < math.inf:  # also rejects NaN
+            raise ValueError("beta_tilde must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tol >= 0:
@@ -81,15 +85,15 @@ class AdmmState:
     d_c: float
 
 
-def system_distortion_dc(symbol: np.ndarray, w, v) -> float:
+def system_distortion_dc(terms: ZUpdateTerms, v) -> float:
     """Mean squared system error (1/M) * ||w - A(B(v))||^2.
 
-    A(B(v)) is evaluated on the coded grid as ifft(symbol * fft(v)), with the
-    DFT ``symbol`` of the circulant chain that :func:`chain_symbol` returns.
+    A(B(.)) is the circulant chain whose DFT symbol h ``terms`` carries, with
+    W = fft(w). By Parseval the error is ||W - h * fft(v)||^2 / M^2, so one
+    forward transform of v evaluates it.
     """
-    w = np.asarray(w, dtype=float)
-    system_v = np.fft.ifft(symbol * np.fft.fft(v)).real
-    return float(((w - system_v) ** 2).mean())
+    error = terms.w_hat - terms.symbol * np.fft.fft(v)
+    return float(np.vdot(error, error).real) / error.size**2
 
 
 def chain_symbol(a: LinearMap, b: LinearMap) -> np.ndarray:
@@ -108,12 +112,9 @@ def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
     """True when the loop should stop after this state."""
     if state.t >= cfg.max_iters:
         return True
-    scale = max(
-        float(np.linalg.norm(state.v_hat)),
-        float(np.linalg.norm(state.z_hat)),
-        _NORM_FLOOR,
-    )
-    return state.residual <= cfg.tol * scale
+    # sqrt(x @ x) is numpy's 1-D norm bit for bit, and sqrt is monotone
+    scale = math.sqrt(max(state.v_hat @ state.v_hat, state.z_hat @ state.z_hat))
+    return state.residual <= cfg.tol * max(scale, _NORM_FLOOR)
 
 
 def run(
@@ -149,6 +150,7 @@ def run(
     m = w.size
     if symbol is None:
         symbol = chain_symbol(a, b)
+    terms = ZUpdateTerms(symbol, w, cfg.beta_tilde)
     z_hat = w.copy()
     u = np.zeros(m)
     trace: list[AdmmState] = []
@@ -163,7 +165,8 @@ def run(
         if v_hat.shape != (m,):
             raise CodecError(f"codec returned shape {v_hat.shape}, expected ({m},)", iteration=t)
         v_tilde = v_hat + u
-        z_hat = solve_regularized(symbol, w, v_tilde, cfg.beta_tilde)
+        z_hat = solve_regularized(terms, v_tilde)
+        step = v_hat - z_hat
         state = AdmmState(
             t=t,
             z_tilde=z_tilde,
@@ -172,11 +175,11 @@ def run(
             v_tilde=v_tilde,
             z_hat=z_hat,
             u=u,
-            residual=float(np.linalg.norm(v_hat - z_hat)),
+            residual=math.sqrt(step @ step),
             rate_bits=int(codec.rate_bits(blob)),
-            d_c=system_distortion_dc(symbol, w, v_hat),
+            d_c=system_distortion_dc(terms, v_hat),
         )
-        u = u + (v_hat - z_hat)
+        u = u + step
         trace.append(state)
         if stopping_check(state, cfg):
             break

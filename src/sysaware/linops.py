@@ -23,6 +23,7 @@ __all__ = [
     "Compose",
     "kernel_spectrum",
     "circulant_symbol",
+    "ZUpdateTerms",
     "solve_regularized",
 ]
 
@@ -201,23 +202,29 @@ def circulant_symbol(op: LinearMap) -> np.ndarray | None:
     return h
 
 
-def solve_regularized(symbol: np.ndarray, w, v_tilde, beta_tilde: float) -> np.ndarray:
-    """Solve (H^T H + beta_tilde I) z = H^T w + beta_tilde v_tilde for z.
+class ZUpdateTerms:
+    """The z-update's terms fixed through an ADMM run: W = fft(w), conj(h) * W and
+    |h|^2 + beta_tilde, for the DFT symbol h of the circulant chain H = A(B(.)),
+    the measurements w and the proximity weight beta_tilde, both checked here."""
 
-    H = A(B(.)) is the circulant chain whose DFT ``symbol`` h
-    :func:`circulant_symbol` returns. The solution balances fidelity of H(z)
-    to the measurements w against proximity to the target v_tilde. The
-    normal equations are diagonal in the DFT domain and solved bin by bin:
-    (|h|^2 + beta_tilde) z_k = conj(h_k) w_k + beta_tilde v_k.
-    """
-    w = _as_vector(w)
+    def __init__(self, symbol: np.ndarray, w, beta_tilde: float):
+        w = _as_vector(w)
+        if w.size != symbol.size:
+            raise DimensionMismatchError("ZUpdateTerms: w", symbol.size, w.size)
+        self.symbol, self.beta = symbol, float(beta_tilde)
+        if not 0 < self.beta < np.inf:  # also rejects NaN
+            raise ValueError("beta_tilde must be positive and finite")
+        self.w_hat = np.fft.fft(w)
+        self.data = np.conj(symbol) * self.w_hat
+        self.denominator = np.abs(symbol) ** 2 + self.beta
+
+
+def solve_regularized(terms: ZUpdateTerms, v_tilde) -> np.ndarray:
+    """Solve (H^T H + beta_tilde I) z = H^T w + beta_tilde v_tilde for z, with H, w
+    and beta_tilde those of ``terms``. The system is diagonal in the DFT domain,
+    (|h|^2 + beta_tilde) z_k = conj(h_k) w_k + beta_tilde v_k, so two FFTs solve it."""
     v_tilde = _as_vector(v_tilde)
-    if w.size != symbol.size:
-        raise DimensionMismatchError("solve_regularized: w", symbol.size, w.size)
-    if v_tilde.size != symbol.size:
-        raise DimensionMismatchError("solve_regularized: v_tilde", symbol.size, v_tilde.size)
-    beta = float(beta_tilde)
-    if not beta > 0:
-        raise ValueError("beta_tilde must be positive")
-    zf = np.conj(symbol) * np.fft.fft(w) + beta * np.fft.fft(v_tilde)
-    return np.fft.ifft(zf / (np.abs(symbol) ** 2 + beta)).real
+    if v_tilde.size != terms.symbol.size:
+        raise DimensionMismatchError("solve_regularized: v_tilde", terms.symbol.size, v_tilde.size)
+    zf = terms.data + terms.beta * np.fft.fft(v_tilde)
+    return np.fft.ifft(zf / terms.denominator).real

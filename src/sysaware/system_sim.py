@@ -85,6 +85,8 @@ def gaussian_kernel(std: float = 15.0, support: int = 15) -> np.ndarray:
     """
     if support < 1 or support % 2 == 0:
         raise ValueError("support must be a positive odd integer")
+    if not 0 < std < np.inf:  # also rejects NaN
+        raise ValueError(f"std must be finite and positive, got {std!r}")
     offsets = np.arange(support) - (support - 1) // 2
     taps = np.exp(-(offsets.astype(float) ** 2) / (2 * std * std))
     return taps / taps.sum()

@@ -26,17 +26,18 @@ costs about as much on 2 elements as on 256, so the work is arranged in few
 calls: only the recursions from one level to the next (the sums, the m2
 merge, the pruning, and the top-down marking of reached nodes) make a call
 per level, and everything else (the means, the quantization, every leaf
-cost) runs once over the whole heap. The float work lives in four heap-sized
-rows of one allocation per call, reused in place through ``out=``: each row
-takes the next quantity once its last one is spent. At M = 2**16 a fresh
-temporary per step costs more in allocation and page faults than the
-arithmetic it feeds; and with glibc's malloc, one 4 MB block is kept for the
-next call where four 1 MB blocks were handed back to the system and faulted
-in again (about 1200 page faults per call before, at most about 50 after).
+cost) runs once over the whole heap. The node widths, which the shape (M, d)
+alone fixes, are built once per shape and cached read-only. The float work
+lives in four heap-sized rows of one allocation per call (sums then means,
+m2 then costs, the quantization indices kept for the leaves, and working
+values), reused in place through ``out=``: at M = 2**16 fresh temporaries
+cost more in allocation and page faults than the arithmetic they feed.
 """
 
 from __future__ import annotations
 
+import functools
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -57,16 +58,10 @@ MAGIC = b"SAC1"
 MAX_LEN = 1 << 24  # longest signal the codec writes or reads
 MAX_Q_BITS = 52  # widest index whose rounding and reconstruction are exact in float64
 _HEADER_LEN = 11  # magic, d0, d, q_bits, M as 4-byte big-endian
-# Heap slices of the nodes of each level that has children, and of their left
-# and right children: level l occupies [2**l - 1, 2**(l+1) - 1), and node p
-# has children 2p + 1 and 2p + 2.
+# Heap slices of each level that has children, and of their left and right children.
 _LEVELS = tuple(
-    (
-        slice(first, 2 * first + 1),
-        slice(2 * first + 1, 4 * first + 3, 2),
-        slice(2 * first + 2, 4 * first + 3, 2),
-    )
-    for first in ((1 << level) - 1 for level in range(MAX_LEN.bit_length() - 1))
+    (slice(f, 2 * f + 1), slice(2 * f + 1, 4 * f + 3, 2), slice(2 * f + 2, 4 * f + 3, 2))
+    for f in ((1 << level) - 1 for level in range(MAX_LEN.bit_length() - 1))
 )
 
 
@@ -115,9 +110,9 @@ class Bitstream:
         runs = levels - first + 1
         tree = np.ones(int(runs.sum()), dtype=np.uint8)
         tree[np.cumsum(runs) - 1] = 0
-        # each index as 8 big-endian bytes, unpacked MSB-first: its low q_bits are the last
         index_bytes = self.leaf_indices.astype(">u8").view(np.uint8).reshape(-1, 8)
-        payload = np.unpackbits(index_bytes, axis=1)[:, 64 - self.q_bits :]
+        # (-q_bits) // 8 = -ceil(q_bits / 8): unpack only the trailing bytes holding the low q_bits
+        payload = np.unpackbits(index_bytes[:, (-self.q_bits) // 8 :], axis=1)[:, -self.q_bits :]
         header = MAGIC + bytes([self.d0, self.d, self.q_bits]) + struct.pack(">I", self.m)
         return header + np.packbits(tree).tobytes() + np.packbits(payload).tobytes()
 
@@ -223,9 +218,9 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
 
     n_nodes = (2 << d) - 1
     n_parents = n_nodes >> 1
-    mean, cost, width, work = np.empty((4, n_nodes))
-    sums = mean  # divided in place into the means once every level is summed
-    m2 = cost  # overwritten in place by the leaf costs
+    width = _node_widths(m, d)
+    mean, cost, index, work = np.empty((4, n_nodes))
+    sums, m2 = mean, cost  # in place, the sums become the means and m2 the leaf costs
     split = np.empty(n_nodes, dtype=bool)
 
     # Sum and second moment of the level-d segments in one direct pass (m2 is
@@ -240,11 +235,8 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
         deviation = segments - (sums[bottom] / (m >> d))[:, None]
         np.square(deviation, out=deviation)
         deviation.sum(axis=1, out=m2[bottom])
-    width[bottom] = m >> d
-    for level in range(d - 1, -1, -1):
-        node, left, right = _LEVELS[level]
+    for node, left, right in reversed(_LEVELS[:d]):
         np.add(sums[left], sums[right], out=sums[node])
-        width[node] = m >> level
     np.divide(sums, width, out=mean)
     # (mean_L - mean_R)^2 * width_child / 2 for every parent at once; the
     # parents' m2 rows are still free and hold width_child / 2 meanwhile.
@@ -258,10 +250,15 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
         np.add(m2[left], m2[right], out=parent)
         np.add(parent, merge[node], out=parent)
 
-    # Every node's leaf cost m2 + width * (mean - recon)^2 + nu * q_bits at once.
+    # Every node's leaf cost m2 + width * (mean - index / levels)^2 + nu * q_bits at
+    # once; index = floor(clamp(mean, 0, 1) * levels + 0.5) stays in its row.
     levels = (1 << q_bits) - 1
-    error = _quantize(mean, levels, out=work)
-    np.divide(error, levels, out=error)
+    np.maximum(mean, 0.0, out=index)
+    np.minimum(index, 1.0, out=index)
+    np.multiply(index, levels, out=index)
+    np.add(index, 0.5, out=index)
+    np.floor(index, out=index)
+    error = np.divide(index, levels, out=work)
     np.subtract(mean, error, out=error)
     np.square(error, out=error)
     np.multiply(error, width, out=error)
@@ -286,30 +283,34 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     reached = np.empty(n_nodes, dtype=bool)
     reached[0] = True
     reached[1::2] = reached[2::2] = split[:n_parents]
-    pos = (reached > split).nonzero()[0]
+    pos = np.greater(reached, split, out=reached).nonzero()[0]
     # p + 1 = (2**l + i) for node i of level l, so frexp gives its level as
     # the exponent minus 1 and orders the leaves by start i / 2**l through the
     # mantissa (2**l + i) / 2**(l+1).
     mantissa, exponent = np.frexp(pos + 1)
     order = np.argsort(mantissa)
-    pos = pos[order]
     return Bitstream(
-        d0=d0,
-        d=d,
-        q_bits=q_bits,
-        m=m,
+        d0=d0, d=d, q_bits=q_bits, m=m,
         leaf_levels=exponent[order].astype(np.int64) - 1,
-        leaf_indices=_quantize(mean[pos], levels).astype(np.int64),
+        leaf_indices=index[pos[order]].astype(np.int64),
     )
 
 
-def _quantize(mean: np.ndarray, levels: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Quantization indices floor(clamp(mean, 0, 1) * levels + 0.5), as floats."""
-    out = np.maximum(mean, 0.0, out=out)
-    np.minimum(out, 1.0, out=out)
-    np.multiply(out, levels, out=out)
-    np.add(out, 0.5, out=out)
-    return np.floor(out, out=out)
+@functools.lru_cache(maxsize=4)
+def _node_widths(m: int, d: int) -> np.ndarray:
+    """Width of every node of the depth-d heap over m samples, as read-only floats.
+
+    The row outlives every call, so it gets its own anonymous mapping: held in
+    malloc's heap, a long-lived block of 0.5 MB or more changed how glibc trims
+    it, costing up to ~4000 page faults per 2**16-sample ladder and 0.7 MB of RSS.
+    """
+    n_nodes = (2 << d) - 1
+    width = np.frombuffer(mmap.mmap(-1, 8 * n_nodes), dtype=np.float64)
+    width[n_nodes >> 1 :] = m >> d
+    for level, (node, _, _) in enumerate(_LEVELS[:d]):
+        width[node] = m >> level
+    width.flags.writeable = False
+    return width
 
 
 def decode(data: Bitstream | bytes) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: circulant pseudoinverse and range
 projection, the realized noise energy of an acquisition, an operator's dense
-matrix, and a conjugate-gradient solve of the regularized normal equations.
+matrix, a conjugate-gradient solve of the regularized normal equations, the
+z-update as one expression, and a scalar writer of the codec's wire format.
 
 Response entries of a :class:`~sysaware.linops.CirculantSpectral` with
 magnitude at most ``ZERO_TOL`` times the largest magnitude count as exact
@@ -8,10 +9,13 @@ zeros: :func:`support` marks the others, and :func:`pinv_response` holds
 1/c_k on the support and 0 elsewhere.
 """
 
+import struct
+
 import numpy as np
 
 from sysaware.linops import CirculantSpectral, LinearMap
 from sysaware.system_sim import SystemModel, acquire
+from sysaware.tree_codec import MAGIC
 
 # Relative magnitude below which a frequency-response entry counts as zero.
 ZERO_TOL = 1e-12
@@ -91,3 +95,43 @@ def cg_regularized_solve(ad: np.ndarray, bd: np.ndarray, w, v, beta: float) -> n
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise RuntimeError(f"conjugate gradients: residual {np.sqrt(rs):.3e} above 1e-12 * ||rhs||")
+
+
+def z_update_reference(symbol: np.ndarray, w, v_tilde, beta: float) -> np.ndarray:
+    """The closed-form z-update as one expression, every term computed anew:
+    ifft((conj(h) fft(w) + beta fft(v_tilde)) / (|h|^2 + beta)).real."""
+    zf = np.conj(symbol) * np.fft.fft(w) + beta * np.fft.fft(v_tilde)
+    return np.fft.ifft(zf / (np.abs(symbol) ** 2 + beta)).real
+
+
+def pack_bits_msb_first(bits) -> bytes:
+    """Pack 0/1 values into bytes one at a time, MSB first, zero-padded."""
+    out = bytearray((len(bits) + 7) // 8)
+    for pos, bit in enumerate(bits):
+        if bit:
+            out[pos // 8] |= 1 << (7 - pos % 8)
+    return bytes(out)
+
+
+def oracle_to_bytes(stream) -> bytes:
+    """Scalar writer of a Bitstream: pre-order walk one node at a time, each
+    leaf index written bit by bit from its most significant of q_bits."""
+    tree = []
+    leaves = iter(stream.leaf_levels.tolist())
+    next_leaf = next(leaves)
+    pending = [0]
+    while pending:
+        level = pending.pop()
+        if level == next_leaf:  # the next leaf in order starts at this node
+            tree.append(0)
+            next_leaf = next(leaves, None)
+        else:
+            tree.append(1)
+            pending += [level + 1, level + 1]
+    payload = [
+        (index >> shift) & 1
+        for index in stream.leaf_indices.tolist()
+        for shift in range(stream.q_bits - 1, -1, -1)
+    ]
+    header = MAGIC + bytes([stream.d0, stream.d, stream.q_bits]) + struct.pack(">I", stream.m)
+    return header + pack_bits_msb_first(tree) + pack_bits_msb_first(payload)

@@ -16,6 +16,7 @@ from sysaware.linops import (
     CirculantSpectral,
     Compose,
     Identity,
+    ZUpdateTerms,
     circulant_symbol,
     kernel_spectrum,
     solve_regularized,
@@ -195,7 +196,7 @@ def test_6_z_update_equivalence():
             dense = np.linalg.solve(
                 bd.T @ ad.T @ ad @ bd + beta * np.eye(n), bd.T @ ad.T @ w + beta * v
             )
-            z_dft = solve_regularized(circulant_symbol(Compose([b, a])), w, v, beta)
+            z_dft = solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, beta), v)
             z_cg = cg_regularized_solve(ad, bd, w, v, beta)
             scale = float(np.linalg.norm(dense))
             ok &= float(np.linalg.norm(z_dft - dense)) <= 1e-10 * scale

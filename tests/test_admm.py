@@ -16,11 +16,11 @@ from sysaware.admm import (
     stopping_check,
     system_distortion_dc,
 )
-from sysaware.linops import Compose, Convolution, Identity, Replicate, Subsample
+from sysaware.linops import Compose, Convolution, Identity, Replicate, Subsample, ZUpdateTerms
 from sysaware.system_sim import SystemModel, sweep
 from sysaware.tree_codec import Bitstream, TreeCodecPlug
 
-from oracles import dense_matrix
+from oracles import dense_matrix, z_update_reference
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def test_run_probes_the_chain_once_per_run(monkeypatch):
         probes.append(op)
         return probe(op)
 
-    def recorded_solve(symbol, *args):
-        symbols.append(symbol)
-        return solve(symbol, *args)
+    def recorded_solve(terms, *args):
+        symbols.append(terms.symbol)
+        return solve(terms, *args)
 
     monkeypatch.setattr(admm, "circulant_symbol", counted_probe)
     monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
@@ -147,6 +147,45 @@ def test_run_probes_the_chain_once_per_run(monkeypatch):
     run(w, a, Replicate(32, 2), TreeCodecPlug(), cfg)
     assert len(probes) == 1 and len(symbols) == 3
     assert all(symbol is symbols[0] for symbol in symbols)
+
+
+def default_chain_measurements():
+    from sysaware.system_sim import acquire, make_blur_subsample_system, make_chirp
+
+    system = make_blur_subsample_system()
+    return system, acquire(make_chirp(1024), system)
+
+
+def test_run_z_hat_is_bitwise_the_one_expression_z_update():
+    system, w = default_chain_measurements()
+    symbol = chain_symbol(system.a, system.b)
+    for theta in (1e-4, 1e-2):
+        cfg = AdmmConfig(theta=theta)
+        _, trace = run(w, system.a, system.b, TreeCodecPlug(), cfg, symbol=symbol)
+        for state in trace:
+            expected = z_update_reference(symbol, w, state.v_tilde, cfg.beta_tilde)
+            assert state.z_hat.tobytes() == expected.tobytes(), (theta, state.t)
+            assert state.residual == float(np.linalg.norm(state.v_hat - state.z_hat))
+            norms = (np.linalg.norm(state.v_hat), np.linalg.norm(state.z_hat), 1e-30)
+            converged = state.residual <= cfg.tol * float(max(norms))
+            assert stopping_check(state, cfg) == (state.t >= cfg.max_iters or converged)
+
+
+def test_run_given_its_symbol_takes_three_transforms_per_iteration(monkeypatch):
+    system, w = default_chain_measurements()
+    symbol = chain_symbol(system.a, system.b)
+    calls = []
+    for name in ("fft", "ifft"):
+
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    _, trace = run(w, system.a, system.b, TreeCodecPlug(), AdmmConfig(theta=1e-3), symbol=symbol)
+    # fft(w) once per run; per iteration the solve's fft and ifft, and fft(v_hat) for d_c
+    assert len(calls) == 3 * len(trace) + 1
+    assert calls.count("ifft") == len(trace)
 
 
 def test_non_circulant_chain_raises_before_any_codec_call():
@@ -237,8 +276,9 @@ def test_codec_bad_shape_is_reported():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AdmmConfig(theta=0.0, beta_tilde=0.0)
+    for beta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta_tilde must be positive and finite"):
+            AdmmConfig(theta=0.0, beta_tilde=beta)
     with pytest.raises(ValueError):
         AdmmConfig(theta=0.0, max_iters=0)
     with pytest.raises(ValueError):
@@ -251,9 +291,9 @@ def test_config_validation():
 
 
 def test_system_distortion_dc_exact_cases():
-    symbol = chain_symbol(Identity(2), Identity(2))
-    assert system_distortion_dc(symbol, [1.0, 0.0], [1.0, 0.0]) == 0.0
-    assert system_distortion_dc(symbol, [1.0, 0.0], [0.0, 0.0]) == 0.5
+    terms = ZUpdateTerms(chain_symbol(Identity(2), Identity(2)), [1.0, 0.0], 1.0)
+    assert system_distortion_dc(terms, [1.0, 0.0]) == 0.0
+    assert system_distortion_dc(terms, [0.0, 0.0]) == 0.5
 
 
 def test_system_distortion_dc_dense_oracle():
@@ -264,7 +304,8 @@ def test_system_distortion_dc_dense_oracle():
     w = rng.normal(size=4)
     v = rng.normal(size=4)
     expected = float(np.mean((w - dense_matrix(a) @ dense_matrix(b) @ v) ** 2))
-    assert abs(system_distortion_dc(chain_symbol(a, b), w, v) - expected) <= 1e-12
+    terms = ZUpdateTerms(chain_symbol(a, b), w, 1.0)
+    assert abs(system_distortion_dc(terms, v) - expected) <= 1e-12
 
 
 def test_system_distortion_dc_through_the_symbol_matches_the_operators():
@@ -277,7 +318,7 @@ def test_system_distortion_dc_through_the_symbol_matches_the_operators():
         w = rng.normal(size=system.a.out_dim)
         v = rng.uniform(size=system.b.in_dim)
         direct = float(((w - system.a.apply(system.b.apply(v))) ** 2).mean())
-        spectral = system_distortion_dc(symbol, w, v)
+        spectral = system_distortion_dc(ZUpdateTerms(symbol, w, 1.0), v)
         assert abs(spectral - direct) <= 1e-12 * direct
 
 

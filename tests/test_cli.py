@@ -139,6 +139,22 @@ def test_run_non_finite_noise_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["system.kernel_std = 0", "system.kernel_std = nan", "admm.beta_tilde = inf"],
+    ids=["kernel_std-0", "kernel_std-nan", "beta_tilde-inf"],
+)
+# as in a user's run, where a numpy warning does not stop the program: the
+# parameter must be rejected by a check, not by a warning turned into an error
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_bad_system_or_admm_parameter_exits_1_in_system_setup(tmp_path, capsys, line):
+    cfg = write_config(tmp_path / "exp.cfg", SMALL_RUN + line + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert "stage 'system setup' failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [1234, 7])
 def test_default_run_has_no_proposed_point_dominated_by_a_regular_one(tmp_path, seed):
     out = tmp_path / "out"

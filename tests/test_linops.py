@@ -12,6 +12,7 @@ from sysaware.linops import (
     LinearMap,
     Replicate,
     Subsample,
+    ZUpdateTerms,
     circulant_symbol,
     kernel_spectrum,
     solve_regularized,
@@ -281,7 +282,7 @@ def test_range_decomposition_identity():
 def test_solve_identity_case():
     w = np.array([1.0, 2.0, 3.0, 4.0])
     v = np.array([0.0, 1.0, 0.0, 1.0])
-    z = solve_regularized(circulant_symbol(Identity(4)), w, v, beta_tilde=1.0)
+    z = solve_regularized(ZUpdateTerms(circulant_symbol(Identity(4)), w, beta_tilde=1.0), v)
     assert np.allclose(z, (w + v) / 2, atol=1e-12)
 
 
@@ -290,7 +291,7 @@ def test_solve_large_beta_returns_target():
     a = Convolution(8, [0.2, 0.6, 0.2])
     w = rng.normal(size=8)
     v = rng.normal(size=8)
-    z = solve_regularized(a.freq_response, w, v, beta_tilde=1e8)
+    z = solve_regularized(ZUpdateTerms(a.freq_response, w, beta_tilde=1e8), v)
     assert np.linalg.norm(z - v) <= 1e-6 * np.linalg.norm(v)
 
 
@@ -306,7 +307,7 @@ def test_solve_cg_dft_dense_agree():
             ad, bd = dense_of(a), dense_of(b)
             normal = bd.T @ ad.T @ ad @ bd + beta * np.eye(n)
             dense = np.linalg.solve(normal, bd.T @ ad.T @ w + beta * v)
-            z_dft = solve_regularized(circulant_symbol(Compose([b, a])), w, v, beta)
+            z_dft = solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, beta), v)
             z_cg = cg_regularized_solve(ad, bd, w, v, beta)
             scale = np.linalg.norm(dense)
             assert np.linalg.norm(z_dft - dense) <= 1e-10 * scale
@@ -318,7 +319,7 @@ def test_solve_closed_form_ignores_operator_types():
     w = np.ones(8)
     # the chain is circulant whatever b's type, so both have a symbol
     z = [
-        solve_regularized(circulant_symbol(Compose([b, a])), w, w, 0.5)
+        solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, 0.5), w)
         for b in (Identity(8), CirculantSpectral(np.ones(8)))
     ]
     assert np.allclose(z[0], z[1], atol=1e-8)
@@ -359,7 +360,7 @@ def test_solve_default_chain_takes_closed_form():
     rng = np.random.default_rng(43)
     w = rng.normal(size=256)
     v = rng.normal(size=256)
-    z = solve_regularized(symbol, w, v, 0.25)
+    z = solve_regularized(ZUpdateTerms(symbol, w, 0.25), v)
     z_cg = cg_regularized_solve(dense_of(a), dense_of(b), w, v, 0.25)
     dense = dense_regularized_solve(a, b, w, v, 0.25)
     scale = np.linalg.norm(dense)
@@ -374,7 +375,7 @@ def test_solve_satisfies_normal_equations():
     w = rng.normal(size=8)
     v = rng.normal(size=8)
     beta = 0.25
-    z = solve_regularized(circulant_symbol(Compose([b, a])), w, v, beta)
+    z = solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, beta), v)
     h = dense_of(a) @ dense_of(b)
     lhs = h.T @ (h @ z) + beta * z
     rhs = h.T @ w + beta * v
@@ -385,8 +386,9 @@ def test_solve_dimension_and_argument_errors():
     symbol = circulant_symbol(Identity(4))
     w = np.zeros(4)
     with pytest.raises(DimensionMismatchError):
-        solve_regularized(symbol, np.zeros(3), w, 1.0)
+        ZUpdateTerms(symbol, np.zeros(3), 1.0)
     with pytest.raises(DimensionMismatchError):
-        solve_regularized(symbol, w, np.zeros(5), 1.0)
-    with pytest.raises(ValueError):
-        solve_regularized(symbol, w, w, beta_tilde=0.0)
+        solve_regularized(ZUpdateTerms(symbol, w, 1.0), np.zeros(5))
+    for beta in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ZUpdateTerms(symbol, w, beta_tilde=beta)

@@ -68,6 +68,14 @@ def test_gaussian_kernel_shape():
         gaussian_kernel(support=0)
 
 
+@pytest.mark.parametrize("std", [0.0, -1.0, float("nan"), float("inf")])
+def test_gaussian_kernel_requires_finite_positive_std(std):
+    with pytest.raises(ValueError, match="finite and positive"):
+        gaussian_kernel(std)
+    with pytest.raises(ValueError, match="finite and positive"):
+        make_blur_subsample_system(n=64, kernel_std=std)
+
+
 def test_system_model_validates_loop_closure():
     with pytest.raises(ValueError):
         SystemModel(a=Identity(4), b=Identity(5), noise_std=0.0, rng_seed=0)

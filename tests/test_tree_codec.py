@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sysaware import tree_codec
 from sysaware.tree_codec import (
     MAGIC,
     MAX_LEN,
@@ -26,6 +27,8 @@ from sysaware.tree_codec import (
     decode,
     encode,
 )
+
+from oracles import oracle_to_bytes
 
 # ---------------------------------------------------------------- oracles #
 
@@ -119,37 +122,6 @@ def leaf_partition(stream):
     widths = stream.m >> stream.leaf_levels
     stops = np.cumsum(widths)
     return list(zip(stream.leaf_levels.tolist(), (stops - widths).tolist(), stops.tolist()))
-
-
-def _pack_bits(bits):
-    out = bytearray((len(bits) + 7) // 8)
-    for pos, bit in enumerate(bits):
-        if bit:
-            out[pos // 8] |= 1 << (7 - pos % 8)
-    return bytes(out)
-
-
-def oracle_to_bytes(stream):
-    """Scalar writer: pre-order walk one node at a time, bits packed one by one."""
-    tree = []
-    leaves = iter(stream.leaf_levels.tolist())
-    next_leaf = next(leaves)
-    pending = [0]
-    while pending:
-        level = pending.pop()
-        if level == next_leaf:  # the next leaf in order starts at this node
-            tree.append(0)
-            next_leaf = next(leaves, None)
-        else:
-            tree.append(1)
-            pending += [level + 1, level + 1]
-    payload = [
-        (index >> shift) & 1
-        for index in stream.leaf_indices.tolist()
-        for shift in range(stream.q_bits - 1, -1, -1)
-    ]
-    header = MAGIC + bytes([stream.d0, stream.d, stream.q_bits]) + struct.pack(">I", stream.m)
-    return header + _pack_bits(tree) + _pack_bits(payload)
 
 
 def oracle_decode(data):
@@ -334,6 +306,44 @@ def test_encode_matches_direct_statistics_oracle():
         assert abs(cost - oracle_cost) <= 1e-12 * max(cost, oracle_cost), case
 
 
+def test_encode_matches_oracle_when_shapes_interleave():
+    # the encoder caches the node widths per (M, d); a key missing M or d would
+    # hand one shape another's widths
+    tree_codec._node_widths.cache_clear()
+    rng = np.random.default_rng(99)
+    shapes = [(256, 8), (1 << 11, 5), (256, 3), (1 << 16, 16), (256, 8), (1 << 11, 8), (1 << 11, 5)]
+    for m, d in shapes:
+        w = rng.uniform(size=m)
+        nu = 1e-5 if m == 1 << 16 else 1e-3
+        stream = encode(w, nu=nu, d=d)
+        expected = oracle_encode(w, nu, d, 8)
+        assert stream.to_bytes() == expected.to_bytes(), (m, d)
+        assert np.array_equal(stream.leaf_levels, expected.leaf_levels), (m, d)
+        assert np.array_equal(stream.leaf_indices, expected.leaf_indices), (m, d)
+
+
+def test_encoder_width_cache_is_read_only_and_shared():
+    width = tree_codec._node_widths(1 << 11, 5)
+    levels = np.repeat(np.arange(6), 1 << np.arange(6))  # heap order: 2**l nodes at level l
+    assert width.dtype == np.float64
+    assert np.array_equal(width, (1 << 11) >> levels)
+    assert not width.flags.writeable
+    with pytest.raises(ValueError):
+        width[0] = 0.0
+    assert tree_codec._node_widths(1 << 11, 5) is width
+
+
+def test_encode_leaf_arrays_are_int64():
+    # decode and to_bytes shift m by the leaf levels: a narrow level dtype
+    # would wrap m = 2**16 and beyond
+    w = np.random.default_rng(12).uniform(size=1 << 16)
+    stream = encode(w, nu=1e-5)
+    assert stream.leaf_levels.dtype == np.int64
+    assert stream.leaf_indices.dtype == np.int64
+    assert decode(stream).size == 1 << 16
+    assert np.array_equal(decode(stream.to_bytes()), decode(stream))
+
+
 def test_encode_rate_monotone_in_nu():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -409,7 +419,9 @@ def test_round_trip_exact():
         assert parsed.reported_rate_bits == q * len(stream.leaf_indices)
 
 
-@pytest.mark.parametrize("q_bits", [5, 8, 13, 16, MAX_Q_BITS])
+# to_bytes unpacks only the trailing ceil(q_bits / 8) bytes of each index:
+# one, two, three and seven of them, each full and partly filled
+@pytest.mark.parametrize("q_bits", [1, 5, 7, 8, 9, 13, 16, 17, MAX_Q_BITS])
 def test_payload_bytes_match_scalar_writer(q_bits):
     w = np.random.default_rng(q_bits).uniform(size=128)
     w[:2] = 0.0, 1.0  # the smallest and largest index
