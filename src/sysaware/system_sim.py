@@ -101,6 +101,8 @@ def make_blur_subsample_system(
     seed: int = 0,
 ) -> SystemModel:
     """Gaussian blur + subsample acquisition with replicating rendering."""
+    if not factor >= 1:
+        raise ValueError(f"subsampling factor must be >= 1, got {factor}")
     if n % factor:
         raise ValueError(f"subsampling factor {factor} must divide n={n}")
     a = Compose([Convolution(n, gaussian_kernel(kernel_std, kernel_support)), Subsample(n, factor)])

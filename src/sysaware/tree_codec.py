@@ -28,10 +28,19 @@ merge, the pruning, and the top-down marking of reached nodes) make a call
 per level, and everything else (the means, the quantization, every leaf
 cost) runs once over the whole heap. The node widths, which the shape (M, d)
 alone fixes, are built once per shape and cached read-only. The float work
-lives in four heap-sized rows of one allocation per call (sums then means,
-m2 then costs, the quantization indices kept for the leaves, and working
-values), reused in place through ``out=``: at M = 2**16 fresh temporaries
-cost more in allocation and page faults than the arithmetic they feed.
+runs in heap-sized rows reused in place through ``out=``: at M = 2**16 fresh
+temporaries cost more in allocation and page faults than the arithmetic
+they feed.
+
+Only the rate term nu * q_bits depends on nu, so an encode is two steps. The
+analysis, once per signal, builds the sums, m2, means and quantization
+indices and every node's leaf cost without the rate term; it keeps two rows
+(those leaf costs and the indices). The prune, once per nu, adds nu * q_bits
+to a copy of the leaf costs, runs the bottom-up pruning and the top-down
+marking, and lists the leaves. A rate ladder codes one signal at many nu, so
+:class:`TreeCodecPlug` keeps its last signal's analysis and only prunes when
+the same samples come again. At M = 2**16 the analysis costs about as much
+as the prune that lists the most leaves, and several times a low-rate one.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import functools
 import mmap
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,6 +208,23 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     ``d`` defaults to the maximal depth log2(len(w)). Returns the pruned tree
     as a :class:`Bitstream`.
     """
+    return _prune(_analyze(w, d, q_bits), nu)
+
+
+class _Analysis(NamedTuple):
+    """What an encode computes before ``nu`` enters: the depth-d heap's leaf
+    costs without the rate term, and every node's quantization index. A
+    prune only reads it, so one analysis serves any number of prunes."""
+
+    m: int
+    d: int
+    q_bits: int
+    leaf_cost: np.ndarray  # m2 + width * (mean - index / levels)^2
+    index: np.ndarray  # floor(clamp(mean, 0, 1) * levels + 0.5)
+
+
+def _analyze(w, d: int | None, q_bits: int) -> _Analysis:
+    """The nu-free part of :func:`encode`: validate, then build the heap's statistics."""
     w = np.asarray(w, dtype=float)
     m = w.size
     if m < 2 or m & (m - 1):
@@ -209,8 +236,6 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
         d = d0
     if not 1 <= d <= d0:
         raise ValueError(f"depth must be in [1, {d0}], got {d}")
-    if not nu >= 0:  # also rejects NaN
-        raise ValueError("nu must be non-negative")
     if not 1 <= q_bits <= MAX_Q_BITS:
         raise ValueError(f"q_bits must be in [1, {MAX_Q_BITS}], got {q_bits}")
     if not np.isfinite(w).all():
@@ -219,9 +244,11 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     n_nodes = (2 << d) - 1
     n_parents = n_nodes >> 1
     width = _node_widths(m, d)
-    mean, cost, index, work = np.empty((4, n_nodes))
+    # the analysis keeps cost and index and drops mean and work; four rows
+    # apiece, since unpacking a 2-D block into rows costs more at M = 256
+    cost, index = np.empty(n_nodes), np.empty(n_nodes)
+    mean, work = np.empty(n_nodes), np.empty(n_nodes)
     sums, m2 = mean, cost  # in place, the sums become the means and m2 the leaf costs
-    split = np.empty(n_nodes, dtype=bool)
 
     # Sum and second moment of the level-d segments in one direct pass (m2 is
     # exactly 0 at width 1); each shallower level merges its children's.
@@ -250,8 +277,8 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
         np.add(m2[left], m2[right], out=parent)
         np.add(parent, merge[node], out=parent)
 
-    # Every node's leaf cost m2 + width * (mean - index / levels)^2 + nu * q_bits at
-    # once; index = floor(clamp(mean, 0, 1) * levels + 0.5) stays in its row.
+    # Every node's leaf cost m2 + width * (mean - index / levels)^2 at once,
+    # with index = floor(clamp(mean, 0, 1) * levels + 0.5).
     levels = (1 << q_bits) - 1
     np.maximum(mean, 0.0, out=index)
     np.minimum(index, 1.0, out=index)
@@ -263,11 +290,23 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     np.square(error, out=error)
     np.multiply(error, width, out=error)
     np.add(m2, error, out=cost)
-    np.add(cost, float(nu) * q_bits, out=cost)
+    return _Analysis(m, d, q_bits, cost, index)
+
+
+def _prune(analysis: _Analysis, nu: float) -> Bitstream:
+    """The nu-dependent part of :func:`encode`: the optimal pruned tree's leaves."""
+    if not nu >= 0:  # also rejects NaN
+        raise ValueError("nu must be non-negative")
+    m, d, q_bits, leaf_cost, index = analysis
+    n_nodes = leaf_cost.size
+    n_parents = n_nodes >> 1
+    cost, work = np.empty(n_nodes), np.empty(n_parents)
+    np.add(leaf_cost, float(nu) * q_bits, out=cost)
+    split = np.empty(n_nodes, dtype=bool)
 
     # Bottom-up exact minimization: a node splits only when its children's
     # combined best cost does not exceed its own leaf cost (merge on strict >).
-    split[bottom] = False
+    split[n_parents:] = False
     for node, left, right in reversed(_LEVELS[:d]):
         parent, children = cost[node], work[node]
         np.add(cost[left], cost[right], out=children)
@@ -290,7 +329,7 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     mantissa, exponent = np.frexp(pos + 1)
     order = np.argsort(mantissa)
     return Bitstream(
-        d0=d0, d=d, q_bits=q_bits, m=m,
+        d0=m.bit_length() - 1, d=d, q_bits=q_bits, m=m,
         leaf_levels=exponent[order].astype(np.int64) - 1,
         leaf_indices=index[pos[order]].astype(np.int64),
     )
@@ -324,19 +363,50 @@ class TreeCodecPlug:
     """Adapter exposing the tree codec through the generic codec interface.
 
     ``compress(signal, theta)`` interprets theta as the Lagrangian weight nu.
-    The plug remembers the last blob it produced together with its coded tree,
-    so ``decompress`` and ``rate_bits`` on those same bytes skip the parse; any
-    other bytes are parsed (and rejected when malformed) as by
+    A rate ladder codes one signal at many nu, and only the pruning depends on
+    nu, so the plug keeps the last signal's analysis (the leaf costs without
+    the rate term and the quantization indices, two heap-sized rows) keyed on
+    the signal's float64 bytes, its shape, the depth and q_bits: compressing
+    the same bytes again only prunes. A changed sample, even 0.0 against
+    -0.0, is a new signal. At most one analysis is kept, and the old one is
+    dropped before the next is built, so two never coexist: at M = 2**16 one
+    is 2 MB, and the ADMM loop, which codes a new signal on every iteration,
+    would gain nothing from more.
+
+    The plug also remembers the last blob it produced together with its coded
+    tree, so ``decompress`` and ``rate_bits`` on those same bytes skip the
+    parse; any other bytes are parsed (and rejected when malformed) as by
     :meth:`Bitstream.from_bytes`.
     """
 
     def __init__(self, depth: int | None = None, q_bits: int = 8):
+        if depth is not None and not depth >= 1:
+            raise ValueError(f"depth must be None (finest) or >= 1, got {depth}")
         self.depth = depth
         self.q_bits = int(q_bits)
+        if not 1 <= self.q_bits <= MAX_Q_BITS:
+            raise ValueError(f"q_bits must be in [1, {MAX_Q_BITS}], got {q_bits}")
+        # (shape, depth, q_bits), the signal's bits, and its analysis
+        self._analysis: tuple[tuple, np.ndarray, _Analysis] | None = None
         self._last: tuple[bytes, Bitstream] | None = None
 
     def compress(self, signal, theta: float) -> bytes:
-        stream = encode(signal, nu=theta, d=self.depth, q_bits=self.q_bits)
+        w = np.asarray(signal, dtype=float)
+        bits = w.view(np.int64)  # compared bit for bit, so 0.0 and -0.0 differ
+        key = (w.shape, self.depth, self.q_bits)
+        cached = self._analysis  # read once: the triple is replaced whole
+        # with the shapes equal and nonempty, the first sample turns away most
+        # new signals (one per ADMM iteration) without a pass over all of them
+        if (
+            cached is None
+            or cached[0] != key
+            or cached[1].item(0) != bits.item(0)
+            or not np.array_equal(cached[1], bits)
+        ):
+            cached = self._analysis = None
+            analysis = _analyze(w, self.depth, self.q_bits)
+            cached = self._analysis = (key, bits.copy(), analysis)
+        stream = _prune(cached[2], theta)
         blob = stream.to_bytes()
         self._last = (blob, stream)
         return blob

@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from sysaware import admm
+from sysaware import admm, tree_codec
 from sysaware.admm import (
     AdmmConfig,
     AdmmState,
@@ -186,6 +186,26 @@ def test_run_given_its_symbol_takes_three_transforms_per_iteration(monkeypatch):
     # fft(w) once per run; per iteration the solve's fft and ifft, and fft(v_hat) for d_c
     assert len(calls) == 3 * len(trace) + 1
     assert calls.count("ifft") == len(trace)
+
+
+def test_run_analyzes_every_new_z_tilde_with_tree_codec_plug(monkeypatch):
+    analyzed = []
+    original = tree_codec._analyze
+
+    def counting(w, d, q_bits):
+        analyzed.append(w.tobytes())
+        return original(w, d, q_bits)
+
+    monkeypatch.setattr(tree_codec, "_analyze", counting)
+    system, w = default_chain_measurements()
+    codec = TreeCodecPlug()
+    blob, trace = run(w, system.a, system.b, codec, AdmmConfig(theta=1e-3))
+    signals = [state.z_tilde.tobytes() for state in trace]
+    # the plug reuses an analysis only for the bytes it was made from
+    new = [z for i, z in enumerate(signals) if i == 0 or z != signals[i - 1]]
+    assert analyzed == new
+    assert len(new) == len(trace) > 1
+    assert blob == tree_codec.encode(trace[-1].z_tilde, 1e-3).to_bytes()
 
 
 def test_non_circulant_chain_raises_before_any_codec_call():

@@ -141,8 +141,14 @@ def test_run_non_finite_noise_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["system.kernel_std = 0", "system.kernel_std = nan", "admm.beta_tilde = inf"],
-    ids=["kernel_std-0", "kernel_std-nan", "beta_tilde-inf"],
+    [
+        "system.kernel_std = 0",
+        "system.kernel_std = nan",
+        "admm.beta_tilde = inf",
+        "codec.q_bits = 0",
+        "codec.depth = 0",
+    ],
+    ids=["kernel_std-0", "kernel_std-nan", "beta_tilde-inf", "q_bits-0", "depth-0"],
 )
 # as in a user's run, where a numpy warning does not stop the program: the
 # parameter must be rejected by a check, not by a warning turned into an error
@@ -153,6 +159,15 @@ def test_run_bad_system_or_admm_parameter_exits_1_in_system_setup(tmp_path, caps
     assert run_cli(["run", "--config", cfg, "--out", out]) == 1
     assert "stage 'system setup' failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_zero_subsample_factor_names_the_factor_rule(tmp_path, capsys):
+    body = SMALL_RUN.replace("system.subsample_factor = 4", "system.subsample_factor = 0")
+    cfg = write_config(tmp_path / "exp.cfg", body)
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'system setup' failed" in err
+    assert "subsampling factor must be >= 1, got 0" in err
 
 
 @pytest.mark.parametrize("seed", [1234, 7])

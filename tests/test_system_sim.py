@@ -76,6 +76,12 @@ def test_gaussian_kernel_requires_finite_positive_std(std):
         make_blur_subsample_system(n=64, kernel_std=std)
 
 
+@pytest.mark.parametrize("factor", [0, -4])
+def test_blur_subsample_system_checks_the_factor_before_dividing_by_it(factor):
+    with pytest.raises(ValueError, match=f"subsampling factor must be >= 1, got {factor}"):
+        make_blur_subsample_system(n=64, factor=factor)
+
+
 def test_system_model_validates_loop_closure():
     with pytest.raises(ValueError):
         SystemModel(a=Identity(4), b=Identity(5), noise_std=0.0, rng_seed=0)

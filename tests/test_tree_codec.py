@@ -648,3 +648,115 @@ def test_plug_rejects_truncated_last_blob():
             with pytest.raises(BitstreamError) as err:
                 method(blob[:-cut])
             assert err.value.offset == expected.value.offset
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"q_bits": 0}, {"q_bits": MAX_Q_BITS + 1}, {"depth": 0}, {"depth": -1}]
+)
+def test_plug_rejects_settings_no_signal_can_use(kwargs):
+    with pytest.raises(ValueError, match="q_bits" if "q_bits" in kwargs else "depth"):
+        TreeCodecPlug(**kwargs)
+
+
+def test_plug_accepts_the_extreme_valid_settings():
+    w = np.random.default_rng(39).uniform(size=16)
+    for plug in (TreeCodecPlug(depth=1, q_bits=1), TreeCodecPlug(q_bits=MAX_Q_BITS)):
+        blob = plug.compress(w, 1e-3)
+        assert blob == encode(w, 1e-3, d=plug.depth, q_bits=plug.q_bits).to_bytes()
+
+
+# ----------------------------------------------------- one analysis per signal #
+
+NU_LADDER = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """The signal of every ``_analyze`` call made during the test, as bytes."""
+    calls = []
+    original = tree_codec._analyze
+
+    def counting(w, d, q_bits):
+        calls.append(np.asarray(w, dtype=float).tobytes())
+        return original(w, d, q_bits)
+
+    monkeypatch.setattr(tree_codec, "_analyze", counting)
+    return calls
+
+
+def plug_ladder(plug, w, analyses=None):
+    """Code w down NU_LADDER, checking every stream against encode(); return
+    the signals the plug analyzed meanwhile."""
+    before = len(analyses) if analyses is not None else 0
+    blobs = [plug.compress(w, nu) for nu in NU_LADDER]
+    made = analyses[before:] if analyses is not None else []
+    for nu, blob in zip(NU_LADDER, blobs):
+        assert blob == encode(w, nu, d=plug.depth, q_bits=plug.q_bits).to_bytes(), nu
+    assert np.array_equal(plug.decompress(blobs[-1]), decode(blobs[-1]))
+    return made
+
+
+def test_plug_analyzes_each_signal_once_down_a_ladder(analyses):
+    rng = np.random.default_rng(40)
+    plug = TreeCodecPlug(q_bits=8)
+    signals = [rng.uniform(size=1 << 11) for _ in range(3)]
+    for w in signals:
+        assert plug_ladder(plug, w, analyses) == [w.tobytes()]
+
+
+def test_plug_sees_an_in_place_change_of_the_callers_array(analyses):
+    w = np.random.default_rng(41).uniform(size=256)
+    plug = TreeCodecPlug(q_bits=8)
+    original = w.tobytes()
+    before = plug.compress(w, 1e-3)
+    w[100:140] = 0.5  # the same array object, new samples
+    after = plug.compress(w, 1e-3)
+    assert analyses == [original, w.tobytes()]
+    assert after != before
+    assert after == encode(w, 1e-3).to_bytes()
+
+
+def test_plug_tells_negative_zero_from_zero(analyses):
+    zeros = np.zeros(64)
+    zeros[1::2] = 0.25
+    negative = zeros.copy()
+    negative[2::2] = -0.0  # equal to zeros as numbers, and in the first sample
+    assert np.array_equal(zeros, negative) and zeros.tobytes() != negative.tobytes()
+    plug = TreeCodecPlug(q_bits=8)
+    for w in (zeros, negative, zeros):
+        assert plug_ladder(plug, w, analyses) == [w.tobytes()]
+
+
+def test_plug_keys_its_analysis_on_length_depth_and_q_bits():
+    rng = np.random.default_rng(42)
+    short, long_ = rng.uniform(size=256), rng.uniform(size=1 << 11)
+    plug = TreeCodecPlug(q_bits=8)
+    # the same samples again after a change of length, depth or q_bits must
+    # not reuse the analysis made for another shape or quantizer
+    for w, depth, q_bits in [
+        (short, None, 8), (long_, None, 8), (short, None, 8), (short, 3, 8),
+        (short, None, 8), (long_, 5, 8), (long_, 5, 12), (long_, None, 12), (short, 3, 8),
+        (long_[:256], None, 8), (long_.reshape(8, 256)[0], 8, 8), (long_[::8], 8, 8),
+    ]:
+        plug.depth, plug.q_bits = depth, q_bits
+        plug_ladder(plug, w)
+
+
+def test_plug_keeps_one_analysis_and_only_for_a_valid_signal():
+    plug = TreeCodecPlug(q_bits=8)
+    w = np.random.default_rng(43).uniform(size=64)
+    plug.compress(w, 1e-3)
+    first = plug._analysis
+    plug.compress(w, 1e-2)
+    assert plug._analysis is first
+    bad = w.copy()
+    bad[7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        plug.compress(bad, 1e-3)
+    assert plug._analysis is None  # the old analysis went before the new one failed
+    with pytest.raises(ValueError, match="nu"):
+        plug.compress(w, -1.0)
+    assert plug.compress(w, 1e-3) == encode(w, 1e-3).to_bytes()
+    for empty in (np.zeros(0), np.zeros((0, 64))):  # after a cached signal, as before one
+        with pytest.raises(ValueError, match="power of two"):
+            plug.compress(empty, 1e-3)
