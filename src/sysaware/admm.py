@@ -3,10 +3,11 @@
 The measurements w live in the codec's domain (length M); the loop alternates
 between compressing a shifted signal, re-solving the regularized normal
 equations against the chain A(B(.)) of the acquisition operator A and the
-rendering operator B, and a scaled dual update. That chain must be circulant
-on the coded grid: its DFT symbol makes the z-update a closed-form solve.
+rendering operator B, and a scaled dual update. The system enters only
+through that z-update, which is a closed-form solve on the DFT symbol of the
+circulant chain, so the loop takes the symbol and never the operators.
 The result is always the blob produced by the final iteration's compression.
-What depends only on (A(B(.)), w, beta_tilde) is computed once per run, so
+What depends only on (symbol, w, beta_tilde) is computed once per run, so
 an iteration takes three FFTs: the z-update's forward and inverse, and
 fft(v_hat), from which the system distortion follows by Parseval.
 """
@@ -18,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import Compose, LinearMap, ZUpdateTerms, circulant_symbol, solve_regularized
+from .linops import ZUpdateTerms, solve_regularized
 
 __all__ = [
     "AdmmConfig",
     "AdmmState",
     "CodecError",
-    "chain_symbol",
     "run",
     "stopping_check",
     "system_distortion_dc",
@@ -43,15 +43,14 @@ class CodecError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Loop parameters.
+    """Loop settings shared by every point of a sweep.
 
-    theta is passed through to the codec's quality control. beta_tilde weighs
-    proximity to the codec output against data fidelity in the z-update; the
-    loop stops after max_iters iterations or once the primal residual
-    ||v_hat - z_hat|| drops below tol relative to the iterate norms.
+    beta_tilde weighs proximity to the codec output against data fidelity in
+    the z-update; the loop stops after max_iters iterations or once the
+    primal residual ||v_hat - z_hat|| drops below tol relative to the
+    iterate norms.
     """
 
-    theta: float
     beta_tilde: float = 0.25
     max_iters: int = 40
     # the relative primal residual plateaus near 1e-2 on the reference system;
@@ -96,18 +95,6 @@ def system_distortion_dc(terms: ZUpdateTerms, v) -> float:
     return float(np.vdot(error, error).real) / error.size**2
 
 
-def chain_symbol(a: LinearMap, b: LinearMap) -> np.ndarray:
-    """DFT symbol of A(B(.)) on the coded grid.
-
-    Raises ValueError when the chain is not circulant, since the z-update
-    has no solve for it.
-    """
-    symbol = circulant_symbol(Compose([b, a]))
-    if symbol is None:
-        raise ValueError("A(B(.)) is not circulant on the coded grid, so the z-update has no solve")
-    return symbol
-
-
 def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
     """True when the loop should stop after this state."""
     if state.t >= cfg.max_iters:
@@ -118,7 +105,7 @@ def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
 
 
 def run(
-    w, a: LinearMap, b: LinearMap, codec, cfg: AdmmConfig, symbol: np.ndarray | None = None
+    w, symbol: np.ndarray, codec, theta: float, cfg: AdmmConfig
 ) -> tuple[bytes, list[AdmmState]]:
     """Compress w so that decoding and rendering through B approximates the
     acquisition inverse of A.
@@ -129,28 +116,17 @@ def run(
     u by the primal residual v_hat - z_hat. Returns the final iteration's
     blob and the full iteration trace.
 
-    ``codec`` is any object with compress(signal, theta) -> bytes,
-    decompress(bytes) -> signal and rate_bits(bytes) -> int.
-
-    ``symbol`` is what :func:`chain_symbol` returns for (a, b): the DFT symbol
-    of A(B(.)), through which every z-update is solved in closed form and
-    every system distortion is evaluated. A caller running many loops on one
-    chain, as a sweep over theta does, probes once and passes it; when it is
-    None, run probes the chain itself, and a chain that is not circulant
-    raises ValueError before the codec is first called.
+    ``symbol`` is the DFT symbol of A(B(.)), as
+    :attr:`~sysaware.system_sim.SystemModel.symbol` holds it; every z-update
+    is solved and every system distortion evaluated through it. ``codec`` is
+    any object with compress(signal, theta) -> bytes, decompress(bytes) ->
+    signal and rate_bits(bytes) -> int, and ``theta`` is passed through to
+    its compress. A w that is not a vector of the symbol's length raises
+    ValueError before the codec is first called.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size != a.out_dim:
-        raise ValueError(f"w must be a vector of length {a.out_dim}")
-    if b.in_dim != w.size:
-        raise ValueError(f"B.in_dim must equal len(w)={w.size}, got {b.in_dim}")
-    if a.in_dim != b.out_dim:
-        raise ValueError(f"A.in_dim ({a.in_dim}) and B.out_dim ({b.out_dim}) do not compose")
-
-    m = w.size
-    if symbol is None:
-        symbol = chain_symbol(a, b)
     terms = ZUpdateTerms(symbol, w, cfg.beta_tilde)
+    w = np.asarray(w, dtype=float)
+    m = w.size
     z_hat = w.copy()
     u = np.zeros(m)
     trace: list[AdmmState] = []
@@ -158,7 +134,7 @@ def run(
     for t in range(1, cfg.max_iters + 1):
         z_tilde = z_hat - u
         try:
-            blob = codec.compress(z_tilde, cfg.theta)
+            blob = codec.compress(z_tilde, theta)
             v_hat = np.asarray(codec.decompress(blob), dtype=float)
         except Exception as exc:
             raise CodecError(f"codec failed: {exc}", iteration=t) from exc

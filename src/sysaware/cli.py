@@ -198,18 +198,16 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
             noise_std=cfg.noise_std,
             seed=cfg.seed,
         )
+        w = system_sim.acquire(x, system)
         codec = TreeCodecPlug(depth=cfg.codec_depth, q_bits=cfg.codec_q_bits)
         admm_cfg = AdmmConfig(
-            theta=cfg.sweep_params[0],
-            beta_tilde=cfg.admm_beta_tilde,
-            max_iters=cfg.admm_max_iters,
-            tol=cfg.admm_tol,
+            beta_tilde=cfg.admm_beta_tilde, max_iters=cfg.admm_max_iters, tol=cfg.admm_tol
         )
 
         stage = "sweep (regular)"
-        regular = system_sim.sweep(x, system, codec, cfg.sweep_params, "regular")
+        regular = system_sim.sweep(x, w, system, codec, cfg.sweep_params, "regular")
         stage = "sweep (proposed)"
-        proposed = system_sim.sweep(x, system, codec, cfg.sweep_params, "proposed", admm_cfg)
+        proposed = system_sim.sweep(x, w, system, codec, cfg.sweep_params, "proposed", admm_cfg)
 
         stage = "write outputs"
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,7 +222,7 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
 
         emit("rd_curve.csv", system_sim.rd_points_to_csv(regular + proposed, cfg.seed).encode())
         emit("source.txt", x)
-        emit("acquired.txt", system_sim.acquire(x, system))
+        emit("acquired.txt", w)
         for points in (regular, proposed):
             for i, point in enumerate(points):
                 emit(f"{point.method}_{i:02d}.bin", point.blob)

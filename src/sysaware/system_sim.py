@@ -9,13 +9,13 @@ bit-reproducible from the recorded seed.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import admm
-from .linops import Compose, Convolution, LinearMap, Replicate, Subsample
+from .linops import Compose, Convolution, LinearMap, Replicate, Subsample, circulant_symbol
 
 __all__ = [
     "SystemModel",
@@ -37,12 +37,18 @@ PSNR_CAP_DB = 200.0
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Acquisition operator a, rendering operator b, noise level, and seed."""
+    """Acquisition operator a, rendering operator b, noise level, and seed.
+
+    ``symbol`` is the DFT symbol of the chain a(b(.)), probed once here. The
+    ADMM z-update is a closed-form solve on it, so a chain that is not
+    circulant on the coded grid raises ValueError when the model is built.
+    """
 
     a: LinearMap
     b: LinearMap
     noise_std: float
     rng_seed: int
+    symbol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a.in_dim != self.b.out_dim or self.a.out_dim != self.b.in_dim:
@@ -52,6 +58,10 @@ class SystemModel:
             )
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
+        symbol = circulant_symbol(Compose([self.b, self.a]))
+        if symbol is None:
+            raise ValueError("A(B(.)) is not circulant on the coded grid, so the z-update has no solve")
+        object.__setattr__(self, "symbol", symbol)
 
 
 @dataclass(frozen=True)
@@ -142,29 +152,29 @@ def psnr(x, y, peak: float = 1.0) -> float:
 
 def sweep(
     x,
+    w,
     system: SystemModel,
     codec,
     params,
     method: str,
-    admm_cfg: admm.AdmmConfig | None = None,
+    admm_cfg: admm.AdmmConfig = admm.AdmmConfig(),
 ) -> list[RDPoint]:
-    """Rate-distortion sweep over codec parameters, sorted by rate.
+    """Rate-distortion sweep of the measurements w = acquire(x, system) over
+    codec parameters, sorted by rate.
 
-    method "regular" compresses the measurements directly; "proposed" runs the
-    ADMM loop (admm_cfg required; its theta is replaced by each parameter).
-    The proposed method probes A(B(.)) once and hands its symbol to every
-    loop; a chain that is not circulant raises ValueError before any codec
-    call. A failing point raises RuntimeError naming the method and the
+    method "regular" compresses w directly; "proposed" runs the ADMM loop on
+    the system's symbol with each parameter as theta and the shared loop
+    settings admm_cfg. A w whose shape is not (system.a.out_dim,) raises
+    ValueError. A failing point raises RuntimeError naming the method and the
     parameter.
     """
     if method not in ("regular", "proposed"):
         raise ValueError(f"method must be 'regular' or 'proposed', got {method!r}")
-    if method == "proposed" and admm_cfg is None:
-        raise ValueError("method 'proposed' needs an admm_cfg")
     x = np.asarray(x, dtype=float)
-    w = acquire(x, system)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (system.a.out_dim,):
+        raise ValueError(f"w must have shape ({system.a.out_dim},), got {w.shape}")
     m = w.size
-    symbol = admm.chain_symbol(system.a, system.b) if method == "proposed" else None
     points = []
     for param in params:
         try:
@@ -172,8 +182,7 @@ def sweep(
                 blob = codec.compress(w, param)
                 iterations = 1
             else:
-                cfg = replace(admm_cfg, theta=param)
-                blob, trace = admm.run(w, system.a, system.b, codec, cfg, symbol=symbol)
+                blob, trace = admm.run(w, system.symbol, codec, param, admm_cfg)
                 iterations = len(trace)
             v = np.asarray(codec.decompress(blob), dtype=float)
             y = render(v, system)

@@ -39,8 +39,8 @@ indices and every node's leaf cost without the rate term; it keeps two rows
 to a copy of the leaf costs, runs the bottom-up pruning and the top-down
 marking, and lists the leaves. A rate ladder codes one signal at many nu, so
 :class:`TreeCodecPlug` keeps its last signal's analysis and only prunes when
-the same samples come again. At M = 2**16 the analysis costs about as much
-as the prune that lists the most leaves, and several times a low-rate one.
+the same samples come again: the analysis reads every sample, while a
+prune reads only the heap and lists fewer leaves the higher nu is.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
 
 
 def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
-    """Encode ``w`` (length a power of two, finite samples) at Lagrangian weight ``nu``.
+    """Encode ``w`` (1-D, length a power of two, finite samples) at Lagrangian weight ``nu``.
 
     ``d`` defaults to the maximal depth log2(len(w)). Returns the pruned tree
     as a :class:`Bitstream`.
@@ -226,6 +226,8 @@ class _Analysis(NamedTuple):
 def _analyze(w, d: int | None, q_bits: int) -> _Analysis:
     """The nu-free part of :func:`encode`: validate, then build the heap's statistics."""
     w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise ValueError(f"signal must be 1-D, its length a power of two, got shape {w.shape}")
     m = w.size
     if m < 2 or m & (m - 1):
         raise ValueError(f"signal length must be a power of two >= 2, got {m}")
@@ -341,7 +343,7 @@ def _node_widths(m: int, d: int) -> np.ndarray:
 
     The row outlives every call, so it gets its own anonymous mapping: held in
     malloc's heap, a long-lived block of 0.5 MB or more changed how glibc trims
-    it, costing up to ~4000 page faults per 2**16-sample ladder and 0.7 MB of RSS.
+    it, so later calls took fresh pages and the process held more memory.
     """
     n_nodes = (2 << d) - 1
     width = np.frombuffer(mmap.mmap(-1, 8 * n_nodes), dtype=np.float64)

@@ -21,7 +21,13 @@ from sysaware.linops import (
     kernel_spectrum,
     solve_regularized,
 )
-from sysaware.system_sim import SystemModel, make_blur_subsample_system, make_chirp, sweep
+from sysaware.system_sim import (
+    SystemModel,
+    acquire,
+    make_blur_subsample_system,
+    make_chirp,
+    sweep,
+)
 from sysaware.tree_codec import TreeCodecPlug
 
 from oracles import cg_regularized_solve, ideal_distortion_check, project_range, pseudoinverse_apply
@@ -39,15 +45,11 @@ def test_1_chirp_dominance():
     defaults = cli.ExperimentConfig()
     x = make_chirp(defaults.signal_n)
     system = make_blur_subsample_system(seed=defaults.seed)
+    w = acquire(x, system)
     codec = TreeCodecPlug(q_bits=8)
-    admm_cfg = AdmmConfig(
-        theta=0.0,
-        beta_tilde=defaults.admm_beta_tilde,
-        max_iters=40,
-        tol=defaults.admm_tol,
-    )
-    regular = sweep(x, system, codec, defaults.sweep_params, "regular")
-    proposed = sweep(x, system, codec, defaults.sweep_params, "proposed", admm_cfg)
+    admm_cfg = AdmmConfig(beta_tilde=defaults.admm_beta_tilde, max_iters=40, tol=defaults.admm_tol)
+    regular = sweep(x, w, system, codec, defaults.sweep_params, "regular")
+    proposed = sweep(x, w, system, codec, defaults.sweep_params, "proposed", admm_cfg)
     elapsed = time.monotonic() - start
 
     margins = []
@@ -70,13 +72,8 @@ def test_2_identity_reduction():
     w = make_chirp(256)
     codec = TreeCodecPlug(q_bits=8)
     theta = 1e-3
-    blob, trace = admm.run(
-        w,
-        Identity(256),
-        Identity(256),
-        codec,
-        AdmmConfig(theta=theta, max_iters=1),
-    )
+    system = SystemModel(a=Identity(256), b=Identity(256), noise_std=0.0, rng_seed=0)
+    blob, trace = admm.run(w, system.symbol, codec, theta, AdmmConfig(max_iters=1))
     ok = blob == codec.compress(w, theta) and len(trace) == 1
     report(2, "identity reduction", ok, f" ({time.monotonic() - start:.2f} s)")
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sysaware import admm
-from sysaware.admm import AdmmConfig
+from sysaware import admm, linops, system_sim
+from sysaware.admm import AdmmConfig, run
 from sysaware.linops import Identity
 from sysaware.system_sim import (
     RDPoint,
@@ -196,8 +196,9 @@ def test_sweep_identity_system_matches_regular():
     system = identity_system(64)
     codec = TreeCodecPlug()
     params = [1e-4, 1e-3, 1e-2]
-    regular = sweep(x, system, codec, params, "regular")
-    proposed = sweep(x, system, codec, params, "proposed", AdmmConfig(theta=0.0, max_iters=1))
+    w = acquire(x, system)
+    regular = sweep(x, w, system, codec, params, "regular")
+    proposed = sweep(x, w, system, codec, params, "proposed", AdmmConfig(max_iters=1))
     assert len(regular) == len(proposed) == 3
     for r, p in zip(regular, proposed):
         assert r.blob == p.blob
@@ -211,7 +212,7 @@ def test_sweep_rate_monotone_in_nu():
     x = make_chirp(256)
     system = make_blur_subsample_system(n=256, factor=4, seed=2)
     params = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
-    points = sweep(x, system, TreeCodecPlug(), params, "regular")
+    points = sweep(x, acquire(x, system), system, TreeCodecPlug(), params, "regular")
     assert len(points) == 5
     by_nu = sorted(points, key=lambda p: p.nu_or_theta)
     rates = [p.rate_bpp for p in by_nu]
@@ -225,44 +226,51 @@ def test_sweep_rate_monotone_in_nu():
 
 def test_proposed_sweep_probes_the_chain_once(monkeypatch):
     probes, symbols = [], []
-    probe, run = admm.circulant_symbol, admm.run
+    probe, solve = linops.circulant_symbol, admm.solve_regularized
 
     def counted_probe(op):
         probes.append(op)
         return probe(op)
 
-    def recorded_run(*args, **kwargs):
-        symbols.append(kwargs["symbol"])
-        return run(*args, **kwargs)
+    def recorded_solve(terms, *args):
+        symbols.append(terms.symbol)
+        return solve(terms, *args)
 
-    monkeypatch.setattr(admm, "circulant_symbol", counted_probe)
-    monkeypatch.setattr(admm, "run", recorded_run)
+    for owner in (linops, system_sim):
+        monkeypatch.setattr(owner, "circulant_symbol", counted_probe)
+    monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
     x = make_chirp(128)
     system = make_blur_subsample_system(n=128, factor=4, seed=3)
-    cfg = AdmmConfig(theta=0.0, max_iters=3)
-    points = sweep(x, system, TreeCodecPlug(), [1e-4, 1e-3, 1e-2], "proposed", cfg)
+    assert len(probes) == 1
+    cfg = AdmmConfig(max_iters=3, tol=0.0)
+    points = sweep(x, acquire(x, system), system, TreeCodecPlug(), [1e-4, 1e-3, 1e-2], "proposed", cfg)
     assert len(points) == 3 and len(probes) == 1
-    assert all(symbol is not None and np.array_equal(symbol, symbols[0]) for symbol in symbols)
+    assert len(symbols) == sum(p.iterations for p in points)
+    assert all(symbol is system.symbol for symbol in symbols)
 
 
 def test_sweep_points_carry_the_rendered_reconstruction():
     x = make_chirp(1024)
     system = make_blur_subsample_system(seed=3)
     codec = TreeCodecPlug()
-    for method, cfg in (("regular", None), ("proposed", AdmmConfig(theta=0.0, max_iters=3))):
-        for point in sweep(x, system, codec, [1e-5, 1e-3], method, cfg):
+    w = acquire(x, system)
+    for method in ("regular", "proposed"):
+        for point in sweep(x, w, system, codec, [1e-5, 1e-3], method, AdmmConfig(max_iters=3)):
             y = render(codec.decompress(point.blob), system)
             assert np.unique(y).size > 1
             assert np.array_equal(point.recon, y)
             assert point.psnr_db == psnr(x, y)
 
 
-def test_sweep_requires_admm_config_for_proposed():
+def test_sweep_rejects_unknown_method_and_misshapen_measurements():
     x = make_chirp(32)
-    with pytest.raises(ValueError):
-        sweep(x, identity_system(32), TreeCodecPlug(), [1e-3], "proposed")
-    with pytest.raises(ValueError):
-        sweep(x, identity_system(32), TreeCodecPlug(), [1e-3], "fast")
+    with pytest.raises(ValueError, match="method"):
+        sweep(x, x, identity_system(32), TreeCodecPlug(), [1e-3], "fast")
+    system = make_blur_subsample_system(n=32, factor=2, kernel_support=3)
+    for w in (x, x[:16].reshape(2, 8), x[:8]):
+        for method in ("regular", "proposed"):
+            with pytest.raises(ValueError, match=r"w must have shape \(16,\)"):
+                sweep(x, w, system, TreeCodecPlug(), [1e-3], method)
 
 
 def test_sweep_failing_point_raises_naming_param():
@@ -283,7 +291,7 @@ def test_sweep_failing_point_raises_naming_param():
 
     x = make_chirp(64)
     with pytest.raises(RuntimeError, match="method=regular") as err:
-        sweep(x, identity_system(64), Picky(), [1e-3, 666.0, 1e-2], "regular")
+        sweep(x, x, identity_system(64), Picky(), [1e-3, 666.0, 1e-2], "regular")
     assert "666" in str(err.value)
     assert isinstance(err.value.__cause__, RuntimeError)  # the codec's own error is chained
 
@@ -294,10 +302,11 @@ def test_sweep_failing_point_raises_naming_param():
 def test_csv_layout_and_determinism():
     x = make_chirp(128)
     system = make_blur_subsample_system(n=128, factor=4, seed=11)
-    points = sweep(x, system, TreeCodecPlug(), [1e-3, 1e-2], "regular")
+    w = acquire(x, system)
+    points = sweep(x, w, system, TreeCodecPlug(), [1e-3, 1e-2], "regular")
     text = rd_points_to_csv(points, seed=11)
     again = rd_points_to_csv(
-        sweep(x, system, TreeCodecPlug(), [1e-3, 1e-2], "regular"), seed=11
+        sweep(x, w, system, TreeCodecPlug(), [1e-3, 1e-2], "regular"), seed=11
     )
     assert text == again
     lines = text.strip().split("\n")

@@ -399,6 +399,15 @@ def test_encode_rejects_signal_longer_than_max_len():
         encode(w, nu=0.01)
 
 
+@pytest.mark.parametrize("d", [None, 6])
+def test_encode_and_plug_reject_a_signal_that_is_not_1d(d):
+    w = np.full((2, 128), 0.5)  # 256 samples, so only the shape is wrong
+    with pytest.raises(ValueError, match=r"1-D.*\(2, 128\)"):
+        encode(w, 1e-3, d=d)
+    with pytest.raises(ValueError, match=r"1-D.*\(2, 128\)"):
+        TreeCodecPlug(depth=d).compress(w, 1e-3)
+
+
 # ------------------------------------------------------------- round trip #
 
 
