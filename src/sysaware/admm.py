@@ -9,12 +9,17 @@ circulant chain, so the loop takes the symbol and never the operators.
 The result is always the blob produced by the final iteration's compression.
 What depends only on (symbol, w, beta_tilde) is computed once per run, so
 an iteration takes three FFTs: the z-update's forward and inverse, and
-fft(v_hat), from which the system distortion follows by Parseval.
+fft(v_hat), from which the system distortion follows by Parseval. The
+recursion lives in one private generator of each iteration's vectors, and
+:func:`run` keeps only scalars per iteration, so a run's memory does not
+grow with its iteration count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,20 +73,20 @@ class AdmmConfig:
 
 @dataclass(frozen=True)
 class AdmmState:
-    """Snapshot of iteration t. ``u`` is the scaled dual used by this
-    iteration (before its update), so consecutive states satisfy
-    u[t+1] - u[t] = v_hat[t] - z_hat[t]."""
+    """The scalars of iteration t: the primal residual ||v_hat - z_hat||, the
+    scale max(||v_hat||, ||z_hat||) the stopping rule weighs it against, the
+    codec's rate for the iteration's blob and the system distortion d_c of v_hat."""
 
     t: int
-    z_tilde: np.ndarray
-    blob: bytes
-    v_hat: np.ndarray
-    v_tilde: np.ndarray
-    z_hat: np.ndarray
-    u: np.ndarray
     residual: float
+    scale: float
     rate_bits: int
     d_c: float
+
+
+# The vectors of iteration t. ``u`` is the scaled dual the iteration used, and
+# step = v_hat - z_hat its update, so u[t+1] - u[t] = v_hat[t] - z_hat[t].
+_Iterate = namedtuple("_Iterate", "t z_tilde blob v_hat v_tilde z_hat u step")
 
 
 def system_distortion_dc(terms: ZUpdateTerms, v) -> float:
@@ -99,39 +104,17 @@ def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
     """True when the loop should stop after this state."""
     if state.t >= cfg.max_iters:
         return True
-    # sqrt(x @ x) is numpy's 1-D norm bit for bit, and sqrt is monotone
-    scale = math.sqrt(max(state.v_hat @ state.v_hat, state.z_hat @ state.z_hat))
-    return state.residual <= cfg.tol * max(scale, _NORM_FLOOR)
+    return state.residual <= cfg.tol * max(state.scale, _NORM_FLOOR)
 
 
-def run(
-    w, symbol: np.ndarray, codec, theta: float, cfg: AdmmConfig
-) -> tuple[bytes, list[AdmmState]]:
-    """Compress w so that decoding and rendering through B approximates the
-    acquisition inverse of A.
-
-    Starting from z_hat = w and a zero dual, each iteration compresses
-    z_tilde = z_hat - u, decompresses to v_hat, solves the regularized normal
-    equations for the new z_hat with target v_tilde = v_hat + u, and updates
-    u by the primal residual v_hat - z_hat. Returns the final iteration's
-    blob and the full iteration trace.
-
-    ``symbol`` is the DFT symbol of A(B(.)), as
-    :attr:`~sysaware.system_sim.SystemModel.symbol` holds it; every z-update
-    is solved and every system distortion evaluated through it. ``codec`` is
-    any object with compress(signal, theta) -> bytes, decompress(bytes) ->
-    signal and rate_bits(bytes) -> int, and ``theta`` is passed through to
-    its compress. A w that is not a vector of the symbol's length raises
-    ValueError before the codec is first called.
-    """
-    terms = ZUpdateTerms(symbol, w, cfg.beta_tilde)
-    w = np.asarray(w, dtype=float)
-    m = w.size
-    z_hat = w.copy()
-    u = np.zeros(m)
-    trace: list[AdmmState] = []
-    blob = b""
-    for t in range(1, cfg.max_iters + 1):
+def _iterates(w, terms: ZUpdateTerms, codec, theta: float):
+    """The ADMM recursion on w and its z-update ``terms``, without end: from
+    z_hat = w and u = 0, each iteration compresses z_tilde = z_hat - u,
+    decompresses to v_hat, solves the z-update for target v_tilde = v_hat + u,
+    yields, and adds the primal residual step = v_hat - z_hat to u."""
+    m = terms.symbol.size
+    z_hat, u = np.asarray(w, dtype=float).copy(), np.zeros(m)
+    for t in itertools.count(1):
         z_tilde = z_hat - u
         try:
             blob = codec.compress(z_tilde, theta)
@@ -143,21 +126,37 @@ def run(
         v_tilde = v_hat + u
         z_hat = solve_regularized(terms, v_tilde)
         step = v_hat - z_hat
-        state = AdmmState(
-            t=t,
-            z_tilde=z_tilde,
-            blob=blob,
-            v_hat=v_hat,
-            v_tilde=v_tilde,
-            z_hat=z_hat,
-            u=u,
-            residual=math.sqrt(step @ step),
-            rate_bits=int(codec.rate_bits(blob)),
-            d_c=system_distortion_dc(terms, v_hat),
-        )
+        yield _Iterate(t, z_tilde, blob, v_hat, v_tilde, z_hat, u, step)
         u = u + step
+
+
+def run(
+    w, symbol: np.ndarray, codec, theta: float, cfg: AdmmConfig
+) -> tuple[bytes, list[AdmmState]]:
+    """Compress w so that decoding and rendering through B approximates the
+    acquisition inverse of A: run the ``_iterates`` recursion until
+    :func:`stopping_check` stops it, and return the final iteration's blob
+    and one :class:`AdmmState` of scalars per iteration.
+
+    ``symbol`` is the DFT symbol of A(B(.)), as
+    :attr:`~sysaware.system_sim.SystemModel.symbol` holds it; every z-update
+    is solved and every system distortion evaluated through it. ``codec`` is
+    any object with compress(signal, theta) -> bytes, decompress(bytes) ->
+    signal and rate_bits(bytes) -> int, and ``theta`` is passed through to
+    its compress. A w that is not a vector of the symbol's length raises
+    ValueError before the codec is first called.
+    """
+    terms = ZUpdateTerms(symbol, w, cfg.beta_tilde)
+    trace: list[AdmmState] = []
+    for it in _iterates(w, terms, codec, theta):
+        # sqrt(x @ x) is numpy's 1-D norm bit for bit, and sqrt is monotone
+        state = AdmmState(
+            t=it.t,
+            residual=math.sqrt(it.step @ it.step),
+            scale=math.sqrt(max(it.v_hat @ it.v_hat, it.z_hat @ it.z_hat)),
+            rate_bits=int(codec.rate_bits(it.blob)),
+            d_c=system_distortion_dc(terms, it.v_hat),
+        )
         trace.append(state)
         if stopping_check(state, cfg):
-            break
-    return blob, trace
-
+            return it.blob, trace

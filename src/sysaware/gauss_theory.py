@@ -141,7 +141,7 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     ``clamped`` set.
     """
     total_d = float(total_d)
-    if total_d < 0:
+    if not total_d >= 0:  # also rejects NaN
         raise ValueError("total_d must be non-negative")
     weighted = model.gain * model.lambda_w_tilde  # zero off the support
     target = model.n * total_d
@@ -173,9 +173,9 @@ def theoretical_rd_curve(model: SpectralModel, d_grid) -> list[CurvePoint]:
     per-sample system distortion, i.e. the floor from unrecoverable bins plus D.
     """
     d_grid = [float(d) for d in d_grid]
-    if any(d < 0 for d in d_grid):
+    if any(not d >= 0 for d in d_grid):  # also rejects NaN
         raise ValueError("d_grid entries must be non-negative")
-    if any(b < a for a, b in zip(d_grid, d_grid[1:])):
+    if any(not b >= a for a, b in zip(d_grid, d_grid[1:])):
         raise ValueError("d_grid must be sorted ascending")
     floor = expected_min_distortion(model)
     points = []

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "DimensionMismatchError",
     "LinearMap",
-    "Identity",
     "Subsample",
     "Replicate",
     "CirculantSpectral",
@@ -68,14 +67,6 @@ class LinearMap:
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-class Identity(LinearMap):
-    def __init__(self, n: int):
-        super().__init__(n, n)
-
-    def _apply(self, x):
-        return x.copy()
 
 
 class Subsample(LinearMap):

@@ -206,7 +206,7 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     """Encode ``w`` (1-D, length a power of two, finite samples) at Lagrangian weight ``nu``.
 
     ``d`` defaults to the maximal depth log2(len(w)). Returns the pruned tree
-    as a :class:`Bitstream`.
+    as a :class:`Bitstream`. ``nu`` must be non-negative with nu * q_bits finite.
     """
     return _prune(_analyze(w, d, q_bits), nu)
 
@@ -300,10 +300,13 @@ def _prune(analysis: _Analysis, nu: float) -> Bitstream:
     if not nu >= 0:  # also rejects NaN
         raise ValueError("nu must be non-negative")
     m, d, q_bits, leaf_cost, index = analysis
+    rate = float(nu) * q_bits
+    if not rate < np.inf:  # all costs inf would tie, and a tie splits: the finest tree
+        raise ValueError(f"nu * q_bits must be finite, got nu={nu!r} and q_bits={q_bits}")
     n_nodes = leaf_cost.size
     n_parents = n_nodes >> 1
     cost, work = np.empty(n_nodes), np.empty(n_parents)
-    np.add(leaf_cost, float(nu) * q_bits, out=cost)
+    np.add(leaf_cost, rate, out=cost)
     split = np.empty(n_nodes, dtype=bool)
 
     # Bottom-up exact minimization: a node splits only when its children's

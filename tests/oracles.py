@@ -1,7 +1,8 @@
-"""Reference helpers that only the tests use: circulant pseudoinverse and range
-projection, the realized noise energy of an acquisition, an operator's dense
-matrix, a conjugate-gradient solve of the regularized normal equations, the
-z-update as one expression, and a scalar writer of the codec's wire format.
+"""Reference helpers that only the tests use: the identity operator, circulant
+pseudoinverse and range projection, the realized noise energy of an
+acquisition, an operator's dense matrix, a conjugate-gradient solve of the
+regularized normal equations, the z-update as one expression, and a scalar
+writer of the codec's wire format.
 
 Response entries of a :class:`~sysaware.linops.CirculantSpectral` with
 magnitude at most ``ZERO_TOL`` times the largest magnitude count as exact
@@ -19,6 +20,14 @@ from sysaware.tree_codec import MAGIC
 
 # Relative magnitude below which a frequency-response entry counts as zero.
 ZERO_TOL = 1e-12
+
+
+class Identity(LinearMap):
+    def __init__(self, n: int):
+        super().__init__(n, n)
+
+    def _apply(self, x):
+        return x.copy()
 
 
 def support(op: CirculantSpectral) -> np.ndarray:

@@ -15,7 +15,6 @@ from sysaware.gauss_theory import SpectralModel, expected_min_distortion, water_
 from sysaware.linops import (
     CirculantSpectral,
     Compose,
-    Identity,
     ZUpdateTerms,
     circulant_symbol,
     kernel_spectrum,
@@ -30,7 +29,13 @@ from sysaware.system_sim import (
 )
 from sysaware.tree_codec import TreeCodecPlug
 
-from oracles import cg_regularized_solve, ideal_distortion_check, project_range, pseudoinverse_apply
+from oracles import (
+    Identity,
+    cg_regularized_solve,
+    ideal_distortion_check,
+    project_range,
+    pseudoinverse_apply,
+)
 
 
 def report(num, name, ok, detail=""):

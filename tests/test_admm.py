@@ -1,5 +1,7 @@
 """Tests for the codec-in-the-loop ADMM driver."""
 
+import itertools
+import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +20,6 @@ from sysaware.admm import (
 from sysaware.linops import (
     Compose,
     Convolution,
-    Identity,
     Replicate,
     Subsample,
     ZUpdateTerms,
@@ -27,7 +28,7 @@ from sysaware.linops import (
 from sysaware.system_sim import SystemModel
 from sysaware.tree_codec import Bitstream, TreeCodecPlug
 
-from oracles import dense_matrix, z_update_reference
+from oracles import Identity, dense_matrix, z_update_reference
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,13 @@ def chain_symbol(a, b):
 
 
 def make_state(t, residual=0.0, norm=1.0):
-    v = np.full(3, norm / np.sqrt(3))
-    return AdmmState(
-        t=t,
-        z_tilde=v,
-        blob=b"",
-        v_hat=v,
-        v_tilde=v,
-        z_hat=v,
-        u=np.zeros(3),
-        residual=residual,
-        rate_bits=8,
-        d_c=0.0,
-    )
+    return AdmmState(t=t, residual=residual, scale=norm, rate_bits=8, d_c=0.0)
+
+
+def iterates(w, symbol, codec, theta, cfg, count):
+    """The first ``count`` iterations' vectors of the recursion ``run`` consumes."""
+    terms = ZUpdateTerms(symbol, w, cfg.beta_tilde)
+    return list(itertools.islice(admm._iterates(w, terms, codec, theta), count))
 
 
 # -------------------------------------------------------------------- run #
@@ -72,9 +67,10 @@ def test_identity_reduction_is_byte_exact():
     blob, trace = run(w, symbol, codec, 1e-3, AdmmConfig(max_iters=1))
     assert blob == codec.compress(w, 1e-3)
     assert len(trace) == 1
-    assert trace[0].blob == blob
-    assert np.array_equal(trace[0].z_tilde, w)
-    assert np.array_equal(trace[0].u, np.zeros(64))
+    (first,) = iterates(w, symbol, TreeCodecPlug(), 1e-3, AdmmConfig(), 1)
+    assert first.blob == blob
+    assert np.array_equal(first.z_tilde, w)
+    assert np.array_equal(first.u, np.zeros(64))
 
 
 def test_huge_beta_pins_z_to_codec_output():
@@ -107,9 +103,10 @@ def test_returns_last_iteration_blob():
     w = rng.uniform(size=32)
     a = Convolution(32, [0.2, 0.6, 0.2])
     cfg = AdmmConfig(max_iters=6, tol=0.0)
-    blob, trace = run(w, chain_symbol(a, Identity(32)), TreeCodecPlug(), 2e-3, cfg)
+    symbol = chain_symbol(a, Identity(32))
+    blob, trace = run(w, symbol, TreeCodecPlug(), 2e-3, cfg)
     assert len(trace) == 6
-    assert blob == trace[-1].blob
+    assert blob == iterates(w, symbol, TreeCodecPlug(), 2e-3, cfg, 6)[-1].blob
 
 
 def test_dual_update_is_exact():
@@ -118,9 +115,9 @@ def test_dual_update_is_exact():
     a = Compose([Convolution(64, [0.25, 0.5, 0.25]), Subsample(64, 2)])
     b = Replicate(32, 2)
     cfg = AdmmConfig(max_iters=8, tol=0.0)
-    _, trace = run(w, chain_symbol(a, b), TreeCodecPlug(), 1e-3, cfg)
-    assert len(trace) >= 2
-    for prev, cur in zip(trace, trace[1:]):
+    vectors = iterates(w, chain_symbol(a, b), TreeCodecPlug(), 1e-3, cfg, cfg.max_iters)
+    assert len(vectors) >= 2
+    for prev, cur in zip(vectors, vectors[1:]):
         assert np.array_equal(cur.u, prev.u + (prev.v_hat - prev.z_hat))
 
 
@@ -130,12 +127,12 @@ def test_z_update_satisfies_normal_equations():
     b = Replicate(32, 2)
     w = rng.uniform(size=32)
     cfg = AdmmConfig(max_iters=4, tol=0.0)
-    _, trace = run(w, chain_symbol(a, b), TreeCodecPlug(), 1e-3, cfg)
+    vectors = iterates(w, chain_symbol(a, b), TreeCodecPlug(), 1e-3, cfg, cfg.max_iters)
     beta = cfg.beta_tilde
     h = dense_matrix(a) @ dense_matrix(b)
-    for state in trace:
-        lhs = h.T @ (h @ state.z_hat) + beta * state.z_hat
-        rhs = h.T @ w + beta * state.v_tilde
+    for it in vectors:
+        lhs = h.T @ (h @ it.z_hat) + beta * it.z_hat
+        rhs = h.T @ w + beta * it.v_tilde
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
@@ -173,11 +170,12 @@ def test_run_z_hat_is_bitwise_the_one_expression_z_update():
     cfg = AdmmConfig()
     for theta in (1e-4, 1e-2):
         _, trace = run(w, system.symbol, TreeCodecPlug(), theta, cfg)
-        for state in trace:
-            expected = z_update_reference(system.symbol, w, state.v_tilde, cfg.beta_tilde)
-            assert state.z_hat.tobytes() == expected.tobytes(), (theta, state.t)
-            assert state.residual == float(np.linalg.norm(state.v_hat - state.z_hat))
-            norms = (np.linalg.norm(state.v_hat), np.linalg.norm(state.z_hat), 1e-30)
+        vectors = iterates(w, system.symbol, TreeCodecPlug(), theta, cfg, len(trace))
+        for state, it in zip(trace, vectors, strict=True):
+            expected = z_update_reference(system.symbol, w, it.v_tilde, cfg.beta_tilde)
+            assert it.z_hat.tobytes() == expected.tobytes(), (theta, state.t)
+            assert state.residual == float(np.linalg.norm(it.v_hat - it.z_hat))
+            norms = (np.linalg.norm(it.v_hat), np.linalg.norm(it.z_hat), 1e-30)
             converged = state.residual <= cfg.tol * float(max(norms))
             assert stopping_check(state, cfg) == (state.t >= cfg.max_iters or converged)
 
@@ -208,14 +206,41 @@ def test_run_analyzes_every_new_z_tilde_with_tree_codec_plug(monkeypatch):
 
     monkeypatch.setattr(tree_codec, "_analyze", counting)
     system, w = default_chain_measurements()
-    codec = TreeCodecPlug()
-    blob, trace = run(w, system.symbol, codec, 1e-3, AdmmConfig())
-    signals = [state.z_tilde.tobytes() for state in trace]
+    blob, trace = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
+    in_run = analyzed[:]
+    analyzed.clear()
+    vectors = iterates(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig(), len(trace))
+    signals = [it.z_tilde.tobytes() for it in vectors]
     # the plug reuses an analysis only for the bytes it was made from
     new = [z for i, z in enumerate(signals) if i == 0 or z != signals[i - 1]]
-    assert analyzed == new
+    assert in_run == analyzed == new
     assert len(new) == len(trace) > 1
-    assert blob == tree_codec.encode(trace[-1].z_tilde, 1e-3).to_bytes()
+    assert blob == tree_codec.encode(vectors[-1].z_tilde, 1e-3).to_bytes()
+
+
+def test_run_memory_does_not_grow_with_its_iterations():
+    from sysaware.system_sim import acquire, make_blur_subsample_system, make_chirp
+
+    system = make_blur_subsample_system(n=1 << 16)
+    w = acquire(make_chirp(1 << 16), system)
+    vector_bytes = w.nbytes  # one M-vector, M = 2**14
+    # a first run fills the per-shape caches the codec keeps for the process
+    run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig(max_iters=2, tol=0.0))
+    retained, peak = {}, {}
+    for max_iters in (10, 40):
+        cfg = AdmmConfig(max_iters=max_iters, tol=0.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blob, trace = run(w, system.symbol, TreeCodecPlug(), 1e-3, cfg)
+            after, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == max_iters
+        retained[max_iters], peak[max_iters] = after - before, high - before
+    # what outlives the run is its blob and a trace of scalars
+    assert max(retained.values()) < vector_bytes, (retained, len(blob))
+    assert peak[40] - peak[10] < vector_bytes, peak
 
 
 def test_non_circulant_chain_raises_before_any_codec_call():
@@ -238,11 +263,12 @@ def test_chirp_loop_terminates_and_stays_bounded():
     w = acquire(x, system)
     blob, trace = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
     assert 1 <= len(trace) <= 40
-    assert blob == trace[-1].blob
+    vectors = iterates(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig(), len(trace))
+    assert blob == vectors[-1].blob
     bound = 1e3 * np.linalg.norm(w)
-    for state in trace:
+    for state, it in zip(trace, vectors, strict=True):
         assert np.isfinite(state.residual)
-        for vec in (state.z_tilde, state.v_hat, state.v_tilde, state.z_hat, state.u):
+        for vec in (it.z_tilde, it.v_hat, it.v_tilde, it.z_hat, it.u):
             assert np.linalg.norm(vec) <= bound
 
 

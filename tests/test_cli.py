@@ -229,6 +229,17 @@ def test_run_failed_sweep_point_exits_1(tmp_path, capsys, monkeypatch):
     assert "param=666.0" in err
 
 
+def test_run_with_an_infinite_sweep_parameter_exits_1_naming_nu(tmp_path, capsys):
+    body = SMALL_RUN.replace("sweep.param_values = 0.0001, 0.001, 0.01", "sweep.param_values = 1e-3, inf")
+    cfg = write_config(tmp_path / "exp.cfg", body)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'sweep (regular)' failed" in err
+    assert "nu * q_bits must be finite, got nu=inf" in err
+    assert not out.exists()
+
+
 def test_run_signal_from_file(tmp_path):
     x = make_chirp(128)
     save_signal(tmp_path / "sig.txt", x)
@@ -340,6 +351,14 @@ def test_theory_empty_support_warns(tmp_path, capsys):
     assert float(row.split(",")[2]) == 0.0  # zero rate
 
 
+def test_theory_nan_distortion_budget_exits_1_in_curve(tmp_path, capsys):
+    cfg = write_config(tmp_path / "t.cfg", "theory.d_grid = 0.01, nan, 0.5\n")
+    out = tmp_path / "out"
+    assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
+    assert "stage 'curve' failed" in capsys.readouterr().err
+    assert not (out / "theory_curve.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["lambda_x", "a_response", "b_response"])
 def test_theory_non_finite_model_exits_1(tmp_path, capsys, key):
     values = tmp_path / "values.txt"
@@ -398,6 +417,16 @@ def test_codec_decode_truncated_exits_1(tmp_path, capsys):
     truncated.write_bytes(bit.read_bytes()[:-1])
     assert run_cli(["codec", "decode", truncated, tmp_path / "rec.txt"]) == 1
     assert "byte offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nu", ["inf", "1e308"])
+def test_codec_encode_with_an_overflowing_nu_exits_1_naming_nu(tmp_path, capsys, nu):
+    sig = tmp_path / "sig.txt"
+    save_signal(sig, np.linspace(0.0, 1.0, 256))
+    bit = tmp_path / "c.bin"
+    assert run_cli(["codec", "encode", sig, bit, "--nu", nu]) == 1
+    assert "nu * q_bits must be finite" in capsys.readouterr().err
+    assert not bit.exists()
 
 
 def test_codec_encode_depth_and_qbits_flags(tmp_path):

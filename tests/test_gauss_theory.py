@@ -187,6 +187,12 @@ def test_water_fill_negative_budget_rejected():
         water_fill(m, -0.1)
 
 
+def test_water_fill_nan_budget_rejected():
+    m = SpectralModel(n=2, lambda_x=[1.0, 1], a_f=[1, 1], b_f=[1, 1])
+    with pytest.raises(ValueError, match="total_d"):
+        water_fill(m, math.nan)
+
+
 def test_water_fill_empty_support():
     m = SpectralModel(n=3, lambda_x=np.ones(3), a_f=np.ones(3), b_f=np.zeros(3))
     alloc = water_fill(m, 0.1)
@@ -314,6 +320,13 @@ def test_curve_grid_validation():
         theoretical_rd_curve(m, [0.5, 0.1])
     with pytest.raises(ValueError):
         theoretical_rd_curve(m, [-0.1, 0.5])
+
+
+@pytest.mark.parametrize("d_grid", [[0.01, math.nan, 0.5], [math.nan], [0.01, 0.5, math.nan]])
+def test_curve_grid_rejects_nan(d_grid):
+    m = SpectralModel(n=2, lambda_x=[1.0, 1], a_f=[1, 1], b_f=[1, 1])
+    with pytest.raises(ValueError, match="non-negative"):
+        theoretical_rd_curve(m, d_grid)
 
 
 def test_curve_csv_layout():

@@ -8,7 +8,6 @@ from sysaware.linops import (
     Compose,
     Convolution,
     DimensionMismatchError,
-    Identity,
     LinearMap,
     Replicate,
     Subsample,
@@ -20,6 +19,7 @@ from sysaware.linops import (
 from sysaware.system_sim import make_blur_subsample_system
 
 from oracles import (
+    Identity,
     cg_regularized_solve,
     mask_spectrum,
     pinv_response,

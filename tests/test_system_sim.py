@@ -7,7 +7,6 @@ import pytest
 
 from sysaware import admm, linops, system_sim
 from sysaware.admm import AdmmConfig, run
-from sysaware.linops import Identity
 from sysaware.system_sim import (
     RDPoint,
     SystemModel,
@@ -24,7 +23,7 @@ from sysaware.system_sim import (
 )
 from sysaware.tree_codec import TreeCodecPlug
 
-from oracles import ideal_distortion_check
+from oracles import Identity, ideal_distortion_check
 
 
 def identity_system(n, noise_std=0.0, seed=0):

@@ -385,6 +385,16 @@ def test_encode_argument_errors():
         encode(w, nu=0.0, q_bits=MAX_Q_BITS + 1)
 
 
+@pytest.mark.parametrize("nu", [math.inf, 1e308])
+def test_encode_rejects_a_nu_whose_rate_term_overflows(nu):
+    w = np.linspace(0.0, 1.0, 256)
+    assert len(encode(w, nu=1e300).leaf_indices) == 1  # a huge finite nu codes one leaf
+    with pytest.raises(ValueError, match="nu"):
+        encode(w, nu=nu)
+    with pytest.raises(ValueError, match="nu"):
+        TreeCodecPlug().compress(w, nu)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_encode_rejects_non_finite_samples(bad):
     w = np.full(16, 0.5)
