@@ -13,6 +13,22 @@ fft(v_hat), from which the system distortion follows by Parseval. The
 recursion lives in one private generator of each iteration's vectors, and
 :func:`run` keeps only scalars per iteration, so a run's memory does not
 grow with its iteration count.
+
+Every run stops for one of four reasons, checked after each iteration in
+this order, and :func:`run` returns the first that holds as its label:
+
+- ``converged``: the primal residual ||v_hat - z_hat|| is at most ``tol``
+  times max(||v_hat||, ||z_hat||) (Boyd et al., 2011, section 3.3);
+- ``repeat``: the codec returned a blob it had already returned in this run;
+- ``stall``: the relative residual has not improved on its best for
+  ``_STALL_WINDOW`` iterations;
+- ``max_iters``: the cap.
+
+The codec's outputs form a finite set, so the residual rule alone cannot
+fire when the iterates cycle between a few blobs or wander without settling.
+The repeat stop is a heuristic, not a proof of a cycle: the dual u still
+moves, so the recursion need not come back to the same state, and the stop
+is named for what it sees.
 """
 
 from __future__ import annotations
@@ -36,6 +52,11 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-30  # keeps the relative stopping rule meaningful near zero
+# Iterations without a new best relative residual before the stall stop. On
+# the default sweep at seed 1234, windows 3, 4, 5 and 6 take 31, 32, 33 and 34
+# iterations; each keeps every acceptance-1 margin and leaves no proposed
+# point dominated at seeds 0-39, so the choice is not sensitive.
+_STALL_WINDOW = 5
 
 
 class CodecError(RuntimeError):
@@ -51,9 +72,10 @@ class AdmmConfig:
     """Loop settings shared by every point of a sweep.
 
     beta_tilde weighs proximity to the codec output against data fidelity in
-    the z-update; the loop stops after max_iters iterations or once the
-    primal residual ||v_hat - z_hat|| drops below tol relative to the
-    iterate norms.
+    the z-update. max_iters caps the iterations, and tol is the residual
+    stop: the primal residual ||v_hat - z_hat|| at most tol relative to the
+    iterate norms. The loop also stops on a repeated blob or a stalled
+    residual (see the module docstring), which take no setting.
     """
 
     beta_tilde: float = 0.25
@@ -100,11 +122,15 @@ def system_distortion_dc(terms: ZUpdateTerms, v) -> float:
     return float(np.vdot(error, error).real) / error.size**2
 
 
-def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
-    """True when the loop should stop after this state."""
-    if state.t >= cfg.max_iters:
-        return True
+def _converged(state: AdmmState, cfg: AdmmConfig) -> bool:
     return state.residual <= cfg.tol * max(state.scale, _NORM_FLOOR)
+
+
+def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
+    """True when the residual stop or the cap ends the loop after this state.
+    The repeat and stall stops need the run's history, so :func:`run` applies
+    them."""
+    return state.t >= cfg.max_iters or _converged(state, cfg)
 
 
 def _iterates(w, terms: ZUpdateTerms, codec, theta: float):
@@ -132,11 +158,14 @@ def _iterates(w, terms: ZUpdateTerms, codec, theta: float):
 
 def run(
     w, symbol: np.ndarray, codec, theta: float, cfg: AdmmConfig
-) -> tuple[bytes, list[AdmmState]]:
+) -> tuple[bytes, list[AdmmState], str]:
     """Compress w so that decoding and rendering through B approximates the
-    acquisition inverse of A: run the ``_iterates`` recursion until
-    :func:`stopping_check` stops it, and return the final iteration's blob
-    and one :class:`AdmmState` of scalars per iteration.
+    acquisition inverse of A: run the ``_iterates`` recursion until one of
+    the four stops fires, and return the final iteration's blob, one
+    :class:`AdmmState` of scalars per iteration, and the stop's label,
+    ``converged``, ``repeat``, ``stall`` or ``max_iters`` (the first in that
+    order when several fire at once). A ``repeat`` run returns the blob the
+    codec repeated.
 
     ``symbol`` is the DFT symbol of A(B(.)), as
     :attr:`~sysaware.system_sim.SystemModel.symbol` holds it; every z-update
@@ -148,6 +177,8 @@ def run(
     """
     terms = ZUpdateTerms(symbol, w, cfg.beta_tilde)
     trace: list[AdmmState] = []
+    seen: set[bytes] = set()
+    best, since_best = math.inf, 0
     for it in _iterates(w, terms, codec, theta):
         # sqrt(x @ x) is numpy's 1-D norm bit for bit, and sqrt is monotone
         state = AdmmState(
@@ -158,5 +189,17 @@ def run(
             d_c=system_distortion_dc(terms, it.v_hat),
         )
         trace.append(state)
-        if stopping_check(state, cfg):
-            return it.blob, trace
+        relative = state.residual / max(state.scale, _NORM_FLOOR)
+        if relative < best:
+            best, since_best = relative, 0
+        else:
+            since_best += 1
+        if _converged(state, cfg):
+            return it.blob, trace, "converged"
+        if it.blob in seen:
+            return it.blob, trace, "repeat"
+        if since_best >= _STALL_WINDOW:
+            return it.blob, trace, "stall"
+        if state.t >= cfg.max_iters:
+            return it.blob, trace, "max_iters"
+        seen.add(it.blob)

@@ -66,15 +66,18 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class RDPoint:
-    """One operating point of a sweep. ``blob`` keeps the compressed bytes and
-    ``recon`` the rendered reconstruction the PSNR was measured on, so callers
-    can persist exactly what was measured."""
+    """One operating point of a sweep. ``stop_reason`` is the ADMM stop of a
+    proposed point (see :func:`sysaware.admm.run`) and "" for a regular one.
+    ``blob`` keeps the compressed bytes and ``recon`` the rendered
+    reconstruction the PSNR was measured on, so callers can persist exactly
+    what was measured."""
 
     nu_or_theta: float
     rate_bpp: float
     psnr_db: float
     method: str
     iterations: int
+    stop_reason: str = ""
     blob: bytes = b""
     recon: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -180,9 +183,9 @@ def sweep(
         try:
             if method == "regular":
                 blob = codec.compress(w, param)
-                iterations = 1
+                iterations, stop_reason = 1, ""
             else:
-                blob, trace = admm.run(w, system.symbol, codec, param, admm_cfg)
+                blob, trace, stop_reason = admm.run(w, system.symbol, codec, param, admm_cfg)
                 iterations = len(trace)
             v = np.asarray(codec.decompress(blob), dtype=float)
             y = render(v, system)
@@ -193,6 +196,7 @@ def sweep(
                     psnr_db=psnr(x, y, peak=1.0),
                     method=method,
                     iterations=iterations,
+                    stop_reason=stop_reason,
                     blob=blob,
                     recon=y,
                 )
@@ -205,9 +209,12 @@ def sweep(
 
 def rd_points_to_csv(points: list[RDPoint], seed: int) -> str:
     out = io.StringIO()
-    out.write("method,param,rate_bpp,psnr_db,iterations,seed\n")
+    out.write("method,param,rate_bpp,psnr_db,iterations,seed,stop_reason\n")
     for p in points:
-        out.write(f"{p.method},{p.nu_or_theta!r},{p.rate_bpp!r},{p.psnr_db!r},{p.iterations},{seed}\n")
+        out.write(
+            f"{p.method},{p.nu_or_theta!r},{p.rate_bpp!r},{p.psnr_db!r},{p.iterations},{seed},"
+            f"{p.stop_reason}\n"
+        )
     return out.getvalue()
 
 

@@ -22,15 +22,15 @@ computed children's cost does not exceed the computed leaf cost.
 The encoder keeps every node of the depth-d tree in one flat heap: level l
 occupies positions [2**l - 1, 2**(l+1) - 1), and node p has children 2p + 1
 and 2p + 2, so each level and its children are plain slices. A numpy call
-costs about as much on 2 elements as on 256, so the work is arranged in few
-calls: only the recursions from one level to the next (the sums, the m2
-merge, the pruning, and the top-down marking of reached nodes) make a call
-per level, and everything else (the means, the quantization, every leaf
-cost) runs once over the whole heap. The node widths, which the shape (M, d)
-alone fixes, are built once per shape and cached read-only. The float work
-runs in heap-sized rows reused in place through ``out=``: at M = 2**16 fresh
-temporaries cost more in allocation and page faults than the arithmetic
-they feed.
+has a fixed overhead that outweighs its per-element work on small rows, so
+the work is arranged in few calls: only the recursions from one level to the
+next (the sums, the m2 merge, the pruning, and the top-down marking of
+reached nodes) make a call per level, and everything else (the means, the
+quantization, every leaf cost) runs once over the whole heap. The node
+widths, which the shape (M, d) alone fixes, are built once per shape and
+cached read-only. The float work runs in heap-sized rows reused in place
+through ``out=``: at M = 2**16 fresh temporaries cost more in allocation and
+page faults than the arithmetic they feed.
 
 Only the rate term nu * q_bits depends on nu, so an encode is two steps. The
 analysis, once per signal, builds the sums, m2, means and quantization
@@ -55,6 +55,7 @@ import numpy as np
 
 __all__ = [
     "MAGIC",
+    "MAX_ABS",
     "MAX_LEN",
     "MAX_Q_BITS",
     "BitstreamError",
@@ -66,6 +67,10 @@ __all__ = [
 
 MAGIC = b"SAC1"
 MAX_LEN = 1 << 24  # longest signal the codec writes or reads
+# Largest |sample| the encoder accepts: a deviation from a segment mean is at
+# most 2 * MAX_ABS, so (2 * MAX_ABS)**2 * MAX_LEN = 2**1022 bounds every
+# second moment and leaf cost, and no square or sum overflows float64.
+MAX_ABS = (2.0**1022 / MAX_LEN) ** 0.5 / 2
 MAX_Q_BITS = 52  # widest index whose rounding and reconstruction are exact in float64
 _HEADER_LEN = 11  # magic, d0, d, q_bits, M as 4-byte big-endian
 # Heap slices of each level that has children, and of their left and right children.
@@ -203,7 +208,7 @@ def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
 
 
 def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
-    """Encode ``w`` (1-D, length a power of two, finite samples) at Lagrangian weight ``nu``.
+    """Encode ``w`` (1-D, length a power of two, |samples| <= MAX_ABS) at Lagrangian weight ``nu``.
 
     ``d`` defaults to the maximal depth log2(len(w)). Returns the pruned tree
     as a :class:`Bitstream`. ``nu`` must be non-negative with nu * q_bits finite.
@@ -240,8 +245,9 @@ def _analyze(w, d: int | None, q_bits: int) -> _Analysis:
         raise ValueError(f"depth must be in [1, {d0}], got {d}")
     if not 1 <= q_bits <= MAX_Q_BITS:
         raise ValueError(f"q_bits must be in [1, {MAX_Q_BITS}], got {q_bits}")
-    if not np.isfinite(w).all():
-        raise ValueError("signal contains non-finite samples")
+    # two reductions and no temporary; NaN fails both comparisons
+    if not (-MAX_ABS <= w.min() and w.max() <= MAX_ABS):
+        raise ValueError(f"signal contains non-finite samples or samples beyond MAX_ABS={MAX_ABS:.4g}")
 
     n_nodes = (2 << d) - 1
     n_parents = n_nodes >> 1

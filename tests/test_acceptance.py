@@ -78,7 +78,7 @@ def test_2_identity_reduction():
     codec = TreeCodecPlug(q_bits=8)
     theta = 1e-3
     system = SystemModel(a=Identity(256), b=Identity(256), noise_std=0.0, rng_seed=0)
-    blob, trace = admm.run(w, system.symbol, codec, theta, AdmmConfig(max_iters=1))
+    blob, trace, _ = admm.run(w, system.symbol, codec, theta, AdmmConfig(max_iters=1))
     ok = blob == codec.compress(w, theta) and len(trace) == 1
     report(2, "identity reduction", ok, f" ({time.monotonic() - start:.2f} s)")
 

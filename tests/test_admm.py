@@ -64,7 +64,7 @@ def test_identity_reduction_is_byte_exact():
     w = rng.uniform(size=64)
     codec = TreeCodecPlug()
     symbol = chain_symbol(Identity(64), Identity(64))
-    blob, trace = run(w, symbol, codec, 1e-3, AdmmConfig(max_iters=1))
+    blob, trace, _ = run(w, symbol, codec, 1e-3, AdmmConfig(max_iters=1))
     assert blob == codec.compress(w, 1e-3)
     assert len(trace) == 1
     (first,) = iterates(w, symbol, TreeCodecPlug(), 1e-3, AdmmConfig(), 1)
@@ -78,7 +78,7 @@ def test_huge_beta_pins_z_to_codec_output():
     w = rng.uniform(size=32)
     a = Convolution(32, [0.25, 0.5, 0.25])
     cfg = AdmmConfig(beta_tilde=1e8, max_iters=2, tol=0.0)
-    _, trace = run(w, chain_symbol(a, Identity(32)), TreeCodecPlug(), 1e-3, cfg)
+    _, trace, _ = run(w, chain_symbol(a, Identity(32)), TreeCodecPlug(), 1e-3, cfg)
     assert len(trace) == 2
     assert trace[-1].residual <= 1e-6 * np.linalg.norm(w)
 
@@ -92,7 +92,7 @@ def test_run_never_parses_a_blob_with_tree_codec_plug(monkeypatch):
     w = np.random.default_rng(13).uniform(size=32)
     a = Compose([Convolution(64, [0.25, 0.5, 0.25]), Subsample(64, 2)])
     cfg = AdmmConfig(max_iters=3, tol=0.0)
-    blob, trace = run(w, chain_symbol(a, Replicate(32, 2)), TreeCodecPlug(), 1e-3, cfg)
+    blob, trace, _ = run(w, chain_symbol(a, Replicate(32, 2)), TreeCodecPlug(), 1e-3, cfg)
     assert len(trace) == 3
     assert parses == []
     assert trace[-1].rate_bits == original(blob).reported_rate_bits
@@ -104,7 +104,7 @@ def test_returns_last_iteration_blob():
     a = Convolution(32, [0.2, 0.6, 0.2])
     cfg = AdmmConfig(max_iters=6, tol=0.0)
     symbol = chain_symbol(a, Identity(32))
-    blob, trace = run(w, symbol, TreeCodecPlug(), 2e-3, cfg)
+    blob, trace, _ = run(w, symbol, TreeCodecPlug(), 2e-3, cfg)
     assert len(trace) == 6
     assert blob == iterates(w, symbol, TreeCodecPlug(), 2e-3, cfg, 6)[-1].blob
 
@@ -160,7 +160,7 @@ def test_run_probes_the_chain_once_per_run(monkeypatch):
     monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
     system, w = default_chain_measurements()
     assert len(probes) == 1  # the SystemModel probes its chain when it is built
-    _, trace = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig(max_iters=3, tol=0.0))
+    _, trace, _ = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig(max_iters=3, tol=0.0))
     assert len(trace) == 3 and len(probes) == 1 and len(symbols) == 3
     assert all(symbol is system.symbol for symbol in symbols)
 
@@ -169,7 +169,7 @@ def test_run_z_hat_is_bitwise_the_one_expression_z_update():
     system, w = default_chain_measurements()
     cfg = AdmmConfig()
     for theta in (1e-4, 1e-2):
-        _, trace = run(w, system.symbol, TreeCodecPlug(), theta, cfg)
+        _, trace, _ = run(w, system.symbol, TreeCodecPlug(), theta, cfg)
         vectors = iterates(w, system.symbol, TreeCodecPlug(), theta, cfg, len(trace))
         for state, it in zip(trace, vectors, strict=True):
             expected = z_update_reference(system.symbol, w, it.v_tilde, cfg.beta_tilde)
@@ -190,7 +190,7 @@ def test_run_given_its_symbol_takes_three_transforms_per_iteration(monkeypatch):
             return _transform(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    _, trace = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
+    _, trace, _ = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
     # fft(w) once per run; per iteration the solve's fft and ifft, and fft(v_hat) for d_c
     assert len(calls) == 3 * len(trace) + 1
     assert calls.count("ifft") == len(trace)
@@ -206,7 +206,7 @@ def test_run_analyzes_every_new_z_tilde_with_tree_codec_plug(monkeypatch):
 
     monkeypatch.setattr(tree_codec, "_analyze", counting)
     system, w = default_chain_measurements()
-    blob, trace = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
+    blob, trace, _ = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
     in_run = analyzed[:]
     analyzed.clear()
     vectors = iterates(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig(), len(trace))
@@ -218,9 +218,12 @@ def test_run_analyzes_every_new_z_tilde_with_tree_codec_plug(monkeypatch):
     assert blob == tree_codec.encode(vectors[-1].z_tilde, 1e-3).to_bytes()
 
 
-def test_run_memory_does_not_grow_with_its_iterations():
+def test_run_memory_does_not_grow_with_its_iterations(monkeypatch):
     from sysaware.system_sim import acquire, make_blur_subsample_system, make_chirp
 
+    # this run stalls at t = 8; a window past the cap lets it reach 10 and 40
+    # iterations (it repeats no blob on the way)
+    monkeypatch.setattr(admm, "_STALL_WINDOW", 41)
     system = make_blur_subsample_system(n=1 << 16)
     w = acquire(make_chirp(1 << 16), system)
     vector_bytes = w.nbytes  # one M-vector, M = 2**14
@@ -232,7 +235,7 @@ def test_run_memory_does_not_grow_with_its_iterations():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            blob, trace = run(w, system.symbol, TreeCodecPlug(), 1e-3, cfg)
+            blob, trace, _ = run(w, system.symbol, TreeCodecPlug(), 1e-3, cfg)
             after, high = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -241,6 +244,58 @@ def test_run_memory_does_not_grow_with_its_iterations():
     # what outlives the run is its blob and a trace of scalars
     assert max(retained.values()) < vector_bytes, (retained, len(blob))
     assert peak[40] - peak[10] < vector_bytes, peak
+
+
+def stub_codec(compress, decompress=None):
+    """A codec of ``compress`` whose decompress is all zeros unless given."""
+    return CodecPlug(
+        compress=compress,
+        decompress=decompress or (lambda blob: np.zeros(16)),
+        rate_bits=lambda blob: 8 * len(blob),
+    )
+
+
+def test_run_stops_on_a_repeated_blob_and_returns_it():
+    w = np.random.default_rng(20).uniform(size=16)
+    codec = stub_codec(lambda signal, theta: b"same")
+    blob, trace, stop = run(w, chain_symbol(Identity(16), Identity(16)), codec, 0.0, AdmmConfig())
+    assert (blob, len(trace), stop) == (b"same", 2, "repeat")
+
+
+def test_run_stops_when_the_residual_stalls(monkeypatch):
+    # new blobs that all decode to zero, and a z-update pinned to ones: the
+    # relative residual ||z_hat|| / ||z_hat|| is exactly 1 at every
+    # iteration, so it improves only at t = 1
+    monkeypatch.setattr(admm, "solve_regularized", lambda terms, v_tilde: np.ones(16))
+    blobs = itertools.count(1)
+    codec = stub_codec(lambda signal, theta: str(next(blobs)).encode())
+    w = np.random.default_rng(21).uniform(size=16)
+    blob, trace, stop = run(w, chain_symbol(Identity(16), Identity(16)), codec, 0.0, AdmmConfig())
+    assert (len(trace), stop) == (1 + admm._STALL_WINDOW, "stall")
+    assert blob == str(len(trace)).encode()
+    assert {state.residual / state.scale for state in trace} == {1.0}
+
+
+def test_run_stops_converged_when_the_codec_is_exact():
+    w = np.random.default_rng(22).uniform(size=16)
+    codec = stub_codec(lambda signal, theta: signal.tobytes(), lambda blob: np.frombuffer(blob))
+    symbol = chain_symbol(Identity(16), Identity(16))
+    # the residual stop is checked first, so it also names a stop at the cap
+    for cfg in (AdmmConfig(), AdmmConfig(max_iters=1)):
+        blob, trace, stop = run(w, symbol, codec, 0.0, cfg)
+        assert (blob, len(trace), stop) == (w.tobytes(), 1, "converged")
+
+
+def test_run_stops_at_the_cap():
+    system, w = default_chain_measurements()
+    _, trace, stop = run(w, system.symbol, TreeCodecPlug(), 1e-2, AdmmConfig(max_iters=1))
+    assert (len(trace), stop) == (1, "max_iters")
+    assert not trace[0].residual <= 0.02 * trace[0].scale
+    # the repeat stop is checked before the cap
+    codec = stub_codec(lambda signal, theta: b"same")
+    w = np.random.default_rng(23).uniform(size=16)
+    symbol = chain_symbol(Identity(16), Identity(16))
+    assert run(w, symbol, codec, 0.0, AdmmConfig(max_iters=2))[2] == "repeat"
 
 
 def test_non_circulant_chain_raises_before_any_codec_call():
@@ -261,7 +316,7 @@ def test_chirp_loop_terminates_and_stays_bounded():
     x = make_chirp(1024)
     system = make_blur_subsample_system()
     w = acquire(x, system)
-    blob, trace = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
+    blob, trace, _ = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
     assert 1 <= len(trace) <= 40
     vectors = iterates(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig(), len(trace))
     assert blob == vectors[-1].blob

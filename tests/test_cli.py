@@ -40,9 +40,15 @@ def test_run_small_config(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", out]) == 0
     csv_lines = (out / "rd_curve.csv").read_text().strip().split("\n")
-    assert csv_lines[0] == "method,param,rate_bpp,psnr_db,iterations,seed"
+    assert csv_lines[0] == "method,param,rate_bpp,psnr_db,iterations,seed,stop_reason"
     methods = {line.split(",")[0] for line in csv_lines[1:]}
     assert methods == {"regular", "proposed"}
+    for line in csv_lines[1:]:
+        method, *_, stop_reason = line.split(",")
+        if method == "regular":
+            assert stop_reason == ""
+        else:
+            assert stop_reason in ("converged", "repeat", "stall", "max_iters")
     assert len(csv_lines) == 1 + 6
     assert (out / "source.txt").exists()
     assert (out / "acquired.txt").exists()
@@ -199,13 +205,14 @@ def test_run_zero_subsample_factor_names_the_factor_rule(tmp_path, capsys):
     assert "subsampling factor must be >= 1, got 0" in err
 
 
-@pytest.mark.parametrize("seed", [1234, 7])
+# seeds 11, 28, 32 and 34 once returned a theta = 3e-2 point dominated by 0.0005 dB
+@pytest.mark.parametrize("seed", [1234, *range(40)])
 def test_default_run_has_no_proposed_point_dominated_by_a_regular_one(tmp_path, seed):
     out = tmp_path / "out"
     assert run_cli(["run", "--seed", seed, "--out", out]) == 0
     rows = [line.split(",") for line in (out / "rd_curve.csv").read_text().strip().split("\n")[1:]]
     curve = {"regular": [], "proposed": []}
-    for method, _, rate, psnr_db, _, _ in rows:
+    for method, _, rate, psnr_db, _, _, _ in rows:
         curve[method].append((float(rate), float(psnr_db)))
     assert len(curve["regular"]) == len(curve["proposed"]) == 8
     for p in curve["proposed"]:
@@ -426,6 +433,17 @@ def test_codec_encode_with_an_overflowing_nu_exits_1_naming_nu(tmp_path, capsys,
     bit = tmp_path / "c.bin"
     assert run_cli(["codec", "encode", sig, bit, "--nu", nu]) == 1
     assert "nu * q_bits must be finite" in capsys.readouterr().err
+    assert not bit.exists()
+
+
+def test_codec_encode_with_a_sample_beyond_max_abs_exits_1(tmp_path, capsys):
+    sig = tmp_path / "sig.txt"
+    x = np.full(16, 0.5)
+    x[3] = 1e200
+    save_signal(sig, x)
+    bit = tmp_path / "c.bin"
+    assert run_cli(["codec", "encode", sig, bit, "--nu", "0.001"]) == 1
+    assert "MAX_ABS" in capsys.readouterr().err
     assert not bit.exists()
 
 

@@ -205,6 +205,7 @@ def test_sweep_identity_system_matches_regular():
         assert r.psnr_db == p.psnr_db
         assert (r.method, p.method) == ("regular", "proposed")
         assert (r.iterations, p.iterations) == (1, 1)
+        assert r.stop_reason == "" and p.stop_reason in ("converged", "max_iters")
 
 
 def test_sweep_rate_monotone_in_nu():
@@ -309,15 +310,16 @@ def test_csv_layout_and_determinism():
     )
     assert text == again
     lines = text.strip().split("\n")
-    assert lines[0] == "method,param,rate_bpp,psnr_db,iterations,seed"
+    assert lines[0] == "method,param,rate_bpp,psnr_db,iterations,seed,stop_reason"
     assert len(lines) == 3
     for line, point in zip(lines[1:], points):
-        method, param, rate, db, iters, seed = line.split(",")
+        method, param, rate, db, iters, seed, stop_reason = line.split(",")
         assert method == "regular"
         assert float(param) == point.nu_or_theta
         assert float(rate) == point.rate_bpp
         assert float(db) == point.psnr_db
         assert int(iters) == 1
+        assert stop_reason == point.stop_reason == ""
         assert int(seed) == 11
 
 
@@ -342,3 +344,4 @@ def test_save_signal_formats_each_value_with_repr(tmp_path):
 def test_rd_point_defaults():
     p = RDPoint(nu_or_theta=0.1, rate_bpp=2.0, psnr_db=30.0, method="regular", iterations=1)
     assert p.blob == b""
+    assert p.stop_reason == ""

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from sysaware import tree_codec
 from sysaware.tree_codec import (
     MAGIC,
+    MAX_ABS,
     MAX_LEN,
     MAX_Q_BITS,
     Bitstream,
@@ -401,6 +402,24 @@ def test_encode_rejects_non_finite_samples(bad):
     w[5] = bad
     with pytest.raises(ValueError, match="non-finite"):
         encode(w, nu=0.01)
+
+
+@pytest.mark.filterwarnings("error")  # an overflowing square would warn first
+@pytest.mark.parametrize("bad", [1e200, -1e200, np.nextafter(MAX_ABS, np.inf)])
+def test_encode_rejects_samples_beyond_max_abs(bad):
+    w = np.full(16, 0.5)
+    w[5] = bad
+    with pytest.raises(ValueError, match="MAX_ABS"):
+        encode(w, nu=1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 12])
+def test_samples_at_max_abs_keep_every_leaf_cost_finite(d):
+    assert math.isfinite((2 * MAX_ABS) ** 2 * MAX_LEN)  # bounds every m2 and leaf cost
+    w = np.resize([MAX_ABS, -MAX_ABS], 1 << 12)  # the widest deviations allowed
+    assert np.isfinite(tree_codec._analyze(w, d, 8).leaf_cost).all()
+    assert encode(w, nu=1e-3, d=d).leaf_levels.size >= 2
 
 
 def test_encode_rejects_signal_longer_than_max_len():
