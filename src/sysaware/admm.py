@@ -10,9 +10,9 @@ The result is always the blob produced by the final iteration's compression.
 What depends only on (symbol, w, beta_tilde) is computed once per run, so
 an iteration takes three FFTs: the z-update's forward and inverse, and
 fft(v_hat), from which the system distortion follows by Parseval. The
-recursion lives in one private generator of each iteration's vectors, and
-:func:`run` keeps only scalars per iteration, so a run's memory does not
-grow with its iteration count.
+recursion lives in one private generator of each iteration's vectors.
+:func:`run` keeps no iterate vectors, only scalars per iteration and, for
+the repeat stop, the bytes of every distinct blob until it returns.
 
 Every run stops for one of four reasons, checked after each iteration in
 this order, and :func:`run` returns the first that holds as its label:

@@ -232,6 +232,20 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
         raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
 
 
+def _folded_bins(n: int) -> np.ndarray:
+    """Distance of each DFT bin from DC, min(k, n - k)."""
+    return np.minimum(np.arange(n), n - np.arange(n))
+
+
+def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
+    """The n non-blank lines of a value file, each parsed by ``parse`` (float or complex)."""
+    with open(path) as fh:
+        values = [parse(line) for line in fh if line.strip()]
+    if len(values) != n:
+        raise ValueError(f"{field}: file has {len(values)} values, expected {n}")
+    return np.array(values, dtype=parse)
+
+
 def _parse_response(spec: str, n: int, field: str) -> np.ndarray:
     kind, _, arg = spec.partition(":")
     if kind == "ones":
@@ -239,15 +253,9 @@ def _parse_response(spec: str, n: int, field: str) -> np.ndarray:
     if kind == "zeros":
         return np.zeros(n, dtype=complex)
     if kind == "lowpass":
-        cutoff = int(arg)
-        k = np.minimum(np.arange(n), n - np.arange(n))
-        return (k <= cutoff).astype(complex)
+        return (_folded_bins(n) <= int(arg)).astype(complex)
     if kind == "file":
-        with open(arg) as fh:
-            values = [complex(line.strip()) for line in fh if line.strip()]
-        if len(values) != n:
-            raise ValueError(f"{field}: file has {len(values)} values, expected {n}")
-        return np.array(values, dtype=complex)
+        return _read_values(arg, complex, n, field)
     raise ValueError(f"{field}: unknown response spec {spec!r}")
 
 
@@ -256,16 +264,10 @@ def _parse_spectrum(spec: str, n: int) -> np.ndarray:
     if kind == "constant":
         return np.full(n, float(arg))
     if kind == "powerlaw":
-        amp_text, _, exp_text = arg.partition(",")
-        amp, exponent = float(amp_text), float(exp_text)
-        k = np.minimum(np.arange(n), n - np.arange(n)).astype(float)
-        return amp * (1.0 + k) ** (-exponent)
+        amp, _, exponent = arg.partition(",")
+        return float(amp) * (1.0 + _folded_bins(n)) ** -float(exponent)
     if kind == "file":
-        with open(arg) as fh:
-            values = [float(line) for line in fh if line.strip()]
-        if len(values) != n:
-            raise ValueError(f"lambda_x: file has {len(values)} values, expected {n}")
-        return np.array(values)
+        return _read_values(arg, float, n, "lambda_x")
     raise ValueError(f"unknown spectrum spec {spec!r}")
 
 

@@ -61,18 +61,15 @@ class SpectralModel:
                 raise ValueError(f"{name} must be finite")
         if np.any(lam < 0):
             raise ValueError("lambda_x must be non-negative")
-        object.__setattr__(self, "lambda_x", lam)
-        object.__setattr__(self, "a_f", a_f)
-        object.__setattr__(self, "b_f", b_f)
         gain = np.abs(a_f * b_f) ** 2
         k_ab = (a_f != 0) & (b_f != 0)
         lambda_w = np.abs(a_f) ** 2 * lam
         tilde = np.zeros(self.n)
         np.divide(lambda_w, gain, out=tilde, where=k_ab)
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "k_ab", k_ab)
-        object.__setattr__(self, "lambda_w", lambda_w)
-        object.__setattr__(self, "lambda_w_tilde", tilde)
+        arrays = dict(lambda_x=lam, a_f=a_f, b_f=b_f, gain=gain, k_ab=k_ab,
+                      lambda_w=lambda_w, lambda_w_tilde=tilde)
+        for name, value in arrays.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -136,9 +133,10 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     min(theta, |a_k b_k|^2 lambda_w_tilde_k) = N * total_d in closed form
     (see :func:`_water_level`). Bins below saturation get
     D_k = theta / |a_k b_k|^2 and R_k = 0.5 * ln(|a_k b_k|^2 lambda_w_tilde_k
-    / theta); the rest keep D_k = lambda_w_tilde_k, R_k = 0. Budgets beyond
-    the saturation point return the all-saturated allocation with
-    ``clamped`` set.
+    / theta); the rest keep D_k = lambda_w_tilde_k, R_k = 0. A budget beyond
+    the saturation point sets ``clamped`` and theta to the largest weighted
+    variance, where no bin is below saturation, so the same path yields the
+    all-saturated allocation at zero rate.
     """
     total_d = float(total_d)
     if not total_d >= 0:  # also rejects NaN
@@ -146,15 +144,11 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     weighted = model.gain * model.lambda_w_tilde  # zero off the support
     target = model.n * total_d
     saturation = float(weighted[model.k_ab].sum())
+    clamped = target > saturation * (1 + 1e-12)
+    theta = float(weighted.max()) if clamped else _water_level(weighted[model.k_ab], target)
 
-    d_k = np.where(model.k_ab, model.lambda_w_tilde, 0.0)
+    d_k = model.lambda_w_tilde.copy()  # zero off the support
     r_k = np.zeros(model.n)
-    if target > saturation * (1 + 1e-12):
-        theta = float(weighted.max())
-        total = float((model.gain * d_k).sum())
-        return SpectralAllocation(d_k, r_k, theta, total, 0.0, clamped=True)
-
-    theta = _water_level(weighted[model.k_ab], target)
     active = model.k_ab & (theta < weighted)
     d_k[active] = theta / model.gain[active]
     rate_floored = bool(active.any()) and theta < _THETA_FLOOR
@@ -162,7 +156,7 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     r_k[active] = np.maximum(0.0, 0.5 * np.log(weighted[active] / theta_eff))
     total = float((model.gain * d_k).sum())
     return SpectralAllocation(
-        d_k, r_k, theta, total, float(r_k.sum()), rate_floored=rate_floored
+        d_k, r_k, theta, total, float(r_k.sum()), clamped=clamped, rate_floored=rate_floored
     )
 
 

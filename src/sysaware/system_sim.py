@@ -140,9 +140,9 @@ def render(v, system: SystemModel) -> np.ndarray:
     return system.b.apply(v)
 
 
-def psnr(x, y, peak: float = 1.0) -> float:
-    """PSNR of y against reference x, capped at 200 dB (the cap flags a
-    saturated, effectively exact reconstruction)."""
+def psnr(x, y) -> float:
+    """PSNR of y against reference x for a peak of 1, capped at 200 dB (the
+    cap flags a saturated, effectively exact reconstruction)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -150,7 +150,7 @@ def psnr(x, y, peak: float = 1.0) -> float:
     mse = float(((x - y) ** 2).mean())
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(float(10 * np.log10(peak * peak / mse)), PSNR_CAP_DB)
+    return min(float(10 * np.log10(1.0 / mse)), PSNR_CAP_DB)
 
 
 def sweep(
@@ -193,7 +193,7 @@ def sweep(
                 RDPoint(
                     nu_or_theta=float(param),
                     rate_bpp=codec.rate_bits(blob) / m,
-                    psnr_db=psnr(x, y, peak=1.0),
+                    psnr_db=psnr(x, y),
                     method=method,
                     iterations=iterations,
                     stop_reason=stop_reason,

@@ -92,8 +92,8 @@ class BitstreamError(ValueError):
 class Bitstream:
     """A coded tree: header fields plus its leaves in left-to-right order.
 
-    ``leaf_levels[i]`` is the tree level of leaf i, which covers
-    ``m >> leaf_levels[i]`` samples; ``leaf_indices[i]`` is its quantized mean.
+    Leaf i sits at level ``leaf_levels[i]``, covering ``m >> leaf_levels[i]``
+    of the m = 2**d0 samples, and ``leaf_indices[i]`` is its quantized mean.
 
     Wire layout: 4 magic bytes "SAC1"; d0, d, q_bits as single bytes; M as a
     4-byte big-endian integer; the pre-order tree description, one bit per
@@ -105,9 +105,12 @@ class Bitstream:
     d0: int
     d: int
     q_bits: int
-    m: int
     leaf_levels: np.ndarray
     leaf_indices: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return 1 << self.d0
 
     @property
     def reported_rate_bits(self) -> int:
@@ -164,7 +167,7 @@ class Bitstream:
             np.frombuffer(data, dtype=np.uint8, offset=payload_start), count=q_bits * n_leaves
         )
         indices = payload.reshape(n_leaves, q_bits) @ (1 << np.arange(q_bits - 1, -1, -1))
-        return cls(d0=d0, d=d, q_bits=q_bits, m=m, leaf_levels=levels, leaf_indices=indices)
+        return cls(d0=d0, d=d, q_bits=q_bits, leaf_levels=levels, leaf_indices=indices)
 
 
 def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
@@ -340,7 +343,7 @@ def _prune(analysis: _Analysis, nu: float) -> Bitstream:
     mantissa, exponent = np.frexp(pos + 1)
     order = np.argsort(mantissa)
     return Bitstream(
-        d0=m.bit_length() - 1, d=d, q_bits=q_bits, m=m,
+        d0=m.bit_length() - 1, d=d, q_bits=q_bits,
         leaf_levels=exponent[order].astype(np.int64) - 1,
         leaf_indices=index[pos[order]].astype(np.int64),
     )

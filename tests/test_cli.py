@@ -165,6 +165,16 @@ def test_run_stage_failure_exits_1(tmp_path, capsys):
     assert "system setup" in err
 
 
+def test_run_unknown_signal_kind_exits_1_in_signal(tmp_path, capsys):
+    body = SMALL_RUN.replace("signal.kind = chirp", "signal.kind = sawtooth")
+    cfg = write_config(tmp_path / "exp.cfg", body)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'signal' failed" in err and "unknown signal kind 'sawtooth'" in err
+    assert not out.exists()
+
+
 def test_run_non_finite_noise_exits_1(tmp_path, capsys):
     body = SMALL_RUN.replace("system.noise_std = 0.001", "system.noise_std = nan")
     cfg = write_config(tmp_path / "exp.cfg", body)
@@ -277,6 +287,7 @@ def test_run_signal_from_file(tmp_path):
         ("sweep.param_values =\n", "sweep.param_values"),  # empty list
         ("sweep.param_values = , \n", "sweep.param_values"),
         ("theory.d_grid =\n", "theory.d_grid"),
+        ("= 5\n", "empty key"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
@@ -375,6 +386,63 @@ def test_theory_non_finite_model_exits_1(tmp_path, capsys, key):
     out = tmp_path / "out"
     assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
     assert "stage 'model setup' failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_theory_powerlaw_file_and_lowpass_specs(tmp_path):
+    # lambda_x_k = 2 (1 + min(k, n - k))^-1.5; a passes bins 0-5 from DC and b
+    # bins 0-3, so bins 4 and 5 on both sides are lost to the floor
+    n = 16
+    folded = np.minimum(np.arange(n), n - np.arange(n))
+    lam = 2.0 * (1.0 + folded) ** -1.5
+    grid = "0, 0.01, 0.1, 100"  # the last budget is beyond saturation
+    powerlaw = tmp_path / "powerlaw.cfg"
+    write_config(
+        powerlaw,
+        f"theory.n = {n}\ntheory.lambda_x = powerlaw:2.0,1.5\n"
+        f"theory.a_response = lowpass:5\ntheory.b_response = lowpass:3\ntheory.d_grid = {grid}\n",
+    )
+    assert run_cli(["theory", "--config", powerlaw, "--out", tmp_path / "p"]) == 0
+    curve = (tmp_path / "p" / "theory_curve.csv").read_text()
+    lines = curve.strip().split("\n")
+    lost = (folded > 3) & (folded <= 5)
+    assert abs(float(lines[0].split("=")[1]) - lam[lost].sum() / n) <= 1e-15
+    beyond = [float(c) for c in lines[-1].split(",")]
+    assert beyond[2] == 0.0 and beyond[3] == lam[folded <= 3].max()
+
+    # the same spectrum and a's response read from value files, one per line
+    (tmp_path / "lam.txt").write_text("".join(f"{v!r}\n" for v in lam.tolist()))
+    (tmp_path / "a.txt").write_text("".join(f"{int(k <= 5)}+0j\n\n" for k in folded))
+    files = tmp_path / "files.cfg"
+    write_config(
+        files,
+        f"theory.n = {n}\ntheory.lambda_x = file:{tmp_path / 'lam.txt'}\n"
+        f"theory.a_response = file:{tmp_path / 'a.txt'}\ntheory.b_response = lowpass:3\n"
+        f"theory.d_grid = {grid}\n",
+    )
+    assert run_cli(["theory", "--config", files, "--out", tmp_path / "f"]) == 0
+    assert (tmp_path / "f" / "theory_curve.csv").read_text() == curve
+
+
+@pytest.mark.parametrize(
+    "key,spec,needle",
+    [
+        ("lambda_x", "gaussian:1.0", "unknown spectrum spec 'gaussian:1.0'"),
+        ("a_response", "bandpass:2", "a_response: unknown response spec 'bandpass:2'"),
+        ("lambda_x", "file:{values}", "lambda_x: file has 3 values, expected 4"),
+        ("b_response", "file:{values}", "b_response: file has 3 values, expected 4"),
+    ],
+    ids=["unknown-spectrum", "unknown-response", "spectrum-file-length", "response-file-length"],
+)
+def test_theory_bad_spec_exits_1_in_model_setup(tmp_path, capsys, key, spec, needle):
+    values = tmp_path / "values.txt"
+    values.write_text("1.0\n\n1.0\n1.0\n")
+    spec = spec.format(values=values)
+    cfg = write_config(tmp_path / "t.cfg", f"theory.n = 4\ntheory.{key} = {spec}\n")
+    out = tmp_path / "out"
+    assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'model setup' failed" in err and needle in err
     assert not out.exists()
 
 

@@ -159,6 +159,23 @@ def test_water_fill_clamps_infeasible_budget():
     assert not water_fill(m, 1.0).clamped  # exactly at saturation is feasible
 
 
+def test_water_fill_clamped_is_the_saturated_allocation():
+    # beyond saturation the level sits at the largest weighted variance, where
+    # no bin is active: every supported bin keeps its variance at zero rate
+    rng = np.random.default_rng(150)
+    for _ in range(20):
+        m = random_model(rng)
+        weighted = m.gain * m.lambda_w_tilde
+        saturation_d = float(weighted[m.k_ab].sum()) / m.n
+        alloc = water_fill(m, 2 * saturation_d + 1.0)
+        assert alloc.clamped and not alloc.rate_floored
+        assert alloc.theta == weighted.max()
+        assert np.array_equal(alloc.d_k, np.where(m.k_ab, m.lambda_w_tilde, 0.0))
+        assert np.array_equal(alloc.r_k, np.zeros(m.n))
+        assert alloc.total_rate == 0.0
+        assert alloc.total_distortion == float((m.gain * alloc.d_k).sum())
+
+
 def test_water_fill_white_identity_level_equals_budget():
     cfg = TheoryConfig()
     n = cfg.n

@@ -171,6 +171,30 @@ def test_compose_rejects_an_empty_stage_list():
         Compose([])
 
 
+@pytest.mark.parametrize(
+    "build,needle",
+    [
+        (lambda: LinearMap(0, 3), "dimensions must be positive"),
+        (lambda: LinearMap(3, 0), "dimensions must be positive"),
+        (lambda: Subsample(4, 0), "subsampling factor"),
+        (lambda: Replicate(4, 0), "replication factor"),
+        (lambda: Convolution(4, []), "kernel must be non-empty"),
+        (lambda: CirculantSpectral([]), "non-empty 1D"),
+        (lambda: CirculantSpectral(np.ones((2, 2))), "non-empty 1D"),
+    ],
+    ids=["in_dim-0", "out_dim-0", "subsample-0", "replicate-0", "empty-kernel",
+         "empty-response", "2d-response"],
+)
+def test_constructors_reject_degenerate_operators(build, needle):
+    with pytest.raises(ValueError, match=needle):
+        build()
+
+
+def test_base_map_has_no_apply():
+    with pytest.raises(NotImplementedError):
+        LinearMap(2, 2).apply(np.zeros(2))
+
+
 def test_all_kinds_match_dense_oracle():
     rng = np.random.default_rng(7)
     ops = [

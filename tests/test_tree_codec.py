@@ -112,7 +112,6 @@ def oracle_encode(w, nu, d, q_bits):
         d0=d0,
         d=d,
         q_bits=q_bits,
-        m=m,
         leaf_levels=np.concatenate(leaf_levels)[order],
         leaf_indices=np.concatenate(leaf_indices)[order],
     )
@@ -455,6 +454,18 @@ def test_round_trip_exact():
         assert np.array_equal(decode(data), oracle_decode(data))
         assert np.array_equal(decode(stream), oracle_decode(data))
         assert parsed.reported_rate_bits == q * len(stream.leaf_indices)
+
+
+def test_hand_built_stream_round_trips():
+    # the signal length follows from d0, so a stream built by hand decodes to
+    # 2**d0 samples and its bytes parse back to the same stream
+    stream = Bitstream(d0=3, d=2, q_bits=8, leaf_levels=np.array([1, 1]), leaf_indices=np.array([10, 200]))
+    assert stream.m == 8
+    assert np.array_equal(decode(stream), np.repeat([10 / 255, 200 / 255], 4))
+    parsed = Bitstream.from_bytes(stream.to_bytes())
+    assert (parsed.d0, parsed.d, parsed.q_bits, parsed.m) == (3, 2, 8, 8)
+    assert parsed.leaf_levels.tolist() == [1, 1]
+    assert parsed.leaf_indices.tolist() == [10, 200]
 
 
 # to_bytes unpacks only the trailing ceil(q_bits / 8) bytes of each index:
