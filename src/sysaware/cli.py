@@ -239,11 +239,10 @@ def _folded_bins(n: int) -> np.ndarray:
 
 def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
     """The n non-blank lines of a value file, each parsed by ``parse`` (float or complex)."""
-    with open(path) as fh:
-        values = [parse(line) for line in fh if line.strip()]
-    if len(values) != n:
-        raise ValueError(f"{field}: file has {len(values)} values, expected {n}")
-    return np.array(values, dtype=parse)
+    values = system_sim._parse_lines(path, parse)
+    if values.size != n:
+        raise ValueError(f"{field}: file has {values.size} values, expected {n}")
+    return values
 
 
 def _parse_response(spec: str, n: int, field: str) -> np.ndarray:

@@ -36,7 +36,17 @@ class SpectralModel:
 
     Derived arrays: ``gain`` = |a_f * b_f|^2, ``k_ab`` marks bins where both
     responses are nonzero, ``lambda_w`` = |a_f|^2 * lambda_x, and
-    ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero elsewhere).
+    ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero elsewhere). Inputs
+    whose derived arrays overflow (or, for ``lambda_w_tilde``, whose gain
+    underflows to zero on ``k_ab``) raise ValueError.
+
+    The model also holds the water-filling terms that no budget changes, so
+    that :func:`water_fill` does only per-budget work on a curve's grid: the
+    support bins ordered by their weighted variance gain * lambda_w_tilde
+    (a stable sort), those variances (the levels) and the bins' gains in
+    that order, the running sums of the levels below each one, the
+    saturation sum of the weighted variances over the support, and the
+    water level of a budget beyond it (the largest weighted variance).
     """
 
     n: int
@@ -47,6 +57,12 @@ class SpectralModel:
     k_ab: np.ndarray = field(init=False)
     lambda_w: np.ndarray = field(init=False)
     lambda_w_tilde: np.ndarray = field(init=False)
+    _order: np.ndarray = field(init=False, repr=False, compare=False)
+    _levels: np.ndarray = field(init=False, repr=False, compare=False)
+    _gains: np.ndarray = field(init=False, repr=False, compare=False)
+    _below: np.ndarray = field(init=False, repr=False, compare=False)
+    _saturation: float = field(init=False, repr=False, compare=False)
+    _ceiling: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -61,13 +77,29 @@ class SpectralModel:
                 raise ValueError(f"{name} must be finite")
         if np.any(lam < 0):
             raise ValueError("lambda_x must be non-negative")
-        gain = np.abs(a_f * b_f) ** 2
         k_ab = (a_f != 0) & (b_f != 0)
-        lambda_w = np.abs(a_f) ** 2 * lam
         tilde = np.zeros(self.n)
-        np.divide(lambda_w, gain, out=tilde, where=k_ab)
-        arrays = dict(lambda_x=lam, a_f=a_f, b_f=b_f, gain=gain, k_ab=k_ab,
-                      lambda_w=lambda_w, lambda_w_tilde=tilde)
+        with np.errstate(all="ignore"):  # overflow is reported below, by name
+            gain = np.abs(a_f * b_f) ** 2
+            lambda_w = np.abs(a_f) ** 2 * lam
+            np.divide(lambda_w, gain, out=tilde, where=k_ab)
+        for name, values in (("gain", gain), ("lambda_w", lambda_w), ("lambda_w_tilde", tilde)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} is not finite: the responses or lambda_x are out of range")
+        support = np.flatnonzero(k_ab)
+        weighted = gain[support] * tilde[support]
+        ranks = np.argsort(weighted, kind="stable")
+        order, levels = support[ranks], weighted[ranks]
+        # the largest level; with none positive, the zero np.max picks over all
+        # bins, whose sign depends on where the zeros of either sign sit
+        top = levels[-1] if levels.size and levels[-1] > 0 else (gain * tilde).max()
+        arrays = dict(
+            lambda_x=lam, a_f=a_f, b_f=b_f, gain=gain, k_ab=k_ab,
+            lambda_w=lambda_w, lambda_w_tilde=tilde,
+            _order=order, _levels=levels, _gains=gain[order],
+            _below=np.concatenate(([0.0], np.cumsum(levels[:-1]))),
+            _saturation=float(weighted.sum()), _ceiling=float(top),
+        )
         for name, value in arrays.items():
             object.__setattr__(self, name, value)
 
@@ -107,23 +139,23 @@ def expected_min_distortion(model: SpectralModel) -> float:
     return float(model.lambda_w[lost].sum()) / model.n
 
 
-def _water_level(weighted: np.ndarray, target: float) -> float:
-    """Level theta with sum(min(theta, weighted)) == target, for non-negative
-    ``weighted`` and 0 <= target <= its sum (up to rounding).
+def _water_level(model: SpectralModel, target: float) -> float:
+    """Level theta with sum(min(theta, weighted)) == target over the support,
+    for 0 <= target <= the saturation sum (up to rounding).
 
     Closed form (Cover & Thomas, Elements of Information Theory, 10.3.3):
-    with the values sorted ascending, theta is the first equal share of the
-    budget left after the smaller values that does not exceed the next one.
-    When no share fits (a budget at saturation) it is the largest value, and
-    0 when there are no values.
+    with the levels sorted ascending, theta is the first equal share of the
+    budget left after the smaller levels that does not exceed the next one.
+    When no share fits (a budget at saturation) it is the largest level, and
+    0 when there are none.
     """
-    levels = np.sort(weighted)
-    below = np.concatenate(([0.0], np.cumsum(levels[:-1])))
-    shares = (target - below) / np.arange(levels.size, 0, -1)
-    fits = np.flatnonzero(shares <= levels)
-    if fits.size:
-        return float(shares[fits[0]])
-    return float(levels[-1]) if levels.size else 0.0
+    levels = model._levels
+    if not levels.size:
+        return 0.0
+    shares = (target - model._below) / np.arange(levels.size, 0, -1)
+    fits = shares <= levels
+    first = int(fits.argmax())
+    return float(shares[first] if fits[first] else levels[-1])
 
 
 def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
@@ -137,23 +169,27 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     the saturation point sets ``clamped`` and theta to the largest weighted
     variance, where no bin is below saturation, so the same path yields the
     all-saturated allocation at zero rate.
+
+    Everything that depends on the model alone is built with it (see
+    :class:`SpectralModel`), so the work per budget is the equal shares over
+    the sorted levels and the bins below saturation, which are the suffix
+    of the sorted support with levels above theta.
     """
     total_d = float(total_d)
     if not total_d >= 0:  # also rejects NaN
         raise ValueError("total_d must be non-negative")
-    weighted = model.gain * model.lambda_w_tilde  # zero off the support
     target = model.n * total_d
-    saturation = float(weighted[model.k_ab].sum())
-    clamped = target > saturation * (1 + 1e-12)
-    theta = float(weighted.max()) if clamped else _water_level(weighted[model.k_ab], target)
+    clamped = target > model._saturation * (1 + 1e-12)
+    theta = model._ceiling if clamped else _water_level(model, target)
 
+    start = int(np.searchsorted(model._levels, theta, side="right"))
+    active = model._order[start:]
     d_k = model.lambda_w_tilde.copy()  # zero off the support
     r_k = np.zeros(model.n)
-    active = model.k_ab & (theta < weighted)
-    d_k[active] = theta / model.gain[active]
-    rate_floored = bool(active.any()) and theta < _THETA_FLOOR
+    d_k[active] = theta / model._gains[start:]
+    rate_floored = bool(active.size) and theta < _THETA_FLOOR
     theta_eff = max(theta, _THETA_FLOOR)
-    r_k[active] = np.maximum(0.0, 0.5 * np.log(weighted[active] / theta_eff))
+    r_k[active] = np.maximum(0.0, 0.5 * np.log(model._levels[start:] / theta_eff))
     total = float((model.gain * d_k).sum())
     return SpectralAllocation(
         d_k, r_k, theta, total, float(r_k.sum()), clamped=clamped, rate_floored=rate_floored
@@ -166,12 +202,16 @@ def theoretical_rd_curve(model: SpectralModel, d_grid) -> list[CurvePoint]:
     Each point pairs the coding rate (bits per sample) with the total expected
     per-sample system distortion, i.e. the floor from unrecoverable bins plus D.
     """
+    return _curve(model, d_grid, expected_min_distortion(model))
+
+
+def _curve(model: SpectralModel, d_grid, floor: float) -> list[CurvePoint]:
+    """:func:`theoretical_rd_curve` over a distortion floor already computed."""
     d_grid = [float(d) for d in d_grid]
     if any(not d >= 0 for d in d_grid):  # also rejects NaN
         raise ValueError("d_grid entries must be non-negative")
     if any(not b >= a for a, b in zip(d_grid, d_grid[1:])):
         raise ValueError("d_grid must be sorted ascending")
-    floor = expected_min_distortion(model)
     points = []
     for d in d_grid:
         alloc = water_fill(model, d)
@@ -182,9 +222,10 @@ def theoretical_rd_curve(model: SpectralModel, d_grid) -> list[CurvePoint]:
 
 def curve_to_csv(model: SpectralModel, d_grid) -> str:
     """CSV for the theoretical curve; the distortion floor rides in a comment."""
+    floor = expected_min_distortion(model)
     out = io.StringIO()
-    out.write(f"# e_d0 = {expected_min_distortion(model)!r}\n")
+    out.write(f"# e_d0 = {floor!r}\n")
     out.write("D,total_distortion,rate_bits_per_sample,theta\n")
-    for p in theoretical_rd_curve(model, d_grid):
+    for p in _curve(model, d_grid, floor):
         out.write(f"{p.d!r},{p.total_distortion!r},{p.rate_bits_per_sample!r},{p.theta!r}\n")
     return out.getvalue()

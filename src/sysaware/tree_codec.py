@@ -118,16 +118,37 @@ class Bitstream:
         return self.q_bits * len(self.leaf_indices)
 
     def to_bytes(self) -> bytes:
+        """Serialize; raises ValueError for a stream :meth:`from_bytes` would
+        reject or read back differently."""
+        if not (1 <= self.d <= self.d0 and self.m <= MAX_LEN and 1 <= self.q_bits <= MAX_Q_BITS):
+            raise ValueError(
+                f"header d0={self.d0}, d={self.d}, q_bits={self.q_bits} outside "
+                f"1 <= d <= d0, 2**d0 <= MAX_LEN, 1 <= q_bits <= {MAX_Q_BITS}"
+            )
         levels = self.leaf_levels
         widths = self.m >> levels
-        starts = np.cumsum(widths) - widths
+        ends = np.cumsum(widths)
+        if not ends.size or ends[-1] != self.m:
+            raise ValueError(f"leaves do not tile the {self.m} samples")
+        starts = ends - widths
         # In pre-order, leaf i is preceded by the splits of the nodes that start
         # at s_i from the shallowest one, at level d0 - ctz(s_i) (0 for s_i = 0).
+        # A leaf starting off a multiple of its width (or at a negative level)
+        # would need a run of fewer than one bit.
         low = starts | self.m
         first = self.d0 + 1 - np.frexp(low & -low)[1]
         runs = levels - first + 1
-        tree = np.ones(int(runs.sum()), dtype=np.uint8)
-        tree[np.cumsum(runs) - 1] = 0
+        if runs.min() < 1:
+            raise ValueError("a leaf does not start at a multiple of its width")
+        if levels.max() > self.d:
+            raise ValueError(f"a leaf level exceeds the depth d={self.d}")
+        # the indices' OR has a bit at q_bits or above (the sign bit, for a
+        # negative index) exactly when some index is outside [0, 2**q_bits)
+        if np.bitwise_or.reduce(self.leaf_indices) >> self.q_bits:
+            raise ValueError(f"a leaf index is outside [0, 2**q_bits) for q_bits={self.q_bits}")
+        bit_ends = np.cumsum(runs)
+        tree = np.ones(int(bit_ends[-1]), dtype=np.uint8)
+        tree[bit_ends - 1] = 0
         index_bytes = self.leaf_indices.astype(">u8").view(np.uint8).reshape(-1, 8)
         # (-q_bits) // 8 = -ceil(q_bits / 8): unpack only the trailing bytes holding the low q_bits
         payload = np.unpackbits(index_bytes[:, (-self.q_bits) // 8 :], axis=1)[:, -self.q_bits :]

@@ -1,8 +1,9 @@
 """Reference helpers that only the tests use: the identity operator, circulant
 pseudoinverse and range projection, the realized noise energy of an
 acquisition, an operator's dense matrix, a conjugate-gradient solve of the
-regularized normal equations, the z-update as one expression, and a scalar
-writer of the codec's wire format.
+regularized normal equations, the z-update as one expression, a scalar
+writer of the codec's wire format, and reverse water-filling that builds every
+term anew for each budget.
 
 Response entries of a :class:`~sysaware.linops.CirculantSpectral` with
 magnitude at most ``ZERO_TOL`` times the largest magnitude count as exact
@@ -14,6 +15,7 @@ import struct
 
 import numpy as np
 
+from sysaware.gauss_theory import SpectralAllocation, SpectralModel
 from sysaware.linops import CirculantSpectral, LinearMap
 from sysaware.system_sim import SystemModel, acquire
 from sysaware.tree_codec import MAGIC
@@ -144,3 +146,42 @@ def oracle_to_bytes(stream) -> bytes:
     ]
     header = MAGIC + bytes([stream.d0, stream.d, stream.q_bits]) + struct.pack(">I", stream.m)
     return header + pack_bits_msb_first(tree) + pack_bits_msb_first(payload)
+
+
+def water_fill_reference(model: SpectralModel, total_d: float) -> SpectralAllocation:
+    """Reverse water-filling with every term built from the model's public
+    arrays for this one budget: the weighted variances over all bins, their
+    sort, running sums and equal shares, and boolean masks over all bins for
+    the bins below saturation. Same operations on the same values as
+    :func:`sysaware.gauss_theory.water_fill`, so every float should match
+    bit for bit."""
+    total_d = float(total_d)
+    if not total_d >= 0:
+        raise ValueError("total_d must be non-negative")
+    weighted = model.gain * model.lambda_w_tilde  # zero off the support
+    target = model.n * total_d
+    saturation = float(weighted[model.k_ab].sum())
+    clamped = target > saturation * (1 + 1e-12)
+    if clamped:
+        theta = float(weighted.max())
+    else:
+        levels = np.sort(weighted[model.k_ab])
+        below = np.concatenate(([0.0], np.cumsum(levels[:-1])))
+        shares = (target - below) / np.arange(levels.size, 0, -1)
+        fits = np.flatnonzero(shares <= levels)
+        if fits.size:
+            theta = float(shares[fits[0]])
+        else:
+            theta = float(levels[-1]) if levels.size else 0.0
+
+    d_k = model.lambda_w_tilde.copy()
+    r_k = np.zeros(model.n)
+    active = model.k_ab & (theta < weighted)
+    d_k[active] = theta / model.gain[active]
+    rate_floored = bool(active.any()) and theta < 1e-15
+    theta_eff = max(theta, 1e-15)
+    r_k[active] = np.maximum(0.0, 0.5 * np.log(weighted[active] / theta_eff))
+    total = float((model.gain * d_k).sum())
+    return SpectralAllocation(
+        d_k, r_k, theta, total, float(r_k.sum()), clamped=clamped, rate_floored=rate_floored
+    )

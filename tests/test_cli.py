@@ -446,6 +446,33 @@ def test_theory_bad_spec_exits_1_in_model_setup(tmp_path, capsys, key, spec, nee
     assert not out.exists()
 
 
+def test_signal_and_spectrum_files_read_alike(tmp_path):
+    # a `file:` spectrum and a signal file are the same format: one value per non-blank line
+    path = tmp_path / "values.txt"
+    path.write_text("0.25\n\n  1e-3 \n-0.0\n")
+    spectrum = cli._parse_spectrum(f"file:{path}", 3)
+    assert np.array_equal(spectrum.view(np.int64), system_sim.load_signal(path).view(np.int64))
+    path.write_text("0.25\nx\n")
+    errors = []
+    for read in (lambda: cli._parse_spectrum(f"file:{path}", 2), lambda: system_sim.load_signal(path)):
+        with pytest.raises(ValueError) as exc:
+            read()
+        errors.append(str(exc.value))
+    assert errors == ["could not convert string to float: 'x\\n'"] * 2
+
+
+def test_theory_response_that_overflows_exits_1_in_model_setup(tmp_path, capsys):
+    # |a_k|^2 of 1e200 overflows; the bin must not drop silently out of the curve
+    values = tmp_path / "a.txt"
+    values.write_text("".join(f"{v!r}\n" for v in [1 + 0j] * 3 + [1e200 + 0j] + [1 + 0j] * 4))
+    cfg = write_config(tmp_path / "t.cfg", f"theory.n = 8\ntheory.a_response = file:{values}\n")
+    out = tmp_path / "out"
+    assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'model setup' failed: gain is not finite" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- codec cmd #
 
 

@@ -5,7 +5,10 @@ values, walk the piecewise-linear total-distortion function segment by
 segment in a scalar loop, and invert it exactly. The implementation reads the
 same level off vectorized cumulative sums, so agreement checks that code
 rather than the formula; the constraint and slackness checks and the
-bisection oracle of acceptance 4 check the formula.
+bisection oracle of acceptance 4 check the formula. A second oracle,
+``oracles.water_fill_reference``, builds every water-filling term anew for
+each budget, so the per-model terms :class:`SpectralModel` builds are checked
+against it bit for bit.
 """
 
 import math
@@ -13,6 +16,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import water_fill_reference
+from sysaware import gauss_theory
 from sysaware.cli import TheoryConfig
 from sysaware.gauss_theory import (
     CurvePoint,
@@ -67,6 +72,22 @@ def random_model(rng, n=None):
     return SpectralModel(n=n, lambda_x=lam, a_f=a, b_f=b)
 
 
+def folded(n):
+    return np.minimum(np.arange(n), n - np.arange(n))
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+def assert_same_allocation(got, want):
+    """Every field equal bit for bit, so signed zeros count."""
+    for name in ("d_k", "r_k", "theta", "total_distortion", "total_rate"):
+        assert np.array_equal(bits(getattr(got, name)), bits(getattr(want, name))), name
+    assert type(got.theta) is float
+    assert (got.clamped, got.rate_floored) == (want.clamped, want.rate_floored)
+
+
 # ------------------------------------------------------------ model setup #
 
 
@@ -85,6 +106,24 @@ def test_model_validation():
         SpectralModel(n=3, lambda_x=[1.0, 1], a_f=[1, 1], b_f=[1, 1])
     with pytest.raises(ValueError):
         SpectralModel(n=0, lambda_x=[], a_f=[], b_f=[])
+
+
+@pytest.mark.parametrize(
+    "lam, a_f, b_f, field",
+    [
+        # |a b|^2 and |a|^2 lambda_x overflow; lambda_w / gain is then inf / inf
+        ([1.0, 1.0], [1.0, 1e200], [1.0, 1.0], "gain"),
+        # a b = 1, but |a|^2 lambda_x = 1e20 * 1e300 overflows
+        ([1.0, 1e300], [1.0, 1e10], [1.0, 1e-10], "lambda_w"),
+        # a b underflows to a zero gain on the support: 0 / 0
+        ([1.0, 1.0], [1.0, 1e-200], [1.0, 1e-200], "lambda_w_tilde"),
+    ],
+    ids=["gain", "lambda_w", "lambda_w_tilde"],
+)
+def test_model_rejects_derived_arrays_that_overflow(lam, a_f, b_f, field):
+    # numpy's overflow warnings would fail this test; the model reports by name instead
+    with pytest.raises(ValueError, match=f"^{field} is not finite"):
+        SpectralModel(n=2, lambda_x=lam, a_f=a_f, b_f=b_f)
 
 
 @pytest.mark.parametrize("field", ["lambda_x", "a_f", "b_f"])
@@ -288,6 +327,87 @@ def test_water_fill_modulation_compensation():
         comp = water_fill(scaled, c * total_d)
         assert np.allclose(comp.r_k, base.r_k, atol=1e-10)
         assert abs(comp.theta - c * base.theta) <= 1e-10 * max(c * base.theta, 1e-12)
+
+
+def bitwise_models(rng):
+    """Models with tied levels, zero and -0.0 variances on the support, an
+    all-zero support and an empty one."""
+    for _ in range(30):
+        yield random_model(rng)
+    for n in (1, 2, 7, 16, 64, 257):
+        cut = int(rng.integers(0, n // 2 + 1))
+        lam = 1.5 * (1.0 + folded(n)) ** -0.8  # equal on bins k and n - k: tied levels
+        yield SpectralModel(n=n, lambda_x=lam, a_f=np.ones(n), b_f=(folded(n) <= cut).astype(float))
+        zeroed = lam.copy()
+        zeroed[rng.random(n) < 0.3] = 0.0
+        zeroed[rng.random(n) < 0.3] = -0.0
+        yield SpectralModel(n=n, lambda_x=zeroed, a_f=np.ones(n), b_f=np.ones(n))
+        signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)  # every level a zero of either sign
+        yield SpectralModel(n=n, lambda_x=signed, a_f=np.ones(n), b_f=(folded(n) <= cut).astype(float))
+        yield SpectralModel(n=n, lambda_x=lam, a_f=np.ones(n), b_f=np.zeros(n))
+
+
+def bitwise_budgets(rng, model):
+    """0 and -0.0, budgets putting theta exactly on a level, random ones
+    inside, exactly at saturation, inside its 1e-12 slack, on either side of
+    its edge and beyond it."""
+    weighted = model.gain * model.lambda_w_tilde
+    saturation = float(weighted[model.k_ab].sum())
+    levels = np.sort(weighted[model.k_ab])
+    on_level = [float(levels[:j].sum() + (levels.size - j) * levels[j]) for j in range(levels.size)]
+    targets = [0.0, -0.0, *on_level[:: max(1, levels.size // 8)], saturation,
+               saturation * (1 + 1e-13), saturation * (1 + 1e-11), 2 * saturation + 1.0]
+    targets += list(rng.uniform(0.0, saturation, size=5))
+    budgets = [t / model.n for t in targets] + [saturation / model.n * (1 + 1e-13)]
+    # the last budget inside the slack and the first beyond it, where N * D
+    # lands on them exactly
+    edge = saturation * (1 + 1e-12)
+    for target in (edge, np.nextafter(edge, math.inf)):
+        near = target / model.n
+        for d in (near, np.nextafter(near, 0.0), np.nextafter(near, math.inf)):
+            if model.n * float(d) == target:
+                budgets.append(float(d))
+    return budgets
+
+
+def test_water_fill_matches_the_per_budget_oracle_bit_for_bit():
+    rng = np.random.default_rng(500)
+    cases = 0
+    for model in bitwise_models(rng):
+        for total_d in bitwise_budgets(rng, model):
+            assert_same_allocation(water_fill(model, total_d), water_fill_reference(model, total_d))
+            cases += 1
+    assert cases > 1000
+
+
+def test_theory_curve_sized_run_matches_the_oracle_bit_for_bit():
+    # the shape of the benchmark's theory curve: 2**16 bins, a powerlaw
+    # spectrum, b's cutoff below a's, ten budgets below saturation, plus 0
+    # and one far beyond saturation
+    n = 1 << 16
+    lam = 1.3 * (1.0 + folded(n)) ** -0.9
+    model = SpectralModel(
+        n=n, lambda_x=lam, a_f=(folded(n) <= 12000).astype(complex), b_f=(folded(n) <= 5000).astype(complex)
+    )
+    saturation_d = float(lam[folded(n) <= 5000].sum()) / n
+    grid = [0.0, *(float(f"{d:.6g}") for d in np.geomspace(1e-4 * saturation_d, 0.5 * saturation_d, 10)), 1e9]
+    floor = expected_min_distortion(model)
+    lines = [f"# e_d0 = {floor!r}", "D,total_distortion,rate_bits_per_sample,theta"]
+    for d in grid:
+        want = water_fill_reference(model, d)
+        assert_same_allocation(water_fill(model, d), want)
+        rate = want.total_rate / math.log(2) / n
+        lines.append(f"{d!r},{floor + d!r},{rate!r},{want.theta!r}")
+    assert curve_to_csv(model, grid) == "\n".join(lines) + "\n"
+
+
+def test_curve_to_csv_evaluates_the_floor_once(monkeypatch):
+    calls = []
+    original = gauss_theory.expected_min_distortion
+    monkeypatch.setattr(gauss_theory, "expected_min_distortion", lambda m: calls.append(m) or original(m))
+    m = SpectralModel(n=4, lambda_x=[4.0, 3, 2, 1], a_f=[1, 1, 0, 1], b_f=[1, 0, 0, 1])
+    assert curve_to_csv(m, [0.1, 0.2]).startswith("# e_d0 = 0.75\n")
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------ curve #

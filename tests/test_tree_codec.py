@@ -468,6 +468,58 @@ def test_hand_built_stream_round_trips():
     assert parsed.leaf_indices.tolist() == [10, 200]
 
 
+def random_partition(rng, level, d):
+    """Leaf levels, left to right, of a random tree of depth at most d below ``level``."""
+    if level == d or rng.random() < 0.4:
+        return [level]
+    return random_partition(rng, level + 1, d) + random_partition(rng, level + 1, d)
+
+
+def test_hand_built_valid_streams_read_back_unchanged():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        d0 = int(rng.integers(1, 9))
+        d = int(rng.integers(1, d0 + 1))
+        q_bits = int(rng.integers(1, 20))
+        levels = np.array(random_partition(rng, 0, d))
+        indices = rng.integers(0, 1 << q_bits, size=levels.size)
+        indices[: rng.integers(0, 2)] = (1 << q_bits) - 1  # the largest index, now and then
+        stream = Bitstream(d0=d0, d=d, q_bits=q_bits, leaf_levels=levels, leaf_indices=indices)
+        data = stream.to_bytes()
+        assert data == oracle_to_bytes(stream)
+        parsed = Bitstream.from_bytes(data)
+        assert (parsed.d0, parsed.d, parsed.q_bits) == (d0, d, q_bits)
+        assert np.array_equal(parsed.leaf_levels, levels)
+        assert np.array_equal(parsed.leaf_indices, indices)
+
+
+@pytest.mark.parametrize(
+    "d0, d, q_bits, levels, indices, needle",
+    [
+        (3, 2, 8, [1], [7], "do not tile the 8 samples"),  # covers 4 samples
+        (3, 2, 8, [1, 1, 1], [7, 7, 7], "do not tile the 8 samples"),  # covers 12
+        (3, 2, 8, [], [], "do not tile the 8 samples"),
+        (3, 2, 8, [2, 1, 2], [1, 2, 3], "start at a multiple of its width"),  # level-1 leaf at 2
+        (3, 2, 8, [-1, 0], [1, 2], "start at a multiple of its width"),
+        (3, 2, 8, [3, 3, 2, 1], [1, 2, 3, 4], r"exceeds the depth d=2"),
+        (3, 2, 8, [1, 1], [300, 7], r"outside \[0, 2\*\*q_bits\) for q_bits=8"),  # would write 44
+        (3, 2, 8, [1, 1], [7, -1], r"outside \[0, 2\*\*q_bits\)"),
+        (3, 0, 8, [0], [7], "header"),
+        (3, 4, 8, [1, 1], [7, 7], "header"),
+        (3, 2, 0, [1, 1], [0, 0], "header"),
+        (3, 2, MAX_Q_BITS + 1, [1, 1], [7, 7], "header"),
+        (25, 2, 8, [1, 1], [7, 7], "header"),  # 2**25 samples exceed MAX_LEN
+    ],
+    ids=["short", "long", "no-leaves", "misaligned", "negative-level", "too-deep",
+         "index-too-large", "index-negative", "d-zero", "d-above-d0", "q-zero", "q-too-wide", "too-long"],
+)
+def test_to_bytes_rejects_streams_from_bytes_would_not_read_back(d0, d, q_bits, levels, indices, needle):
+    stream = Bitstream(d0=d0, d=d, q_bits=q_bits, leaf_levels=np.array(levels, dtype=np.int64),
+                       leaf_indices=np.array(indices, dtype=np.int64))
+    with pytest.raises(ValueError, match=needle):
+        stream.to_bytes()
+
+
 # to_bytes unpacks only the trailing ceil(q_bits / 8) bytes of each index:
 # one, two, three and seven of them, each full and partly filled
 @pytest.mark.parametrize("q_bits", [1, 5, 7, 8, 9, 13, 16, 17, MAX_Q_BITS])
