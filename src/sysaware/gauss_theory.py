@@ -7,10 +7,16 @@ on the joint support, coding the pseudoinverse-filtered measurements reduces
 to reverse water-filling against the weighted variances |a_k b_k|^2 *
 lambda_w_tilde_k. Rates are in nats internally and converted to bits only at
 the reporting boundary.
+
+A curve reads only each budget's theta and total rate, so an allocation
+builds ``d_k``, ``r_k`` and ``total_distortion`` on first read. The total
+rate is still summed over a full-length rate row: numpy sums pairwise, so
+a sum over the active bins alone would round differently.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -46,7 +52,8 @@ class SpectralModel:
     (a stable sort), those variances (the levels) and the bins' gains in
     that order, the running sums of the levels below each one, the
     saturation sum of the weighted variances over the support, and the
-    water level of a budget beyond it (the largest weighted variance).
+    water level of a budget beyond it (the largest weighted variance, or
+    +0.0 when none is positive, whatever the signs of the zeros).
     """
 
     n: int
@@ -90,9 +97,9 @@ class SpectralModel:
         weighted = gain[support] * tilde[support]
         ranks = np.argsort(weighted, kind="stable")
         order, levels = support[ranks], weighted[ranks]
-        # the largest level; with none positive, the zero np.max picks over all
-        # bins, whose sign depends on where the zeros of either sign sit
-        top = levels[-1] if levels.size and levels[-1] > 0 else (gain * tilde).max()
+        # the largest level, or +0.0 when none is positive (levels may be
+        # zeros of either sign, and np.max's pick among them varies)
+        top = levels[-1] if levels.size and levels[-1] > 0 else 0.0
         arrays = dict(
             lambda_x=lam, a_f=a_f, b_f=b_f, gain=gain, k_ab=k_ab,
             lambda_w=lambda_w, lambda_w_tilde=tilde,
@@ -113,15 +120,33 @@ class SpectralAllocation:
     ``clamped`` flags a request beyond the zero-rate saturation point;
     ``rate_floored`` flags rates evaluated at the theta floor (theta ~ 0, so
     the exact rates are unbounded).
+
+    It holds only scalars, its model and the start of the bins below
+    saturation in the model's sorted support; ``d_k``, ``r_k`` and
+    ``total_distortion`` are built on first read and then kept.
     """
 
-    d_k: np.ndarray
-    r_k: np.ndarray
     theta: float
-    total_distortion: float
     total_rate: float
-    clamped: bool = False
-    rate_floored: bool = False
+    clamped: bool
+    rate_floored: bool
+    _model: SpectralModel = field(repr=False, compare=False)
+    _start: int = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def d_k(self) -> np.ndarray:
+        model, start = self._model, self._start
+        d_k = model.lambda_w_tilde.copy()  # zero off the support
+        d_k[model._order[start:]] = self.theta / model._gains[start:]
+        return d_k
+
+    @functools.cached_property
+    def r_k(self) -> np.ndarray:
+        return _rates(self._model, self._start, self.theta)
+
+    @functools.cached_property
+    def total_distortion(self) -> float:
+        return float((self._model.gain * self.d_k).sum())
 
 
 @dataclass(frozen=True)
@@ -173,7 +198,8 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     Everything that depends on the model alone is built with it (see
     :class:`SpectralModel`), so the work per budget is the equal shares over
     the sorted levels and the bins below saturation, which are the suffix
-    of the sorted support with levels above theta.
+    of the sorted support with levels above theta. The only n-length row
+    it builds is a temporary R_k, summed over all n bins for ``total_rate``.
     """
     total_d = float(total_d)
     if not total_d >= 0:  # also rejects NaN
@@ -183,17 +209,17 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     theta = model._ceiling if clamped else _water_level(model, target)
 
     start = int(np.searchsorted(model._levels, theta, side="right"))
-    active = model._order[start:]
-    d_k = model.lambda_w_tilde.copy()  # zero off the support
+    rate_floored = start < model._levels.size and theta < _THETA_FLOOR
+    total_rate = float(_rates(model, start, theta).sum())
+    return SpectralAllocation(theta, total_rate, clamped, rate_floored, model, start)
+
+
+def _rates(model: SpectralModel, start: int, theta: float) -> np.ndarray:
+    """R_k over all n bins, evaluated at theta or the theta floor if larger."""
     r_k = np.zeros(model.n)
-    d_k[active] = theta / model._gains[start:]
-    rate_floored = bool(active.size) and theta < _THETA_FLOOR
     theta_eff = max(theta, _THETA_FLOOR)
-    r_k[active] = np.maximum(0.0, 0.5 * np.log(model._levels[start:] / theta_eff))
-    total = float((model.gain * d_k).sum())
-    return SpectralAllocation(
-        d_k, r_k, theta, total, float(r_k.sum()), clamped=clamped, rate_floored=rate_floored
-    )
+    r_k[model._order[start:]] = np.maximum(0.0, 0.5 * np.log(model._levels[start:] / theta_eff))
+    return r_k
 
 
 def theoretical_rd_curve(model: SpectralModel, d_grid) -> list[CurvePoint]:

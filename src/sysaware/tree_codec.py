@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import mmap
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +100,11 @@ class Bitstream:
     visited node (1 = split, 0 = leaf), MSB-first, zero-padded to a byte
     boundary; then q_bits per leaf in left-to-right leaf order, MSB-first,
     zero-padded to a byte boundary.
+
+    Construction checks the header ranges, that the leaves tile the m
+    samples, each aligned to its width and no deeper than d, and that every
+    index is in [0, 2**q_bits), and raises ValueError otherwise: a stream
+    that exists serializes to bytes :meth:`from_bytes` reads back unchanged.
     """
 
     d0: int
@@ -107,19 +112,10 @@ class Bitstream:
     q_bits: int
     leaf_levels: np.ndarray
     leaf_indices: np.ndarray
+    # split bits written before each leaf in pre-order, kept for to_bytes
+    _runs: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def m(self) -> int:
-        return 1 << self.d0
-
-    @property
-    def reported_rate_bits(self) -> int:
-        """Rate charged by the codec: payload bits only, q_bits per leaf."""
-        return self.q_bits * len(self.leaf_indices)
-
-    def to_bytes(self) -> bytes:
-        """Serialize; raises ValueError for a stream :meth:`from_bytes` would
-        reject or read back differently."""
+    def __post_init__(self):
         if not (1 <= self.d <= self.d0 and self.m <= MAX_LEN and 1 <= self.q_bits <= MAX_Q_BITS):
             raise ValueError(
                 f"header d0={self.d0}, d={self.d}, q_bits={self.q_bits} outside "
@@ -146,7 +142,19 @@ class Bitstream:
         # negative index) exactly when some index is outside [0, 2**q_bits)
         if np.bitwise_or.reduce(self.leaf_indices) >> self.q_bits:
             raise ValueError(f"a leaf index is outside [0, 2**q_bits) for q_bits={self.q_bits}")
-        bit_ends = np.cumsum(runs)
+        object.__setattr__(self, "_runs", runs)
+
+    @property
+    def m(self) -> int:
+        return 1 << self.d0
+
+    @property
+    def reported_rate_bits(self) -> int:
+        """Rate charged by the codec: payload bits only, q_bits per leaf."""
+        return self.q_bits * len(self.leaf_indices)
+
+    def to_bytes(self) -> bytes:
+        bit_ends = np.cumsum(self._runs)
         tree = np.ones(int(bit_ends[-1]), dtype=np.uint8)
         tree[bit_ends - 1] = 0
         index_bytes = self.leaf_indices.astype(">u8").view(np.uint8).reshape(-1, 8)

@@ -12,10 +12,11 @@ zeros: :func:`support` marks the others, and :func:`pinv_response` holds
 """
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
-from sysaware.gauss_theory import SpectralAllocation, SpectralModel
+from sysaware.gauss_theory import SpectralModel
 from sysaware.linops import CirculantSpectral, LinearMap
 from sysaware.system_sim import SystemModel, acquire
 from sysaware.tree_codec import MAGIC
@@ -148,13 +149,14 @@ def oracle_to_bytes(stream) -> bytes:
     return header + pack_bits_msb_first(tree) + pack_bits_msb_first(payload)
 
 
-def water_fill_reference(model: SpectralModel, total_d: float) -> SpectralAllocation:
+def water_fill_reference(model: SpectralModel, total_d: float) -> SimpleNamespace:
     """Reverse water-filling with every term built from the model's public
     arrays for this one budget: the weighted variances over all bins, their
     sort, running sums and equal shares, and boolean masks over all bins for
     the bins below saturation. Same operations on the same values as
     :func:`sysaware.gauss_theory.water_fill`, so every float should match
-    bit for bit."""
+    bit for bit. Returns every field of a
+    :class:`~sysaware.gauss_theory.SpectralAllocation`, all built eagerly."""
     total_d = float(total_d)
     if not total_d >= 0:
         raise ValueError("total_d must be non-negative")
@@ -163,7 +165,8 @@ def water_fill_reference(model: SpectralModel, total_d: float) -> SpectralAlloca
     saturation = float(weighted[model.k_ab].sum())
     clamped = target > saturation * (1 + 1e-12)
     if clamped:
-        theta = float(weighted.max())
+        top = float(weighted.max())
+        theta = top if top > 0 else 0.0  # +0.0 whichever signed zeros the bins hold
     else:
         levels = np.sort(weighted[model.k_ab])
         below = np.concatenate(([0.0], np.cumsum(levels[:-1])))
@@ -182,6 +185,7 @@ def water_fill_reference(model: SpectralModel, total_d: float) -> SpectralAlloca
     theta_eff = max(theta, 1e-15)
     r_k[active] = np.maximum(0.0, 0.5 * np.log(weighted[active] / theta_eff))
     total = float((model.gain * d_k).sum())
-    return SpectralAllocation(
-        d_k, r_k, theta, total, float(r_k.sum()), clamped=clamped, rate_floored=rate_floored
+    return SimpleNamespace(
+        d_k=d_k, r_k=r_k, theta=theta, total_distortion=total, total_rate=float(r_k.sum()),
+        clamped=clamped, rate_floored=rate_floored,
     )

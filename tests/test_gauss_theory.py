@@ -380,16 +380,36 @@ def test_water_fill_matches_the_per_budget_oracle_bit_for_bit():
     assert cases > 1000
 
 
-def test_theory_curve_sized_run_matches_the_oracle_bit_for_bit():
-    # the shape of the benchmark's theory curve: 2**16 bins, a powerlaw
-    # spectrum, b's cutoff below a's, ten budgets below saturation, plus 0
-    # and one far beyond saturation
-    n = 1 << 16
+def test_clamped_theta_on_an_all_zero_support_is_positive_zero():
+    # the levels are zeros of either sign (or there are none), and np.max's
+    # pick among them depends on their positions; the clamp level is +0.0
+    rng = np.random.default_rng(500)
+    clamped = 0
+    for model in bitwise_models(rng):
+        if not (model.gain * model.lambda_w_tilde).any():
+            for total_d in bitwise_budgets(rng, model):
+                alloc = water_fill(model, total_d)
+                if alloc.clamped:
+                    assert bits(alloc.theta) == bits(0.0)
+                    clamped += 1
+    assert clamped > 0
+
+
+def theory_curve_model(n=1 << 16):
+    """The shape of the benchmark's theory curve: a powerlaw spectrum and
+    b's cutoff below a's."""
     lam = 1.3 * (1.0 + folded(n)) ** -0.9
-    model = SpectralModel(
+    return SpectralModel(
         n=n, lambda_x=lam, a_f=(folded(n) <= 12000).astype(complex), b_f=(folded(n) <= 5000).astype(complex)
     )
-    saturation_d = float(lam[folded(n) <= 5000].sum()) / n
+
+
+def test_theory_curve_sized_run_matches_the_oracle_bit_for_bit():
+    # 2**16 bins, ten budgets below saturation, plus 0 and one far beyond
+    # saturation
+    n = 1 << 16
+    model = theory_curve_model(n)
+    saturation_d = float(model.lambda_x[folded(n) <= 5000].sum()) / n
     grid = [0.0, *(float(f"{d:.6g}") for d in np.geomspace(1e-4 * saturation_d, 0.5 * saturation_d, 10)), 1e9]
     floor = expected_min_distortion(model)
     lines = [f"# e_d0 = {floor!r}", "D,total_distortion,rate_bits_per_sample,theta"]
@@ -408,6 +428,19 @@ def test_curve_to_csv_evaluates_the_floor_once(monkeypatch):
     m = SpectralModel(n=4, lambda_x=[4.0, 3, 2, 1], a_f=[1, 1, 0, 1], b_f=[1, 0, 0, 1])
     assert curve_to_csv(m, [0.1, 0.2]).startswith("# e_d0 = 0.75\n")
     assert len(calls) == 1
+
+
+def test_curve_builds_no_per_bin_array(monkeypatch):
+    allocations = []
+    original = gauss_theory.water_fill
+    monkeypatch.setattr(gauss_theory, "water_fill", lambda m, d: allocations.append(original(m, d)) or allocations[-1])
+    model = theory_curve_model()
+    curve_to_csv(model, [0.0, 1e-6, 1e-5, 1e-4, 1.0])
+    assert len(allocations) == 5 and allocations[-1].clamped
+    for alloc in allocations:
+        assert not {"d_k", "r_k", "total_distortion"} & vars(alloc).keys()
+    allocations[1].total_distortion  # built on request, with the d_k it reads, and kept
+    assert {"d_k", "total_distortion"} <= vars(allocations[1]).keys()
 
 
 # ------------------------------------------------------------------ curve #

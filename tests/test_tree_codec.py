@@ -514,10 +514,10 @@ def test_hand_built_valid_streams_read_back_unchanged():
          "index-too-large", "index-negative", "d-zero", "d-above-d0", "q-zero", "q-too-wide", "too-long"],
 )
 def test_to_bytes_rejects_streams_from_bytes_would_not_read_back(d0, d, q_bits, levels, indices, needle):
-    stream = Bitstream(d0=d0, d=d, q_bits=q_bits, leaf_levels=np.array(levels, dtype=np.int64),
-                       leaf_indices=np.array(indices, dtype=np.int64))
+    # construction rejects them, so no such stream reaches to_bytes or decode
     with pytest.raises(ValueError, match=needle):
-        stream.to_bytes()
+        Bitstream(d0=d0, d=d, q_bits=q_bits, leaf_levels=np.array(levels, dtype=np.int64),
+                  leaf_indices=np.array(indices, dtype=np.int64))
 
 
 # to_bytes unpacks only the trailing ceil(q_bits / 8) bytes of each index:
