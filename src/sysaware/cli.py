@@ -234,7 +234,8 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 def _folded_bins(n: int) -> np.ndarray:
     """Distance of each DFT bin from DC, min(k, n - k)."""
-    return np.minimum(np.arange(n), n - np.arange(n))
+    k = np.arange(n)
+    return np.minimum(k, n - k, out=k)
 
 
 def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
@@ -245,39 +246,46 @@ def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
     return values
 
 
-def _parse_response(spec: str, n: int, field: str) -> np.ndarray:
+def _parse_response(spec: str, folded: np.ndarray, field: str) -> np.ndarray:
     kind, _, arg = spec.partition(":")
     if kind == "ones":
-        return np.ones(n, dtype=complex)
+        return np.ones(folded.size)
     if kind == "zeros":
-        return np.zeros(n, dtype=complex)
-    if kind == "lowpass":
-        return (_folded_bins(n) <= int(arg)).astype(complex)
+        return np.zeros(folded.size)
     if kind == "file":
-        return _read_values(arg, complex, n, field)
+        return _read_values(arg, complex, folded.size, field)
+    try:
+        if kind == "lowpass":
+            return (folded <= int(arg)).astype(float)
+    except ValueError as exc:
+        raise ValueError(f"{field}: bad response spec {spec!r}: {exc}") from None
     raise ValueError(f"{field}: unknown response spec {spec!r}")
 
 
-def _parse_spectrum(spec: str, n: int) -> np.ndarray:
+def _parse_spectrum(spec: str, folded: np.ndarray) -> np.ndarray:
     kind, _, arg = spec.partition(":")
-    if kind == "constant":
-        return np.full(n, float(arg))
-    if kind == "powerlaw":
-        amp, _, exponent = arg.partition(",")
-        return float(amp) * (1.0 + _folded_bins(n)) ** -float(exponent)
     if kind == "file":
-        return _read_values(arg, float, n, "lambda_x")
-    raise ValueError(f"unknown spectrum spec {spec!r}")
+        return _read_values(arg, float, folded.size, "lambda_x")
+    try:
+        if kind == "constant":
+            return np.full(folded.size, float(arg))
+        if kind == "powerlaw":
+            amp, _, exponent = arg.partition(",")
+            return float(amp) * (1.0 + folded) ** -float(exponent)
+    except ValueError as exc:
+        raise ValueError(f"lambda_x: bad spectrum spec {spec!r}: {exc}") from None
+    raise ValueError(f"lambda_x: unknown spectrum spec {spec!r}")
 
 
 def cmd_theory_curve(cfg: TheoryConfig, out_dir: Path) -> None:
     stage = "model setup"
     try:
+        folded = _folded_bins(cfg.n)
         model = SpectralModel(
             n=cfg.n,
-            lambda_x=_parse_spectrum(cfg.lambda_x, cfg.n),
-            a_f=_parse_response(cfg.a_response, cfg.n, "a_response"),
-            b_f=_parse_response(cfg.b_response, cfg.n, "b_response"),
+            lambda_x=_parse_spectrum(cfg.lambda_x, folded),
+            a_f=_parse_response(cfg.a_response, folded, "a_response"),
+            b_f=_parse_response(cfg.b_response, folded, "b_response"),
         )
         if not model.k_ab.any():
             print("warning: empty joint support, the curve carries zero rate", file=sys.stderr)

@@ -44,7 +44,10 @@ class SpectralModel:
     responses are nonzero, ``lambda_w`` = |a_f|^2 * lambda_x, and
     ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero elsewhere). Inputs
     whose derived arrays overflow (or, for ``lambda_w_tilde``, whose gain
-    underflows to zero on ``k_ab``) raise ValueError.
+    underflows to zero on ``k_ab``) raise ValueError. A response is float64
+    unless it is complex, then complex128: for real x, y and v, (x+0j)(y+0j)
+    = x*y + 0j and |v+0j| = hypot(v, 0) = |v|, so every derived value has
+    the bits that complex casts of real responses would give.
 
     The model also holds the water-filling terms that no budget changes, so
     that :func:`water_fill` does only per-budget work on a curve's grid: the
@@ -75,8 +78,7 @@ class SpectralModel:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         lam = np.asarray(self.lambda_x, dtype=float)
-        a_f = np.asarray(self.a_f, dtype=complex)
-        b_f = np.asarray(self.b_f, dtype=complex)
+        a_f, b_f = (np.asarray(r, dtype=complex if np.iscomplexobj(r) else float) for r in (self.a_f, self.b_f))
         if not (lam.shape == a_f.shape == b_f.shape == (self.n,)):
             raise ValueError(f"lambda_x, a_f, b_f must all have shape ({self.n},)")
         for name, values in (("lambda_x", lam), ("a_f", a_f), ("b_f", b_f)):

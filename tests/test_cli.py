@@ -431,8 +431,17 @@ def test_theory_powerlaw_file_and_lowpass_specs(tmp_path):
         ("a_response", "bandpass:2", "a_response: unknown response spec 'bandpass:2'"),
         ("lambda_x", "file:{values}", "lambda_x: file has 3 values, expected 4"),
         ("b_response", "file:{values}", "b_response: file has 3 values, expected 4"),
+        ("lambda_x", "powerlaw:1.0",
+         "lambda_x: bad spectrum spec 'powerlaw:1.0': could not convert string to float: ''"),
+        ("lambda_x", "constant:one",
+         "lambda_x: bad spectrum spec 'constant:one': could not convert string to float: 'one'"),
+        ("a_response", "lowpass:abc",
+         "a_response: bad response spec 'lowpass:abc': invalid literal for int() with base 10: 'abc'"),
+        ("b_response", "lowpass:1e3",
+         "b_response: bad response spec 'lowpass:1e3': invalid literal for int() with base 10: '1e3'"),
     ],
-    ids=["unknown-spectrum", "unknown-response", "spectrum-file-length", "response-file-length"],
+    ids=["unknown-spectrum", "unknown-response", "spectrum-file-length", "response-file-length",
+         "powerlaw-without-exponent", "constant-not-a-number", "lowpass-not-a-number", "lowpass-not-an-int"],
 )
 def test_theory_bad_spec_exits_1_in_model_setup(tmp_path, capsys, key, spec, needle):
     values = tmp_path / "values.txt"
@@ -442,7 +451,8 @@ def test_theory_bad_spec_exits_1_in_model_setup(tmp_path, capsys, key, spec, nee
     out = tmp_path / "out"
     assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert "stage 'model setup' failed" in err and needle in err
+    # the message starts with the field it is about
+    assert f"stage 'model setup' failed: {key}: " in err and needle in err
     assert not out.exists()
 
 
@@ -450,15 +460,30 @@ def test_signal_and_spectrum_files_read_alike(tmp_path):
     # a `file:` spectrum and a signal file are the same format: one value per non-blank line
     path = tmp_path / "values.txt"
     path.write_text("0.25\n\n  1e-3 \n-0.0\n")
-    spectrum = cli._parse_spectrum(f"file:{path}", 3)
+    spectrum = cli._parse_spectrum(f"file:{path}", cli._folded_bins(3))
     assert np.array_equal(spectrum.view(np.int64), system_sim.load_signal(path).view(np.int64))
     path.write_text("0.25\nx\n")
     errors = []
-    for read in (lambda: cli._parse_spectrum(f"file:{path}", 2), lambda: system_sim.load_signal(path)):
+    for read in (lambda: cli._parse_spectrum(f"file:{path}", cli._folded_bins(2)),
+                 lambda: system_sim.load_signal(path)):
         with pytest.raises(ValueError) as exc:
             read()
         errors.append(str(exc.value))
     assert errors == ["could not convert string to float: 'x\\n'"] * 2
+
+
+def test_theory_job_builds_the_folded_bins_once_and_real_responses(tmp_path, monkeypatch):
+    # powerlaw and both lowpass responses read one folded-bin row, and the
+    # built-in responses reach the model as float64 rows
+    builds, models = [], []
+    folded_bins, model = cli._folded_bins, cli.SpectralModel
+    monkeypatch.setattr(cli, "_folded_bins", lambda n: builds.append(n) or folded_bins(n))
+    monkeypatch.setattr(cli, "SpectralModel", lambda **kw: models.append(kw) or model(**kw))
+    cfg = cli.TheoryConfig(n=64, lambda_x="powerlaw:1.3,0.9", a_response="lowpass:20", b_response="lowpass:9")
+    cli.cmd_theory_curve(cfg, tmp_path / "out")
+    assert builds == [64] and len(models) == 1
+    assert models[0]["a_f"].dtype == models[0]["b_f"].dtype == np.float64
+    assert (tmp_path / "out" / "theory_curve.csv").exists()
 
 
 def test_theory_response_that_overflows_exits_1_in_model_setup(tmp_path, capsys):

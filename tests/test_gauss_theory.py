@@ -135,6 +135,62 @@ def test_model_rejects_non_finite_inputs(field):
             SpectralModel(n=2, **arrays)
 
 
+def model_outcome(n, lam, a_f, b_f):
+    """The model's derived arrays and CSV curve, or the text of the ValueError
+    it raises; numpy's warnings are off, as they are for the CLI."""
+    try:
+        with np.errstate(all="ignore"):
+            m = SpectralModel(n=n, lambda_x=lam, a_f=a_f, b_f=b_f)
+            saturation = float((m.gain * m.lambda_w_tilde).sum()) / n
+            csv = curve_to_csv(m, [0.0, 1e-3 * saturation, 0.1 * saturation, 0.7 * saturation, 2 * saturation + 1])
+    except ValueError as exc:
+        return str(exc), ()
+    return csv, [bits(m.gain), bits(m.lambda_w), bits(m.lambda_w_tilde), m.k_ab]
+
+
+def real_response_models(rng):
+    """(n, lambda_x, a_f, b_f) with real responses: one input for each of
+    the model's three overflow errors, then 300 with magnitudes spread up to
+    10**+-150, so |a b|^2 and |a|^2 lambda_x overflow or underflow in some,
+    and zero bins of either sign."""
+    yield 2, np.array([1.0, 1.0]), np.array([1.0, 1e200]), np.array([1.0, 1.0])
+    yield 2, np.array([1.0, 1e300]), np.array([1.0, 1e10]), np.array([1.0, 1e-10])
+    yield 2, np.array([1.0, 1.0]), np.array([1.0, 1e-200]), np.array([1.0, 1e-200])
+    for _ in range(300):
+        n = int(rng.integers(1, 301))
+        spread = rng.uniform(0.0, 150.0)
+        a, b, lam = (rng.normal(size=n) * 10.0 ** rng.uniform(-spread, spread, size=n) for _ in range(3))
+        lam = np.abs(lam)
+        for row in (a, b, lam):
+            row[rng.random(n) < 0.2] = 0.0
+            row[rng.random(n) < 0.1] = -0.0
+        yield n, lam, a, b
+
+
+def test_real_responses_give_the_bits_of_their_complex_casts():
+    # the model keeps real responses real and complex ones complex
+    m = SpectralModel(n=2, lambda_x=[1.0, 1.0], a_f=[1, 0], b_f=[1j, 1])
+    assert (m.a_f.dtype, m.b_f.dtype) == (np.float64, np.complex128)
+    rng = np.random.default_rng(1900)
+    errors = []
+    for n, lam, a, b in real_response_models(rng):
+        a_c = a + 1j * rng.normal(size=n)
+        pairs = [
+            (model_outcome(n, lam, a, b), model_outcome(n, lam, a.astype(complex), b.astype(complex))),
+            # a complex a beside a real b, and beside b's complex cast
+            (model_outcome(n, lam, a_c, b), model_outcome(n, lam, a_c, b.astype(complex))),
+        ]
+        for (csv, arrays), (csv_cast, arrays_cast) in pairs:
+            assert csv == csv_cast
+            assert len(arrays) == len(arrays_cast)
+            assert all(np.array_equal(x, y) for x, y in zip(arrays, arrays_cast))
+        (text, arrays), _ = pairs[0]
+        if not arrays:
+            errors.append(text.split()[0])
+    assert errors[:3] == ["gain", "lambda_w", "lambda_w_tilde"]
+    assert 30 < len(errors) < 270
+
+
 # -------------------------------------------------- expected_min_distortion #
 
 
@@ -400,7 +456,7 @@ def theory_curve_model(n=1 << 16):
     b's cutoff below a's."""
     lam = 1.3 * (1.0 + folded(n)) ** -0.9
     return SpectralModel(
-        n=n, lambda_x=lam, a_f=(folded(n) <= 12000).astype(complex), b_f=(folded(n) <= 5000).astype(complex)
+        n=n, lambda_x=lam, a_f=(folded(n) <= 12000).astype(float), b_f=(folded(n) <= 5000).astype(float)
     )
 
 
