@@ -42,21 +42,22 @@ class SpectralModel:
 
     Derived arrays: ``gain`` = |a_f * b_f|^2, ``k_ab`` marks bins where both
     responses are nonzero, ``lambda_w`` = |a_f|^2 * lambda_x, and
-    ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero elsewhere). Inputs
-    whose derived arrays overflow (or, for ``lambda_w_tilde``, whose gain
-    underflows to zero on ``k_ab``) raise ValueError. A response is float64
-    unless it is complex, then complex128: for real x, y and v, (x+0j)(y+0j)
-    = x*y + 0j and |v+0j| = hypot(v, 0) = |v|, so every derived value has
-    the bits that complex casts of real responses would give.
+    ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero elsewhere). A
+    derived value that overflows (or a gain that underflows to zero on
+    ``k_ab``) raises ValueError naming it. A response is float64 unless it
+    is complex, then complex128: for real x, y and v, (x+0j)(y+0j) = x*y +
+    0j and |v+0j| = hypot(v, 0) = |v|, so every derived value has the bits
+    that complex casts of real responses would give.
 
-    The model also holds the water-filling terms that no budget changes, so
-    that :func:`water_fill` does only per-budget work on a curve's grid: the
+    The model also holds the terms that no budget changes, so that a
+    curve's grid costs only per-budget work: the distortion floor that
+    :func:`expected_min_distortion` returns, and for :func:`water_fill` the
     support bins ordered by their weighted variance gain * lambda_w_tilde
-    (a stable sort), those variances (the levels) and the bins' gains in
-    that order, the running sums of the levels below each one, the
-    saturation sum of the weighted variances over the support, and the
-    water level of a budget beyond it (the largest weighted variance, or
-    +0.0 when none is positive, whatever the signs of the zeros).
+    (a stable sort), those variances (the levels) in that order, the
+    running sums of the levels below each one, the saturation sum of the
+    weighted variances over the support, and the water level of a budget
+    beyond it (the largest weighted variance, or +0.0 when none is
+    positive, whatever the signs of the zeros).
     """
 
     n: int
@@ -69,10 +70,10 @@ class SpectralModel:
     lambda_w_tilde: np.ndarray = field(init=False)
     _order: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
-    _gains: np.ndarray = field(init=False, repr=False, compare=False)
     _below: np.ndarray = field(init=False, repr=False, compare=False)
     _saturation: float = field(init=False, repr=False, compare=False)
     _ceiling: float = field(init=False, repr=False, compare=False)
+    _floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -86,28 +87,33 @@ class SpectralModel:
                 raise ValueError(f"{name} must be finite")
         if np.any(lam < 0):
             raise ValueError("lambda_x must be non-negative")
-        k_ab = (a_f != 0) & (b_f != 0)
+        a_nz, b_nz = a_f != 0, b_f != 0  # the finiteness checks excluded NaN
+        k_ab = a_nz & b_nz
         tilde = np.zeros(self.n)
         with np.errstate(all="ignore"):  # overflow is reported below, by name
             gain = np.abs(a_f * b_f) ** 2
             lambda_w = np.abs(a_f) ** 2 * lam
             np.divide(lambda_w, gain, out=tilde, where=k_ab)
-        for name, values in (("gain", gain), ("lambda_w", lambda_w), ("lambda_w_tilde", tilde)):
+            support = np.flatnonzero(k_ab)
+            weighted = gain[support] * tilde[support]
+            ranks = np.argsort(weighted, kind="stable")
+            order, levels = support[ranks], weighted[ranks]
+            below = np.concatenate(([0.0], np.cumsum(levels[:-1])))
+            saturation = float(weighted.sum())
+            floor = float(lambda_w[a_nz & ~b_nz].sum()) / self.n  # bins a_f passes, b_f cannot reach
+        for name, values in (
+            ("gain", gain), ("lambda_w", lambda_w), ("lambda_w_tilde", tilde),
+            ("saturation sum", saturation), ("running sum", below), ("distortion floor", floor),
+        ):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} is not finite: the responses or lambda_x are out of range")
-        support = np.flatnonzero(k_ab)
-        weighted = gain[support] * tilde[support]
-        ranks = np.argsort(weighted, kind="stable")
-        order, levels = support[ranks], weighted[ranks]
         # the largest level, or +0.0 when none is positive (levels may be
         # zeros of either sign, and np.max's pick among them varies)
         top = levels[-1] if levels.size and levels[-1] > 0 else 0.0
         arrays = dict(
             lambda_x=lam, a_f=a_f, b_f=b_f, gain=gain, k_ab=k_ab,
-            lambda_w=lambda_w, lambda_w_tilde=tilde,
-            _order=order, _levels=levels, _gains=gain[order],
-            _below=np.concatenate(([0.0], np.cumsum(levels[:-1]))),
-            _saturation=float(weighted.sum()), _ceiling=float(top),
+            lambda_w=lambda_w, lambda_w_tilde=tilde, _order=order, _levels=levels,
+            _below=below, _saturation=saturation, _ceiling=float(top), _floor=floor,
         )
         for name, value in arrays.items():
             object.__setattr__(self, name, value)
@@ -139,7 +145,8 @@ class SpectralAllocation:
     def d_k(self) -> np.ndarray:
         model, start = self._model, self._start
         d_k = model.lambda_w_tilde.copy()  # zero off the support
-        d_k[model._order[start:]] = self.theta / model._gains[start:]
+        bins = model._order[start:]
+        d_k[bins] = self.theta / model.gain[bins]
         return d_k
 
     @functools.cached_property
@@ -161,9 +168,9 @@ class CurvePoint:
 
 def expected_min_distortion(model: SpectralModel) -> float:
     """Distortion floor from bins the rendering operator cannot reach:
-    (1/N) * sum |a_k|^2 lambda_x_k over {k : a_k != 0, b_k = 0}."""
-    lost = (model.a_f != 0) & (model.b_f == 0)
-    return float(model.lambda_w[lost].sum()) / model.n
+    (1/N) * sum |a_k|^2 lambda_x_k over {k : a_k != 0, b_k = 0}, built with
+    the model."""
+    return model._floor
 
 
 def _water_level(model: SpectralModel, target: float) -> float:
@@ -230,11 +237,6 @@ def theoretical_rd_curve(model: SpectralModel, d_grid) -> list[CurvePoint]:
     Each point pairs the coding rate (bits per sample) with the total expected
     per-sample system distortion, i.e. the floor from unrecoverable bins plus D.
     """
-    return _curve(model, d_grid, expected_min_distortion(model))
-
-
-def _curve(model: SpectralModel, d_grid, floor: float) -> list[CurvePoint]:
-    """:func:`theoretical_rd_curve` over a distortion floor already computed."""
     d_grid = [float(d) for d in d_grid]
     if any(not d >= 0 for d in d_grid):  # also rejects NaN
         raise ValueError("d_grid entries must be non-negative")
@@ -244,16 +246,15 @@ def _curve(model: SpectralModel, d_grid, floor: float) -> list[CurvePoint]:
     for d in d_grid:
         alloc = water_fill(model, d)
         rate_bits = alloc.total_rate / math.log(2) / model.n
-        points.append(CurvePoint(d, floor + d, rate_bits, alloc.theta))
+        points.append(CurvePoint(d, model._floor + d, rate_bits, alloc.theta))
     return points
 
 
 def curve_to_csv(model: SpectralModel, d_grid) -> str:
     """CSV for the theoretical curve; the distortion floor rides in a comment."""
-    floor = expected_min_distortion(model)
     out = io.StringIO()
-    out.write(f"# e_d0 = {floor!r}\n")
+    out.write(f"# e_d0 = {expected_min_distortion(model)!r}\n")
     out.write("D,total_distortion,rate_bits_per_sample,theta\n")
-    for p in _curve(model, d_grid, floor):
+    for p in theoretical_rd_curve(model, d_grid):
         out.write(f"{p.d!r},{p.total_distortion!r},{p.rate_bits_per_sample!r},{p.theta!r}\n")
     return out.getvalue()

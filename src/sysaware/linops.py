@@ -1,11 +1,11 @@
 """Matrix-free linear operators and the regularized z-update solve.
 
-Operators act on 1D real signals. Anything circulant is handled through the
-DFT with the numpy convention (unnormalized forward transform, 1/N inverse),
-and convolution boundaries are always periodic. Instances are immutable after
-construction: ``apply`` is a pure function of its input. The z-update is
-solved in closed form on the DFT symbol of a circulant chain, which
-:func:`circulant_symbol` probes; there is no iterative solver.
+Operators act on 1D real signals. The one circulant operator,
+:class:`Convolution`, applies its kernel's DFT response with the numpy
+convention (unnormalized forward transform, 1/N inverse), so its boundaries
+are periodic. Instances are immutable after construction: ``apply`` is a
+pure function of its input. The z-update is solved in closed form on the DFT
+symbol of a circulant chain, which :func:`circulant_symbol` probes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "LinearMap",
     "Subsample",
     "Replicate",
-    "CirculantSpectral",
     "Convolution",
     "Compose",
     "kernel_spectrum",
@@ -120,30 +119,17 @@ def kernel_spectrum(n: int, kernel) -> np.ndarray:
     return freq
 
 
-class CirculantSpectral(LinearMap):
-    """Square circulant operator applied through the DFT.
+class Convolution(LinearMap):
+    """Centered circular convolution with a finite kernel, applied through the
+    DFT: ``freq_response`` is :func:`kernel_spectrum` of the kernel."""
 
-    The response should be conjugate-symmetric when modeling a real filter;
-    :func:`kernel_spectrum` guarantees that by construction.
-    """
-
-    def __init__(self, freq_response):
-        c = np.array(freq_response, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("frequency response must be a non-empty 1D vector")
-        super().__init__(c.size, c.size)
-        self.freq_response = c
+    def __init__(self, n: int, kernel):
+        self.freq_response = kernel_spectrum(n, kernel)
+        super().__init__(n, n)
+        self.kernel = _as_vector(kernel).copy()
 
     def _apply(self, x):
         return np.fft.ifft(np.fft.fft(x) * self.freq_response).real
-
-
-class Convolution(CirculantSpectral):
-    """Centered circular convolution with a finite kernel."""
-
-    def __init__(self, n: int, kernel):
-        super().__init__(kernel_spectrum(n, kernel))
-        self.kernel = _as_vector(kernel).copy()
 
 
 class Compose(LinearMap):

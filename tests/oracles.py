@@ -1,11 +1,12 @@
-"""Reference helpers that only the tests use: the identity operator, circulant
+"""Reference helpers that only the tests use: the identity operator, a
+circulant operator with an arbitrary frequency response, circulant
 pseudoinverse and range projection, the realized noise energy of an
 acquisition, an operator's dense matrix, a conjugate-gradient solve of the
 regularized normal equations, the z-update as one expression, a scalar
-writer of the codec's wire format, and reverse water-filling that builds every
-term anew for each budget.
+writer of the codec's wire format, reverse water-filling that builds every
+term anew for each budget, and the distortion floor from masks built anew.
 
-Response entries of a :class:`~sysaware.linops.CirculantSpectral` with
+Response entries of a :class:`CirculantSpectral` with
 magnitude at most ``ZERO_TOL`` times the largest magnitude count as exact
 zeros: :func:`support` marks the others, and :func:`pinv_response` holds
 1/c_k on the support and 0 elsewhere.
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from sysaware.gauss_theory import SpectralModel
-from sysaware.linops import CirculantSpectral, LinearMap
+from sysaware.linops import LinearMap
 from sysaware.system_sim import SystemModel, acquire
 from sysaware.tree_codec import MAGIC
 
@@ -31,6 +32,18 @@ class Identity(LinearMap):
 
     def _apply(self, x):
         return x.copy()
+
+
+class CirculantSpectral(LinearMap):
+    """Square circulant operator applied through the DFT, with any response;
+    :class:`~sysaware.linops.Convolution` is the one built from a kernel."""
+
+    def __init__(self, freq_response):
+        self.freq_response = np.array(freq_response, dtype=complex)
+        super().__init__(self.freq_response.size, self.freq_response.size)
+
+    def _apply(self, x):
+        return np.fft.ifft(np.fft.fft(x) * self.freq_response).real
 
 
 def support(op: CirculantSpectral) -> np.ndarray:
@@ -147,6 +160,13 @@ def oracle_to_bytes(stream) -> bytes:
     ]
     header = MAGIC + bytes([stream.d0, stream.d, stream.q_bits]) + struct.pack(">I", stream.m)
     return header + pack_bits_msb_first(tree) + pack_bits_msb_first(payload)
+
+
+def floor_reference(model: SpectralModel) -> float:
+    """The distortion floor from masks built anew for this call: (1/N) times
+    the sum of lambda_w over the bins with a_f != 0 and b_f == 0."""
+    lost = (model.a_f != 0) & (model.b_f == 0)
+    return float(model.lambda_w[lost].sum()) / model.n
 
 
 def water_fill_reference(model: SpectralModel, total_d: float) -> SimpleNamespace:

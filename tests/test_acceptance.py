@@ -13,7 +13,6 @@ from sysaware import admm, cli, tree_codec
 from sysaware.admm import AdmmConfig
 from sysaware.gauss_theory import SpectralModel, expected_min_distortion, water_fill
 from sysaware.linops import (
-    CirculantSpectral,
     Compose,
     ZUpdateTerms,
     circulant_symbol,
@@ -30,6 +29,7 @@ from sysaware.system_sim import (
 from sysaware.tree_codec import TreeCodecPlug
 
 from oracles import (
+    CirculantSpectral,
     Identity,
     cg_regularized_solve,
     ideal_distortion_check,

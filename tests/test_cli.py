@@ -498,6 +498,25 @@ def test_theory_response_that_overflows_exits_1_in_model_setup(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "b_response, needle",
+    [("ones", "saturation sum is not finite"), ("lowpass:3", "distortion floor is not finite")],
+    ids=["saturation", "floor"],
+)
+def test_theory_sums_that_overflow_exit_1_in_model_setup(tmp_path, capsys, b_response, needle):
+    # each bin's weighted variance is 1e307, and a sum over 64 bins (or over
+    # the 57 that lowpass:3 loses) is not finite
+    cfg = write_config(
+        tmp_path / "t.cfg",
+        "theory.n = 64\ntheory.lambda_x = constant:1e307\ntheory.a_response = ones\n"
+        f"theory.b_response = {b_response}\ntheory.d_grid = 1.0, 1e306, 1e308\n",
+    )
+    out = tmp_path / "out"
+    assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
+    assert f"stage 'model setup' failed: {needle}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- codec cmd #
 
 

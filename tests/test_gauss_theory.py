@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import water_fill_reference
+from oracles import floor_reference, water_fill_reference
 from sysaware import gauss_theory
 from sysaware.cli import TheoryConfig
 from sysaware.gauss_theory import (
@@ -117,8 +117,12 @@ def test_model_validation():
         ([1.0, 1e300], [1.0, 1e10], [1.0, 1e-10], "lambda_w"),
         # a b underflows to a zero gain on the support: 0 / 0
         ([1.0, 1.0], [1.0, 1e-200], [1.0, 1e-200], "lambda_w_tilde"),
+        # each weighted variance is 1e308, and their sum over the support overflows
+        ([1e308, 1e308], [1.0, 1.0], [1.0, 1.0], "saturation sum"),
+        # each lost bin's lambda_w is 1e308, and their sum overflows
+        ([1e308, 1e308], [1.0, 1.0], [0.0, 0.0], "distortion floor"),
     ],
-    ids=["gain", "lambda_w", "lambda_w_tilde"],
+    ids=["gain", "lambda_w", "lambda_w_tilde", "saturation", "floor"],
 )
 def test_model_rejects_derived_arrays_that_overflow(lam, a_f, b_f, field):
     # numpy's overflow warnings would fail this test; the model reports by name instead
@@ -205,6 +209,44 @@ def test_expected_min_distortion_zero_cases():
     shared = np.array([1.0, 0.0, 1.0, 0.0])
     m2 = SpectralModel(n=4, lambda_x=np.ones(4), a_f=shared, b_f=shared)
     assert expected_min_distortion(m2) == 0.0  # zeros coincide
+
+
+def floor_models(rng):
+    """(n, lambda_x, a_f, b_f) with n in [1, 300], real and complex
+    responses, zero bins of either sign in a, in b and in both, an all-zero b
+    and an all-zero a, over magnitudes spread up to 10**+-60."""
+    for i in range(300):
+        n = int(rng.integers(1, 301))
+        spread = rng.uniform(0.0, 60.0)
+        lam = np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-spread, spread, size=n)
+        a, b = (rng.normal(size=n) * 10.0 ** rng.uniform(-spread / 2, spread / 2, size=n) for _ in range(2))
+        a, b = (row + 1j * rng.normal(size=n) if rng.random() < 0.4 else row for row in (a, b))
+        for row in (a, b):
+            row[rng.random(n) < 0.25] = 0.0
+            row[rng.random(n) < 0.1] = -0.0
+            if np.iscomplexobj(row):
+                row[rng.random(n) < 0.1] = complex(-0.0, -0.0)
+        lam[rng.random(n) < 0.1] = -0.0
+        if i % 50 == 0:
+            b[:] = 0.0
+        if i % 50 == 1:
+            a[:] = -0.0
+        yield n, lam, a, b
+
+
+def test_floor_is_the_masked_sum_bit_for_bit():
+    # the model's floor, its CSV line and its joint support, against the
+    # masks built anew
+    rng = np.random.default_rng(2020)
+    with_floor = 0
+    for n, lam, a, b in floor_models(rng):
+        m = SpectralModel(n=n, lambda_x=lam, a_f=a, b_f=b)
+        want = floor_reference(m)
+        assert bits(expected_min_distortion(m)) == bits(want)
+        assert curve_to_csv(m, [0.0]).split("\n", 1)[0] == f"# e_d0 = {want!r}"
+        assert np.array_equal(m.k_ab, (m.a_f != 0) & (m.b_f != 0))
+        with_floor += want > 0
+    assert 200 < with_floor < 300
 
 
 # -------------------------------------------------------------- water_fill #
@@ -475,15 +517,6 @@ def test_theory_curve_sized_run_matches_the_oracle_bit_for_bit():
         rate = want.total_rate / math.log(2) / n
         lines.append(f"{d!r},{floor + d!r},{rate!r},{want.theta!r}")
     assert curve_to_csv(model, grid) == "\n".join(lines) + "\n"
-
-
-def test_curve_to_csv_evaluates_the_floor_once(monkeypatch):
-    calls = []
-    original = gauss_theory.expected_min_distortion
-    monkeypatch.setattr(gauss_theory, "expected_min_distortion", lambda m: calls.append(m) or original(m))
-    m = SpectralModel(n=4, lambda_x=[4.0, 3, 2, 1], a_f=[1, 1, 0, 1], b_f=[1, 0, 0, 1])
-    assert curve_to_csv(m, [0.1, 0.2]).startswith("# e_d0 = 0.75\n")
-    assert len(calls) == 1
 
 
 def test_curve_builds_no_per_bin_array(monkeypatch):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sysaware.linops import (
-    CirculantSpectral,
     Compose,
     Convolution,
     DimensionMismatchError,
@@ -19,6 +18,7 @@ from sysaware.linops import (
 from sysaware.system_sim import make_blur_subsample_system
 
 from oracles import (
+    CirculantSpectral,
     Identity,
     cg_regularized_solve,
     mask_spectrum,
@@ -125,7 +125,10 @@ def test_kernel_spectrum_matches_the_tap_loop():
     cases = [(8, 3), (8, 8), (5, 13), (4, 29), (1, 4), (1024, 15)]  # kernels past n wrap around
     for n, taps in cases:
         kernel = rng.normal(size=taps)
-        assert np.array_equal(kernel_spectrum(n, kernel), loop_kernel_spectrum(n, kernel)), (n, taps)
+        want = loop_kernel_spectrum(n, kernel)
+        assert np.array_equal(kernel_spectrum(n, kernel), want), (n, taps)
+        response = Convolution(n, kernel).freq_response  # bit for bit, signed zeros too
+        assert (response.dtype, response.tobytes()) == (want.dtype, want.tobytes()), (n, taps)
 
 
 def test_identity_apply():
@@ -179,11 +182,8 @@ def test_compose_rejects_an_empty_stage_list():
         (lambda: Subsample(4, 0), "subsampling factor"),
         (lambda: Replicate(4, 0), "replication factor"),
         (lambda: Convolution(4, []), "kernel must be non-empty"),
-        (lambda: CirculantSpectral([]), "non-empty 1D"),
-        (lambda: CirculantSpectral(np.ones((2, 2))), "non-empty 1D"),
     ],
-    ids=["in_dim-0", "out_dim-0", "subsample-0", "replicate-0", "empty-kernel",
-         "empty-response", "2d-response"],
+    ids=["in_dim-0", "out_dim-0", "subsample-0", "replicate-0", "empty-kernel"],
 )
 def test_constructors_reject_degenerate_operators(build, needle):
     with pytest.raises(ValueError, match=needle):
