@@ -15,7 +15,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,38 +45,6 @@ class ConfigError(Exception):
         self.field = field
 
 
-@dataclass
-class ExperimentConfig:
-    """Sweep experiment settings; defaults reproduce the reference chirp setup."""
-
-    signal_kind: str = "chirp"
-    signal_n: int = 1024
-    signal_path: str = ""
-    kernel_std: float = 15.0
-    kernel_support: int = 15
-    subsample_factor: int = 4
-    noise_std: float = 1e-3
-    seed: int = 1234
-    codec_depth: int | None = None
-    codec_q_bits: int = 8
-    admm_beta_tilde: float = AdmmConfig.beta_tilde
-    admm_max_iters: int = AdmmConfig.max_iters
-    admm_tol: float = AdmmConfig.tol
-    sweep_params: tuple = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2)
-    output_dir: str = "out"
-
-
-@dataclass
-class TheoryConfig:
-    n: int = 64
-    lambda_x: str = "constant:1.0"
-    a_response: str = "ones"
-    b_response: str = "ones"
-    d_grid: tuple = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
-    output_dir: str = "out"
-
-
-# config key -> (dataclass field, parser)
 def _parse_float_list(text: str) -> tuple:
     values = tuple(float(part) for part in text.split(",") if part.strip())
     if not values:
@@ -88,32 +56,44 @@ def _parse_depth(text: str):
     return None if text.strip() == "auto" else int(text)
 
 
-_EXPERIMENT_KEYS = {
-    "signal.kind": ("signal_kind", str),
-    "signal.n": ("signal_n", int),
-    "signal.path": ("signal_path", str),
-    "system.kernel_std": ("kernel_std", float),
-    "system.kernel_support": ("kernel_support", int),
-    "system.subsample_factor": ("subsample_factor", int),
-    "system.noise_std": ("noise_std", float),
-    "system.seed": ("seed", int),
-    "codec.depth": ("codec_depth", _parse_depth),
-    "codec.q_bits": ("codec_q_bits", int),
-    "admm.beta_tilde": ("admm_beta_tilde", float),
-    "admm.max_iters": ("admm_max_iters", int),
-    "admm.tol": ("admm_tol", float),
-    "sweep.param_values": ("sweep_params", _parse_float_list),
-    "output_dir": ("output_dir", str),
-}
+def _key(key: str, default, parse):
+    """A config field set by the line ``key = text``, whose text ``parse`` reads."""
+    return field(default=default, metadata={"key": key, "parse": parse})
 
-_THEORY_KEYS = {
-    "theory.n": ("n", int),
-    "theory.lambda_x": ("lambda_x", str),
-    "theory.a_response": ("a_response", str),
-    "theory.b_response": ("b_response", str),
-    "theory.d_grid": ("d_grid", _parse_float_list),
-    "output_dir": ("output_dir", str),
-}
+
+@dataclass
+class ExperimentConfig:
+    """Sweep experiment settings; defaults reproduce the reference chirp setup."""
+
+    signal_kind: str = _key("signal.kind", "chirp", str)
+    signal_n: int = _key("signal.n", 1024, int)
+    signal_path: str = _key("signal.path", "", str)
+    kernel_std: float = _key("system.kernel_std", 15.0, float)
+    kernel_support: int = _key("system.kernel_support", 15, int)
+    subsample_factor: int = _key("system.subsample_factor", 4, int)
+    noise_std: float = _key("system.noise_std", 1e-3, float)
+    seed: int = _key("system.seed", 1234, int)
+    codec_depth: int | None = _key("codec.depth", None, _parse_depth)
+    codec_q_bits: int = _key("codec.q_bits", 8, int)
+    admm_beta_tilde: float = _key("admm.beta_tilde", AdmmConfig.beta_tilde, float)
+    admm_max_iters: int = _key("admm.max_iters", AdmmConfig.max_iters, int)
+    admm_tol: float = _key("admm.tol", AdmmConfig.tol, float)
+    sweep_params: tuple = _key(
+        "sweep.param_values", (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2), _parse_float_list
+    )
+    output_dir: str = _key("output_dir", "out", str)
+
+
+@dataclass
+class TheoryConfig:
+    n: int = _key("theory.n", 64, int)
+    lambda_x: str = _key("theory.lambda_x", "constant:1.0", str)
+    a_response: str = _key("theory.a_response", "ones", str)
+    b_response: str = _key("theory.b_response", "ones", str)
+    d_grid: tuple = _key(
+        "theory.d_grid", (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0), _parse_float_list
+    )
+    output_dir: str = _key("output_dir", "out", str)
 
 
 def read_key_values(path) -> dict[str, tuple[str, int]]:
@@ -138,25 +118,19 @@ def read_key_values(path) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _build_config(cls, key_table, entries, path):
+def load_config(cls, path):
+    """A ``cls`` config read from the file at ``path``: each line sets the field
+    whose metadata names its key, through that field's parser."""
+    schema = {f.metadata["key"]: f for f in fields(cls)}
     cfg = cls()
-    for key, (value, lineno) in entries.items():
-        if key not in key_table:
+    for key, (value, lineno) in read_key_values(path).items():
+        if key not in schema:
             raise ConfigError(f"unknown key {key!r}", path=path, line=lineno, field=key)
-        attr, parse = key_table[key]
         try:
-            setattr(cfg, attr, parse(value))
+            setattr(cfg, schema[key].name, schema[key].metadata["parse"](value))
         except ValueError as exc:
             raise ConfigError(f"bad value {value!r}: {exc}", path=path, line=lineno, field=key) from exc
     return cfg
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    return _build_config(ExperimentConfig, _EXPERIMENT_KEYS, read_key_values(path), path)
-
-
-def load_theory_config(path) -> TheoryConfig:
-    return _build_config(TheoryConfig, _THEORY_KEYS, read_key_values(path), path)
 
 
 def _config_echo(cfg) -> dict[str, str]:
@@ -186,6 +160,8 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
             x = system_sim.make_chirp(cfg.signal_n)
         elif cfg.signal_kind == "file":
             x = system_sim.load_signal(cfg.signal_path)
+            if x.size < 2:
+                raise ValueError("n must be >= 2")
         else:
             raise ValueError(f"unknown signal kind {cfg.signal_kind!r}")
 
@@ -240,7 +216,7 @@ def _folded_bins(n: int) -> np.ndarray:
 
 def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
     """The n non-blank lines of a value file, each parsed by ``parse`` (float or complex)."""
-    values = system_sim._parse_lines(path, parse)
+    values = system_sim.load_signal(path, parse)
     if values.size != n:
         raise ValueError(f"{field}: file has {values.size} values, expected {n}")
     return values
@@ -346,13 +322,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
+            cfg = load_config(ExperimentConfig, args.config) if args.config else ExperimentConfig()
             if args.seed is not None:
                 cfg.seed = args.seed
             out_dir = args.out if args.out is not None else Path(cfg.output_dir)
             cmd_run_experiment(cfg, out_dir)
         elif args.command == "theory":
-            cfg = load_theory_config(args.config) if args.config else TheoryConfig()
+            cfg = load_config(TheoryConfig, args.config) if args.config else TheoryConfig()
             out_dir = args.out if args.out is not None else Path(cfg.output_dir)
             cmd_theory_curve(cfg, out_dir)
         else:

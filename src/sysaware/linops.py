@@ -124,8 +124,8 @@ class Convolution(LinearMap):
     DFT: ``freq_response`` is :func:`kernel_spectrum` of the kernel."""
 
     def __init__(self, n: int, kernel):
-        self.freq_response = kernel_spectrum(n, kernel)
         super().__init__(n, n)
+        self.freq_response = kernel_spectrum(n, kernel)
         self.kernel = _as_vector(kernel).copy()
 
     def _apply(self, x):

@@ -232,13 +232,9 @@ def save_signal(path, x) -> str:
     return text
 
 
-def load_signal(path) -> np.ndarray:
-    """Read a signal as text, one float per non-blank line (what :func:`save_signal` writes)."""
-    return _parse_lines(path, float)
-
-
-def _parse_lines(path, parse) -> np.ndarray:
-    """The non-blank lines of a text file, each parsed by ``parse`` (float or
-    complex). Also reads the value files of ``sysaware theory``'s ``file:`` specs."""
+def load_signal(path, parse=float) -> np.ndarray:
+    """Read the non-blank lines of a text file, each parsed by ``parse``: a signal
+    is one float per line (what :func:`save_signal` writes), and the value files
+    of ``sysaware theory``'s ``file:`` specs hold floats or complex numbers."""
     with open(path) as fh:
         return np.array([parse(line) for line in fh if line.strip()], dtype=parse)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -257,6 +258,19 @@ def test_run_with_an_infinite_sweep_parameter_exits_1_naming_nu(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "0.5\n"], ids=["empty", "one-sample"])
+def test_run_signal_file_shorter_than_two_samples_exits_1_in_signal(tmp_path, capsys, text):
+    (tmp_path / "sig.txt").write_text(text)
+    cfg = write_config(
+        tmp_path / "exp.cfg",
+        f"signal.kind = file\nsignal.path = {tmp_path / 'sig.txt'}\nsystem.subsample_factor = 1\n",
+    )
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert "stage 'signal' failed: n must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_signal_from_file(tmp_path):
     x = make_chirp(128)
     save_signal(tmp_path / "sig.txt", x)
@@ -277,26 +291,69 @@ def test_run_signal_from_file(tmp_path):
 # ----------------------------------------------------------- config errors #
 
 
+CONFIG_ERRORS = [
+    ("run", "signal.m = 7\n", "signal.m"),  # unknown key
+    ("run", "signal.n = seven\n", "line 1"),  # bad value
+    ("run", "signal.n = 8\nsignal.n = 16\n", "duplicate"),
+    ("run", "signal.n 8\n", "key = value"),  # missing equals
+    ("run", "sweep.param_values =\n", "sweep.param_values"),  # empty list
+    ("run", "sweep.param_values = , \n", "sweep.param_values"),
+    ("theory", "theory.d_grid =\n", "theory.d_grid"),
+    ("run", "= 5\n", "empty key"),
+    ("run", "theory.n = 8\n", "unknown key 'theory.n'"),  # the other command's key
+    ("theory", "signal.n = 8\n", "unknown key 'signal.n'"),
+]
+
+
 @pytest.mark.parametrize(
-    "body,needle",
-    [
-        ("signal.m = 7\n", "signal.m"),  # unknown key
-        ("signal.n = seven\n", "line 1"),  # bad value
-        ("signal.n = 8\nsignal.n = 16\n", "duplicate"),
-        ("signal.n 8\n", "key = value"),  # missing equals
-        ("sweep.param_values =\n", "sweep.param_values"),  # empty list
-        ("sweep.param_values = , \n", "sweep.param_values"),
-        ("theory.d_grid =\n", "theory.d_grid"),
-        ("= 5\n", "empty key"),
-    ],
+    "command,body,needle", CONFIG_ERRORS, ids=[f"{body}-{needle}" for _, body, needle in CONFIG_ERRORS]
 )
-def test_config_errors_exit_2(tmp_path, capsys, body, needle):
+def test_config_errors_exit_2(tmp_path, capsys, command, body, needle):
     cfg = write_config(tmp_path / "exp.cfg", body)
-    command = "theory" if body.startswith("theory.") else "run"
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert needle in err
+
+
+# key -> (text, value) for every key of each command, each value off its default
+RUN_KEYS = {
+    "signal.kind": ("file", "file"),
+    "signal.n": ("512", 512),
+    "signal.path": ("sig.txt", "sig.txt"),
+    "system.kernel_std": ("9.5", 9.5),
+    "system.kernel_support": ("9", 9),
+    "system.subsample_factor": ("2", 2),
+    "system.noise_std": ("0.002", 0.002),
+    "system.seed": ("99", 99),
+    "codec.depth": ("6", 6),
+    "codec.q_bits": ("6", 6),
+    "admm.beta_tilde": ("0.5", 0.5),
+    "admm.max_iters": ("12", 12),
+    "admm.tol": ("0.01", 0.01),
+    "sweep.param_values": ("1e-4, 1e-3", (1e-4, 1e-3)),
+    "output_dir": ("elsewhere", "elsewhere"),
+}
+THEORY_KEYS = {
+    "theory.n": ("128", 128),
+    "theory.lambda_x": ("powerlaw:2.0,1.5", "powerlaw:2.0,1.5"),
+    "theory.a_response": ("lowpass:40", "lowpass:40"),
+    "theory.b_response": ("zeros", "zeros"),
+    "theory.d_grid": ("0, 0.5", (0.0, 0.5)),
+    "output_dir": ("elsewhere", "elsewhere"),
+}
+
+
+@pytest.mark.parametrize("cls,table", [(cli.ExperimentConfig, RUN_KEYS), (cli.TheoryConfig, THEORY_KEYS)],
+                         ids=["run", "theory"])
+def test_config_sets_each_key_through_its_field_and_parser(tmp_path, cls, table):
+    # the table lists the keys in field order: a key wired to another field, or
+    # a parser that reads another type, changes the echo the manifest writes
+    cfg = write_config(tmp_path / "all.cfg", "".join(f"{key} = {text}\n" for key, (text, _) in table.items()))
+    names = [f.name for f in fields(cls)]
+    expected = cls(**dict(zip(names, (value for _, value in table.values()), strict=True)))
+    assert all(getattr(expected, name) != getattr(cls(), name) for name in names)
+    assert cli._config_echo(cli.load_config(cls, cfg)) == cli._config_echo(expected)
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

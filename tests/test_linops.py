@@ -182,8 +182,9 @@ def test_compose_rejects_an_empty_stage_list():
         (lambda: Subsample(4, 0), "subsampling factor"),
         (lambda: Replicate(4, 0), "replication factor"),
         (lambda: Convolution(4, []), "kernel must be non-empty"),
+        (lambda: Convolution(0, [1.0]), "dimensions must be positive"),
     ],
-    ids=["in_dim-0", "out_dim-0", "subsample-0", "replicate-0", "empty-kernel"],
+    ids=["in_dim-0", "out_dim-0", "subsample-0", "replicate-0", "empty-kernel", "conv-n-0"],
 )
 def test_constructors_reject_degenerate_operators(build, needle):
     with pytest.raises(ValueError, match=needle):

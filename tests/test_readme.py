@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its config table lists the config schema."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from sysaware.cli import ExperimentConfig, TheoryConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +24,12 @@ def test_readme_library_example_runs(capsys):
     out = capsys.readouterr().out
     assert "dB vs source" in out
     assert "iterations:" in out
+
+
+def test_readme_config_table_lists_the_schema_keys_in_order():
+    section = README.read_text().split("### Config format", 1)[1].split("\n## ", 1)[0]
+    table_keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    schema_keys = []
+    for cls in (ExperimentConfig, TheoryConfig):  # output_dir, in both, is listed once
+        schema_keys += [f.metadata["key"] for f in fields(cls) if f.metadata["key"] not in schema_keys]
+    assert table_keys == schema_keys
