@@ -211,7 +211,8 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
 def _folded_bins(n: int) -> np.ndarray:
     """Distance of each DFT bin from DC, min(k, n - k)."""
     k = np.arange(n)
-    return np.minimum(k, n - k, out=k)
+    np.subtract(n, k[n // 2 + 1:], out=k[n // 2 + 1:])
+    return k
 
 
 def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
@@ -232,7 +233,7 @@ def _parse_response(spec: str, folded: np.ndarray, field: str) -> np.ndarray:
         return _read_values(arg, complex, folded.size, field)
     try:
         if kind == "lowpass":
-            return (folded <= int(arg)).astype(float)
+            return np.less_equal(folded, int(arg), out=np.empty(folded.size))
     except ValueError as exc:
         raise ValueError(f"{field}: bad response spec {spec!r}: {exc}") from None
     raise ValueError(f"{field}: unknown response spec {spec!r}")
@@ -247,7 +248,11 @@ def _parse_spectrum(spec: str, folded: np.ndarray) -> np.ndarray:
             return np.full(folded.size, float(arg))
         if kind == "powerlaw":
             amp, _, exponent = arg.partition(",")
-            return float(amp) * (1.0 + folded) ** -float(exponent)
+            amp, exponent, values = float(amp), float(exponent), 1.0 + folded
+            with np.errstate(all="ignore"):  # the model reports an overflow by name
+                values **= -exponent
+                values *= amp
+            return values
     except ValueError as exc:
         raise ValueError(f"lambda_x: bad spectrum spec {spec!r}: {exc}") from None
     raise ValueError(f"lambda_x: unknown spectrum spec {spec!r}")
@@ -257,12 +262,13 @@ def cmd_theory_curve(cfg: TheoryConfig, out_dir: Path) -> None:
     stage = "model setup"
     try:
         folded = _folded_bins(cfg.n)
-        model = SpectralModel(
-            n=cfg.n,
+        rows = dict(
             lambda_x=_parse_spectrum(cfg.lambda_x, folded),
             a_f=_parse_response(cfg.a_response, folded, "a_response"),
             b_f=_parse_response(cfg.b_response, folded, "b_response"),
         )
+        del folded  # the model reads only the rows
+        model = SpectralModel(n=cfg.n, **rows)
         if not model.k_ab.any():
             print("warning: empty joint support, the curve carries zero rate", file=sys.stderr)
         stage = "curve"

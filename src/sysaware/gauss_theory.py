@@ -8,10 +8,11 @@ to reverse water-filling against the weighted variances |a_k b_k|^2 *
 lambda_w_tilde_k. Rates are in nats internally and converted to bits only at
 the reporting boundary.
 
-A curve reads only each budget's theta and total rate, so an allocation
-builds ``d_k``, ``r_k`` and ``total_distortion`` on first read. The total
-rate is still summed over a full-length rate row: numpy sums pairwise, so
-a sum over the active bins alone would round differently.
+A curve reads only each budget's theta and total rate, so a model gathers
+its curve terms over the joint support and the lost bins, and it builds its
+per-bin rows, as an allocation its ``d_k``, ``r_k`` and ``total_distortion``,
+on first read. The total rate still sums a full-length rate row: numpy sums
+pairwise, so a sum over the active bins alone would round differently.
 """
 
 from __future__ import annotations
@@ -40,37 +41,37 @@ _THETA_FLOOR = 1e-15  # rate evaluation floor when the water level hits zero
 class SpectralModel:
     """Source variances and system responses, all indexed by DFT bin.
 
-    Derived arrays: ``gain`` = |a_f * b_f|^2, ``k_ab`` marks bins where both
-    responses are nonzero, ``lambda_w`` = |a_f|^2 * lambda_x, and
-    ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero elsewhere). A
-    derived value that overflows (or a gain that underflows to zero on
-    ``k_ab``) raises ValueError naming it. A response is float64 unless it
-    is complex, then complex128: for real x, y and v, (x+0j)(y+0j) = x*y +
-    0j and |v+0j| = hypot(v, 0) = |v|, so every derived value has the bits
-    that complex casts of real responses would give.
+    ``k_ab`` marks the joint support, where both responses are nonzero.
+    The per-bin rows ``gain`` = |a_f * b_f|^2, ``lambda_w`` = |a_f|^2 *
+    lambda_x and ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero
+    elsewhere) are built on first read. A derived value that overflows (or
+    a gain that underflows to zero on ``k_ab``) raises ValueError naming
+    it. A response is float64 unless it is complex, then complex128: for
+    real x, y and v, (x+0j)(y+0j) = x*y + 0j and |v+0j| = hypot(v, 0) =
+    |v|, so every derived value has the bits that complex casts of real
+    responses would give.
 
-    The model also holds the terms that no budget changes, so that a
-    curve's grid costs only per-budget work: the distortion floor that
+    The model holds the terms that no budget changes, so that a curve's
+    grid costs only per-budget work: the distortion floor that
     :func:`expected_min_distortion` returns, and for :func:`water_fill` the
     support bins ordered by their weighted variance gain * lambda_w_tilde
     (a stable sort), those variances (the levels) in that order, the
-    running sums of the levels below each one, the saturation sum of the
-    weighted variances over the support, and the water level of a budget
-    beyond it (the largest weighted variance, or +0.0 when none is
-    positive, whatever the signs of the zeros).
+    running sums of the levels below each one and the count from each one
+    up, the saturation sum, and the water level of a budget beyond it (the
+    largest level, or +0.0 when none is positive, whatever the signs of the
+    zeros). It gathers them with the rows' expressions over the support and
+    the lost bins (a_f nonzero, b_f zero), off which the rows are zero.
     """
 
     n: int
     lambda_x: np.ndarray
     a_f: np.ndarray
     b_f: np.ndarray
-    gain: np.ndarray = field(init=False)
     k_ab: np.ndarray = field(init=False)
-    lambda_w: np.ndarray = field(init=False)
-    lambda_w_tilde: np.ndarray = field(init=False)
     _order: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
     _below: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
     _saturation: float = field(init=False, repr=False, compare=False)
     _ceiling: float = field(init=False, repr=False, compare=False)
     _floor: float = field(init=False, repr=False, compare=False)
@@ -89,20 +90,21 @@ class SpectralModel:
             raise ValueError("lambda_x must be non-negative")
         a_nz, b_nz = a_f != 0, b_f != 0  # the finiteness checks excluded NaN
         k_ab = a_nz & b_nz
-        tilde = np.zeros(self.n)
+        support, lost = np.flatnonzero(k_ab), np.flatnonzero(a_nz & ~b_nz)  # b_f cannot reach lost bins
         with np.errstate(all="ignore"):  # overflow is reported below, by name
-            gain = np.abs(a_f * b_f) ** 2
-            lambda_w = np.abs(a_f) ** 2 * lam
-            np.divide(lambda_w, gain, out=tilde, where=k_ab)
-            support = np.flatnonzero(k_ab)
-            weighted = gain[support] * tilde[support]
+            a_s = a_f[support]
+            gain = np.abs(a_s * b_f[support]) ** 2
+            lambda_w = np.abs(a_s) ** 2 * lam[support]
+            lost_w = np.abs(a_f[lost]) ** 2 * lam[lost]
+            tilde = lambda_w / gain
+            weighted = gain * tilde
             ranks = np.argsort(weighted, kind="stable")
             order, levels = support[ranks], weighted[ranks]
             below = np.concatenate(([0.0], np.cumsum(levels[:-1])))
             saturation = float(weighted.sum())
-            floor = float(lambda_w[a_nz & ~b_nz].sum()) / self.n  # bins a_f passes, b_f cannot reach
+            floor = float(lost_w.sum()) / self.n
         for name, values in (
-            ("gain", gain), ("lambda_w", lambda_w), ("lambda_w_tilde", tilde),
+            ("gain", gain), ("lambda_w", lambda_w), ("lambda_w", lost_w), ("lambda_w_tilde", tilde),
             ("saturation sum", saturation), ("running sum", below), ("distortion floor", floor),
         ):
             if not np.isfinite(values).all():
@@ -111,12 +113,19 @@ class SpectralModel:
         # zeros of either sign, and np.max's pick among them varies)
         top = levels[-1] if levels.size and levels[-1] > 0 else 0.0
         arrays = dict(
-            lambda_x=lam, a_f=a_f, b_f=b_f, gain=gain, k_ab=k_ab,
-            lambda_w=lambda_w, lambda_w_tilde=tilde, _order=order, _levels=levels,
-            _below=below, _saturation=saturation, _ceiling=float(top), _floor=floor,
+            lambda_x=lam, a_f=a_f, b_f=b_f, k_ab=k_ab, _order=order, _levels=levels, _below=below,
+            _counts=np.arange(levels.size, 0, -1, dtype=float), _saturation=saturation,
+            _ceiling=float(top), _floor=floor,
         )
         for name, value in arrays.items():
             object.__setattr__(self, name, value)
+
+    # the per-bin rows, built on first read and then kept
+    gain = functools.cached_property(lambda self: np.abs(self.a_f * self.b_f) ** 2)
+    lambda_w = functools.cached_property(lambda self: np.abs(self.a_f) ** 2 * self.lambda_x)
+    lambda_w_tilde = functools.cached_property(
+        lambda self: np.divide(self.lambda_w, self.gain, out=np.zeros(self.n), where=self.k_ab)
+    )
 
 
 @dataclass(frozen=True)
@@ -186,7 +195,8 @@ def _water_level(model: SpectralModel, target: float) -> float:
     levels = model._levels
     if not levels.size:
         return 0.0
-    shares = (target - model._below) / np.arange(levels.size, 0, -1)
+    shares = target - model._below
+    shares /= model._counts
     fits = shares <= levels
     first = int(fits.argmax())
     return float(shares[first] if fits[first] else levels[-1])
@@ -226,8 +236,10 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
 def _rates(model: SpectralModel, start: int, theta: float) -> np.ndarray:
     """R_k over all n bins, evaluated at theta or the theta floor if larger."""
     r_k = np.zeros(model.n)
-    theta_eff = max(theta, _THETA_FLOOR)
-    r_k[model._order[start:]] = np.maximum(0.0, 0.5 * np.log(model._levels[start:] / theta_eff))
+    rates = model._levels[start:] / max(theta, _THETA_FLOOR)
+    np.log(rates, out=rates)
+    rates *= 0.5
+    r_k[model._order[start:]] = np.maximum(0.0, rates, out=rates)
     return r_k
 
 

@@ -4,7 +4,8 @@ pseudoinverse and range projection, the realized noise energy of an
 acquisition, an operator's dense matrix, a conjugate-gradient solve of the
 regularized normal equations, the z-update as one expression, a scalar
 writer of the codec's wire format, reverse water-filling that builds every
-term anew for each budget, and the distortion floor from masks built anew.
+term anew for each budget, the distortion floor from masks built anew, and a
+spectral model's water-filling terms derived from full-length per-bin rows.
 
 Response entries of a :class:`CirculantSpectral` with
 magnitude at most ``ZERO_TOL`` times the largest magnitude count as exact
@@ -167,6 +168,44 @@ def floor_reference(model: SpectralModel) -> float:
     the sum of lambda_w over the bins with a_f != 0 and b_f == 0."""
     lost = (model.a_f != 0) & (model.b_f == 0)
     return float(model.lambda_w[lost].sum()) / model.n
+
+
+def model_terms_reference(n: int, lambda_x, a_f, b_f) -> SimpleNamespace:
+    """The per-bin rows and the terms a :class:`SpectralModel` holds for
+    water-filling and its floor, every term derived from full-length rows:
+    ``gain`` = |a_f b_f|^2, ``lambda_w`` = |a_f|^2 lambda_x and
+    ``lambda_w_tilde`` = lambda_w / gain on the joint support (zero
+    elsewhere), then the weighted variances gathered from the rows over the
+    support, their stable sort, running sums and sum, the clamp level and
+    the floor over a mask of the lost bins. A row or sum that is not finite
+    raises the model's ValueError, checked over the whole row, in the
+    model's order. Takes valid inputs; responses keep their dtype rule."""
+    lam = np.asarray(lambda_x, dtype=float)
+    a_f, b_f = (np.asarray(r, dtype=complex if np.iscomplexobj(r) else float) for r in (a_f, b_f))
+    k_ab = (a_f != 0) & (b_f != 0)
+    tilde = np.zeros(n)
+    with np.errstate(all="ignore"):
+        gain = np.abs(a_f * b_f) ** 2
+        lambda_w = np.abs(a_f) ** 2 * lam
+        np.divide(lambda_w, gain, out=tilde, where=k_ab)
+        support = np.flatnonzero(k_ab)
+        weighted = gain[support] * tilde[support]
+        ranks = np.argsort(weighted, kind="stable")
+        levels = weighted[ranks]
+        below = np.concatenate(([0.0], np.cumsum(levels[:-1])))
+        saturation = float(weighted.sum())
+        floor = float(lambda_w[(a_f != 0) & (b_f == 0)].sum()) / n
+    for name, values in (
+        ("gain", gain), ("lambda_w", lambda_w), ("lambda_w_tilde", tilde),
+        ("saturation sum", saturation), ("running sum", below), ("distortion floor", floor),
+    ):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} is not finite: the responses or lambda_x are out of range")
+    top = float(levels[-1]) if levels.size and levels[-1] > 0 else 0.0
+    return SimpleNamespace(
+        gain=gain, lambda_w=lambda_w, lambda_w_tilde=tilde, _order=support[ranks], _levels=levels,
+        _below=below, _saturation=saturation, _ceiling=top, _floor=floor,
+    )
 
 
 def water_fill_reference(model: SpectralModel, total_d: float) -> SimpleNamespace:

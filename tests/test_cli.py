@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -527,6 +528,44 @@ def test_signal_and_spectrum_files_read_alike(tmp_path):
             read()
         errors.append(str(exc.value))
     assert errors == ["could not convert string to float: 'x\\n'"] * 2
+
+
+@pytest.mark.parametrize("exponent", [1.0, 0.0, -0.0, -0.5, -1.0, -2.0, 0.9, 1.5])
+def test_powerlaw_spectrum_has_the_bits_of_the_plain_expression(exponent):
+    # the row is raised and scaled in place; numpy's fast paths for the
+    # exponents -1, 0, 0.5, 1 and 2 must give the bits they give out of place
+    folded = cli._folded_bins(4096)
+    for amp in (1.0, 2.5, 1e-300):
+        got = cli._parse_spectrum(f"powerlaw:{amp!r},{exponent!r}", folded)
+        want = float(amp) * (1.0 + folded) ** -float(exponent)
+        assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_folded_bins_and_lowpass_rows_match_their_plain_expressions():
+    for n in [*range(1, 10), 4096, 4097]:
+        folded = cli._folded_bins(n)
+        k = np.arange(n)
+        assert folded.dtype == np.int64 and np.array_equal(folded, np.minimum(k, n - k))
+        for cut in (0, n // 3, n):
+            got = cli._parse_response(f"lowpass:{cut}", folded, "a_response")
+            assert got.dtype == np.float64 and np.array_equal(got, (folded <= cut).astype(float))
+
+
+@pytest.mark.parametrize(
+    "spec", ["powerlaw:1e308,-2", "powerlaw:1,-1000", "powerlaw:0,-1000"],
+    ids=["multiply", "power", "zero-times-inf"],
+)
+def test_theory_powerlaw_that_overflows_exits_1_naming_lambda_x(tmp_path, capsys, spec):
+    # numpy warns of nothing; the model names the row that is not finite
+    cfg = write_config(tmp_path / "t.cfg", f"theory.n = 64\ntheory.lambda_x = {spec}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "stage 'model setup' failed: lambda_x must be finite" in err and "RuntimeWarning" not in err
+    assert not out.exists()
 
 
 def test_theory_job_builds_the_folded_bins_once_and_real_responses(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import floor_reference, water_fill_reference
+from oracles import floor_reference, model_terms_reference, water_fill_reference
 from sysaware import gauss_theory
 from sysaware.cli import TheoryConfig
 from sysaware.gauss_theory import (
@@ -119,10 +119,12 @@ def test_model_validation():
         ([1.0, 1.0], [1.0, 1e-200], [1.0, 1e-200], "lambda_w_tilde"),
         # each weighted variance is 1e308, and their sum over the support overflows
         ([1e308, 1e308], [1.0, 1.0], [1.0, 1.0], "saturation sum"),
+        # a b = 0 on the lost bin, but its |a|^2 lambda_x = 1e20 * 1e300 overflows
+        ([1.0, 1e300], [1.0, 1e10], [1.0, 0.0], "lambda_w"),
         # each lost bin's lambda_w is 1e308, and their sum overflows
         ([1e308, 1e308], [1.0, 1.0], [0.0, 0.0], "distortion floor"),
     ],
-    ids=["gain", "lambda_w", "lambda_w_tilde", "saturation", "floor"],
+    ids=["gain", "lambda_w", "lambda_w_tilde", "saturation", "lambda_w-lost", "floor"],
 )
 def test_model_rejects_derived_arrays_that_overflow(lam, a_f, b_f, field):
     # numpy's overflow warnings would fail this test; the model reports by name instead
@@ -193,6 +195,32 @@ def test_real_responses_give_the_bits_of_their_complex_casts():
             errors.append(text.split()[0])
     assert errors[:3] == ["gain", "lambda_w", "lambda_w_tilde"]
     assert 30 < len(errors) < 270
+
+
+def test_support_gathers_give_the_terms_of_the_full_rows():
+    # the model builds its terms from gathers over the support and the lost
+    # bins; the oracle derives them from full-length rows, and the rows the
+    # model builds on first read are those rows
+    rng = np.random.default_rng(2200)
+    errors = []
+    for n, lam, a, b in real_response_models(rng):
+        for a_f, b_f in ((a, b), (a.astype(complex), b.astype(complex))):
+            try:
+                want = model_terms_reference(n, lam, a_f, b_f)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got, np.errstate(all="ignore"):
+                    SpectralModel(n=n, lambda_x=lam, a_f=a_f, b_f=b_f)
+                assert str(got.value) == str(exc)
+                errors.append(str(exc).split()[0])
+                continue
+            m = SpectralModel(n=n, lambda_x=lam, a_f=a_f, b_f=b_f)
+            assert np.array_equal(m._order, want._order)
+            for name in ("_levels", "_below", "_saturation", "_ceiling", "_floor",
+                         "gain", "lambda_w", "lambda_w_tilde"):
+                assert np.array_equal(bits(getattr(m, name)), bits(getattr(want, name))), name
+            assert type(m._ceiling) is type(m._floor) is type(m._saturation) is float
+    assert errors[:6] == ["gain", "gain", "lambda_w", "lambda_w", "lambda_w_tilde", "lambda_w_tilde"]
+    assert 60 < len(errors) < 540
 
 
 # -------------------------------------------------- expected_min_distortion #
@@ -530,6 +558,15 @@ def test_curve_builds_no_per_bin_array(monkeypatch):
         assert not {"d_k", "r_k", "total_distortion"} & vars(alloc).keys()
     allocations[1].total_distortion  # built on request, with the d_k it reads, and kept
     assert {"d_k", "total_distortion"} <= vars(allocations[1]).keys()
+
+
+def test_model_and_curve_build_no_per_bin_row():
+    model = theory_curve_model()
+    curve_to_csv(model, [0.0, 1e-6, 1e-5, 1e-4, 1.0])
+    assert not {"gain", "lambda_w", "lambda_w_tilde"} & vars(model).keys()
+    assert "gain" not in repr(model)
+    model.lambda_w_tilde  # built on request, with the rows it reads, and kept
+    assert {"gain", "lambda_w", "lambda_w_tilde"} <= vars(model).keys()
 
 
 # ------------------------------------------------------------------ curve #
