@@ -162,6 +162,8 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
             x = system_sim.load_signal(cfg.signal_path)
             if x.size < 2:
                 raise ValueError("n must be >= 2")
+            if not np.isfinite(x).all():
+                raise ValueError("signal contains non-finite samples")
         else:
             raise ValueError(f"unknown signal kind {cfg.signal_kind!r}")
 

@@ -37,7 +37,6 @@ __all__ = [
 _THETA_FLOOR = 1e-15  # rate evaluation floor when the water level hits zero
 
 
-@dataclass(frozen=True)
 class SpectralModel:
     """Source variances and system responses, all indexed by DFT bin.
 
@@ -63,26 +62,13 @@ class SpectralModel:
     the lost bins (a_f nonzero, b_f zero), off which the rows are zero.
     """
 
-    n: int
-    lambda_x: np.ndarray
-    a_f: np.ndarray
-    b_f: np.ndarray
-    k_ab: np.ndarray = field(init=False)
-    _order: np.ndarray = field(init=False, repr=False, compare=False)
-    _levels: np.ndarray = field(init=False, repr=False, compare=False)
-    _below: np.ndarray = field(init=False, repr=False, compare=False)
-    _counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _saturation: float = field(init=False, repr=False, compare=False)
-    _ceiling: float = field(init=False, repr=False, compare=False)
-    _floor: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, lambda_x, a_f, b_f):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        lam = np.asarray(self.lambda_x, dtype=float)
-        a_f, b_f = (np.asarray(r, dtype=complex if np.iscomplexobj(r) else float) for r in (self.a_f, self.b_f))
-        if not (lam.shape == a_f.shape == b_f.shape == (self.n,)):
-            raise ValueError(f"lambda_x, a_f, b_f must all have shape ({self.n},)")
+        lam = np.asarray(lambda_x, dtype=float)
+        a_f, b_f = (np.asarray(r, dtype=complex if np.iscomplexobj(r) else float) for r in (a_f, b_f))
+        if not (lam.shape == a_f.shape == b_f.shape == (n,)):
+            raise ValueError(f"lambda_x, a_f, b_f must all have shape ({n},)")
         for name, values in (("lambda_x", lam), ("a_f", a_f), ("b_f", b_f)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite")
@@ -102,7 +88,7 @@ class SpectralModel:
             order, levels = support[ranks], weighted[ranks]
             below = np.concatenate(([0.0], np.cumsum(levels[:-1])))
             saturation = float(weighted.sum())
-            floor = float(lost_w.sum()) / self.n
+            floor = float(lost_w.sum()) / n
         for name, values in (
             ("gain", gain), ("lambda_w", lambda_w), ("lambda_w", lost_w), ("lambda_w_tilde", tilde),
             ("saturation sum", saturation), ("running sum", below), ("distortion floor", floor),
@@ -112,13 +98,10 @@ class SpectralModel:
         # the largest level, or +0.0 when none is positive (levels may be
         # zeros of either sign, and np.max's pick among them varies)
         top = levels[-1] if levels.size and levels[-1] > 0 else 0.0
-        arrays = dict(
-            lambda_x=lam, a_f=a_f, b_f=b_f, k_ab=k_ab, _order=order, _levels=levels, _below=below,
-            _counts=np.arange(levels.size, 0, -1, dtype=float), _saturation=saturation,
-            _ceiling=float(top), _floor=floor,
-        )
-        for name, value in arrays.items():
-            object.__setattr__(self, name, value)
+        self.n, self.lambda_x, self.a_f, self.b_f, self.k_ab = n, lam, a_f, b_f, k_ab
+        self._order, self._levels, self._below = order, levels, below
+        self._counts = np.arange(levels.size, 0, -1, dtype=float)
+        self._saturation, self._ceiling, self._floor = saturation, float(top), floor
 
     # the per-bin rows, built on first read and then kept
     gain = functools.cached_property(lambda self: np.abs(self.a_f * self.b_f) ** 2)

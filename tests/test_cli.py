@@ -272,6 +272,19 @@ def test_run_signal_file_shorter_than_two_samples_exits_1_in_signal(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+def test_run_signal_file_with_non_finite_sample_exits_1_in_signal(tmp_path, capsys, sample):
+    (tmp_path / "sig.txt").write_text(f"0.5\n{sample}\n0.25\n-0.5\n")
+    cfg = write_config(
+        tmp_path / "exp.cfg",
+        f"signal.kind = file\nsignal.path = {tmp_path / 'sig.txt'}\nsystem.subsample_factor = 1\n",
+    )
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert "stage 'signal' failed: signal contains non-finite samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_signal_from_file(tmp_path):
     x = make_chirp(128)
     save_signal(tmp_path / "sig.txt", x)

@@ -99,6 +99,13 @@ def test_model_derived_fields():
     assert np.array_equal(m.lambda_w_tilde, [4.0, 0.0, 0.0, 1.0])
 
 
+def test_models_can_sit_in_a_list_and_a_set():
+    model = SpectralModel(n=4, lambda_x=[4.0, 3, 2, 1], a_f=[1, 1, 0, 1], b_f=[1, 0, 0, 1])
+    other = SpectralModel(n=4, lambda_x=[4.0, 3, 2, 1], a_f=[1, 1, 0, 1], b_f=[1, 0, 0, 1])
+    assert model in [other, model]
+    assert len({model, other}) == 2
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         SpectralModel(n=2, lambda_x=[1.0, -0.5], a_f=[1, 1], b_f=[1, 1])
