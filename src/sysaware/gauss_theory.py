@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class SpectralModel:
     )
 
 
-@dataclass(frozen=True)
 class SpectralAllocation:
     """Per-bin distortions and rates from reverse water-filling.
 
@@ -121,17 +120,16 @@ class SpectralAllocation:
     ``rate_floored`` flags rates evaluated at the theta floor (theta ~ 0, so
     the exact rates are unbounded).
 
-    It holds only scalars, its model and the start of the bins below
-    saturation in the model's sorted support; ``d_k``, ``r_k`` and
-    ``total_distortion`` are built on first read and then kept.
+    :func:`water_fill` builds it from those four values, its model and
+    ``start``, where the bins below saturation begin in the model's sorted
+    support; ``d_k``, ``r_k`` and ``total_distortion`` are built on first
+    read and then kept.
     """
 
-    theta: float
-    total_rate: float
-    clamped: bool
-    rate_floored: bool
-    _model: SpectralModel = field(repr=False, compare=False)
-    _start: int = field(repr=False, compare=False)
+    def __init__(self, theta: float, total_rate: float, clamped: bool, rate_floored: bool,
+                 model: SpectralModel, start: int):
+        self.theta, self.total_rate, self.clamped = theta, total_rate, clamped
+        self.rate_floored, self._model, self._start = rate_floored, model, start
 
     @functools.cached_property
     def d_k(self) -> np.ndarray:

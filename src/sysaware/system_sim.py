@@ -35,33 +35,26 @@ __all__ = [
 PSNR_CAP_DB = 200.0
 
 
-@dataclass(frozen=True)
 class SystemModel:
     """Acquisition operator a, rendering operator b, noise level, and seed.
 
-    ``symbol`` is the DFT symbol of the chain a(b(.)), probed once here. The
-    ADMM z-update is a closed-form solve on it, so a chain that is not
-    circulant on the coded grid raises ValueError when the model is built.
+    ``symbol`` is the DFT symbol of the chain a(b(.)), probed once when the
+    model is built. The ADMM z-update is a closed-form solve on it, so a
+    chain that is not circulant on the coded grid raises ValueError here.
     """
 
-    a: LinearMap
-    b: LinearMap
-    noise_std: float
-    rng_seed: int
-    symbol: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.a.in_dim != self.b.out_dim or self.a.out_dim != self.b.in_dim:
+    def __init__(self, a: LinearMap, b: LinearMap, noise_std: float, rng_seed: int):
+        if a.in_dim != b.out_dim or a.out_dim != b.in_dim:
             raise ValueError(
-                f"a ({self.a.in_dim}->{self.a.out_dim}) and "
-                f"b ({self.b.in_dim}->{self.b.out_dim}) do not form a closed loop"
+                f"a ({a.in_dim}->{a.out_dim}) and "
+                f"b ({b.in_dim}->{b.out_dim}) do not form a closed loop"
             )
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
-        symbol = circulant_symbol(Compose([self.b, self.a]))
+        if not (np.isfinite(noise_std) and noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
+        symbol = circulant_symbol(Compose([b, a]))
         if symbol is None:
             raise ValueError("A(B(.)) is not circulant on the coded grid, so the z-update has no solve")
-        object.__setattr__(self, "symbol", symbol)
+        self.a, self.b, self.noise_std, self.rng_seed, self.symbol = a, b, noise_std, rng_seed, symbol
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import functools
 import mmap
+import operator
 import struct
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -88,7 +88,6 @@ class BitstreamError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, eq=False)
 class Bitstream:
     """A coded tree: header fields plus its leaves in left-to-right order.
 
@@ -101,26 +100,29 @@ class Bitstream:
     boundary; then q_bits per leaf in left-to-right leaf order, MSB-first,
     zero-padded to a byte boundary.
 
-    Construction checks the header ranges, that the leaves tile the m
-    samples, each aligned to its width and no deeper than d, and that every
-    index is in [0, 2**q_bits), and raises ValueError otherwise: a stream
-    that exists serializes to bytes :meth:`from_bytes` reads back unchanged.
+    The constructor takes d0, d and q_bits through ``operator.index`` and
+    each row as a 1-D integer row (a list too), kept as int64; a float,
+    bool, object or non-1-D row raises ValueError naming it. It then
+    checks the header ranges, that the leaves tile the m samples, each
+    aligned to its width and no deeper than d, and that every index is in
+    [0, 2**q_bits), and raises ValueError otherwise: a stream that exists
+    serializes to bytes :meth:`from_bytes` reads back unchanged.
     """
 
-    d0: int
-    d: int
-    q_bits: int
-    leaf_levels: np.ndarray
-    leaf_indices: np.ndarray
-    # split bits written before each leaf in pre-order, kept for to_bytes
-    _runs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not (1 <= self.d <= self.d0 and self.m <= MAX_LEN and 1 <= self.q_bits <= MAX_Q_BITS):
+    def __init__(self, d0: int, d: int, q_bits: int, leaf_levels, leaf_indices):
+        self.d0, self.d, self.q_bits = operator.index(d0), operator.index(d), operator.index(q_bits)
+        # d0 < MAX_LEN.bit_length() is 2**d0 <= MAX_LEN without building 2**d0 for any d0
+        if not (1 <= self.d <= self.d0 < MAX_LEN.bit_length() and 1 <= self.q_bits <= MAX_Q_BITS):
             raise ValueError(
                 f"header d0={self.d0}, d={self.d}, q_bits={self.q_bits} outside "
                 f"1 <= d <= d0, 2**d0 <= MAX_LEN, 1 <= q_bits <= {MAX_Q_BITS}"
             )
+        for name, values in (("leaf_levels", leaf_levels), ("leaf_indices", leaf_indices)):
+            row = np.asarray(values)
+            # np.asarray([]) is float64, so an empty row of any dtype passes as empty
+            if row.ndim != 1 or row.dtype.kind not in "iu" and row.size:
+                raise ValueError(f"{name} must be a 1-D integer row, not a {row.shape} {row.dtype} row")
+            setattr(self, name, row.astype(np.int64, copy=False))
         levels = self.leaf_levels
         widths = self.m >> levels
         ends = np.cumsum(widths)
@@ -142,7 +144,7 @@ class Bitstream:
         # negative index) exactly when some index is outside [0, 2**q_bits)
         if np.bitwise_or.reduce(self.leaf_indices) >> self.q_bits:
             raise ValueError(f"a leaf index is outside [0, 2**q_bits) for q_bits={self.q_bits}")
-        object.__setattr__(self, "_runs", runs)
+        self._runs = runs  # split bits written before each leaf in pre-order
 
     @property
     def m(self) -> int:
@@ -242,8 +244,9 @@ def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
 def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     """Encode ``w`` (1-D, length a power of two, |samples| <= MAX_ABS) at Lagrangian weight ``nu``.
 
-    ``d`` defaults to the maximal depth log2(len(w)). Returns the pruned tree
-    as a :class:`Bitstream`. ``nu`` must be non-negative with nu * q_bits finite.
+    ``d`` (by default the maximal depth log2(len(w))) and ``q_bits`` are
+    integers. Returns the pruned tree as a :class:`Bitstream`. ``nu`` must be
+    non-negative with nu * q_bits finite.
     """
     return _prune(_analyze(w, d, q_bits), nu)
 
@@ -271,8 +274,7 @@ def _analyze(w, d: int | None, q_bits: int) -> _Analysis:
     if m > MAX_LEN:
         raise ValueError(f"signal length {m} exceeds MAX_LEN={MAX_LEN}")
     d0 = m.bit_length() - 1
-    if d is None:
-        d = d0
+    d, q_bits = d0 if d is None else operator.index(d), operator.index(q_bits)
     if not 1 <= d <= d0:
         raise ValueError(f"depth must be in [1, {d0}], got {d}")
     if not 1 <= q_bits <= MAX_Q_BITS:
@@ -419,14 +421,15 @@ class TreeCodecPlug:
     The plug also remembers the last blob it produced together with its coded
     tree, so ``decompress`` and ``rate_bits`` on those same bytes skip the
     parse; any other bytes are parsed (and rejected when malformed) as by
-    :meth:`Bitstream.from_bytes`.
+    :meth:`Bitstream.from_bytes`. A non-integral depth or q_bits raises
+    TypeError (``operator.index``) here, before any coding.
     """
 
     def __init__(self, depth: int | None = None, q_bits: int = 8):
-        if depth is not None and not depth >= 1:
+        self.depth = None if depth is None else operator.index(depth)
+        if self.depth is not None and self.depth < 1:
             raise ValueError(f"depth must be None (finest) or >= 1, got {depth}")
-        self.depth = depth
-        self.q_bits = int(q_bits)
+        self.q_bits = operator.index(q_bits)
         if not 1 <= self.q_bits <= MAX_Q_BITS:
             raise ValueError(f"q_bits must be in [1, {MAX_Q_BITS}], got {q_bits}")
         # (shape, depth, q_bits), the signal's bits, and its analysis

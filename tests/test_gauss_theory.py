@@ -106,6 +106,20 @@ def test_models_can_sit_in_a_list_and_a_set():
     assert len({model, other}) == 2
 
 
+def test_allocations_of_different_models_are_not_equal():
+    # both budgets are beyond saturation, so theta (the largest level), the
+    # zero rate and the flags agree, but the saturated d_k do not
+    first = water_fill(SpectralModel(n=4, lambda_x=[1.0, 1, 1, 1], a_f=np.ones(4), b_f=np.ones(4)), 10.0)
+    second = water_fill(SpectralModel(n=4, lambda_x=[1.0, 1, 1, 0], a_f=np.ones(4), b_f=np.ones(4)), 10.0)
+    assert (first.theta, first.total_rate, first.clamped, first.rate_floored) == (
+        second.theta, second.total_rate, second.clamped, second.rate_floored
+    )
+    assert (first.total_distortion, second.total_distortion) == (4.0, 3.0)
+    assert first != second
+    assert first == first
+    assert len({first, second, first}) == 2
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         SpectralModel(n=2, lambda_x=[1.0, -0.5], a_f=[1, 1], b_f=[1, 1])

@@ -88,6 +88,12 @@ def test_system_model_validates_loop_closure():
         SystemModel(a=Identity(4), b=Identity(4), noise_std=-1.0, rng_seed=0)
 
 
+def test_system_models_can_sit_in_a_list_and_a_set():
+    system, other = identity_system(8), identity_system(8)
+    assert system in [other, system]
+    assert len({system, other}) == 2
+
+
 @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
 def test_system_model_requires_finite_non_negative_noise(noise_std):
     with pytest.raises(ValueError, match="finite and non-negative"):

@@ -468,6 +468,55 @@ def test_hand_built_stream_round_trips():
     assert parsed.leaf_indices.tolist() == [10, 200]
 
 
+def test_streams_can_sit_in_a_list_and_a_set():
+    stream, other = (Bitstream(d0=3, d=2, q_bits=8, leaf_levels=[1, 1], leaf_indices=[10, 200]) for _ in range(2))
+    assert stream in [other, stream]
+    assert len({stream, other}) == 2
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+def test_rows_of_lists_or_any_integer_dtype_give_the_same_stream(dtype):
+    # a uint64 row minus a Python int would be float64, so rows are kept as int64
+    levels, indices = [2, 3, 3, 1], [0, 127, 7, 100]
+    built = Bitstream(d0=3, d=3, q_bits=8, leaf_levels=np.array(levels), leaf_indices=np.array(indices))
+    for stream in (
+        Bitstream(d0=3, d=3, q_bits=8, leaf_levels=levels, leaf_indices=indices),
+        Bitstream(d0=np.uint8(3), d=np.int64(3), q_bits=np.int16(8),
+                  leaf_levels=np.array(levels, dtype=dtype), leaf_indices=np.array(indices, dtype=dtype)),
+    ):
+        assert stream.to_bytes() == built.to_bytes()
+        assert stream.leaf_levels.dtype == stream.leaf_indices.dtype == np.int64
+        assert np.array_equal(decode(stream), decode(built))
+
+
+@pytest.mark.parametrize(
+    "field, row",
+    [
+        ("leaf_levels", [1.0, 1.0]),
+        ("leaf_levels", np.array([True, True])),
+        ("leaf_levels", np.array([[1, 1]])),
+        ("leaf_levels", 1),
+        ("leaf_indices", [10.0, 200.0]),
+        ("leaf_indices", [10, 2**70]),  # too wide for int64, so an object row
+        ("leaf_indices", np.array([10, 200], dtype=object)),
+        ("leaf_indices", [[10], [200]]),
+    ],
+    ids=["levels-float", "levels-bool", "levels-2d", "levels-scalar",
+         "indices-float", "indices-huge", "indices-object", "indices-2d"],
+)
+def test_constructor_rejects_rows_that_are_not_1d_integers(field, row):
+    rows = {"leaf_levels": [1, 1], "leaf_indices": [10, 200], field: row}
+    with pytest.raises(ValueError, match=f"{field} must be a 1-D integer row"):
+        Bitstream(d0=3, d=2, q_bits=8, **rows)
+
+
+@pytest.mark.parametrize("header", [{"d0": 3.0}, {"d": 2.5}, {"q_bits": 8.0}])
+def test_constructor_rejects_header_fields_that_are_not_integers(header):
+    fields = {"d0": 3, "d": 2, "q_bits": 8, **header}
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Bitstream(**fields, leaf_levels=[1, 1], leaf_indices=[10, 200])
+
+
 def random_partition(rng, level, d):
     """Leaf levels, left to right, of a random tree of depth at most d below ``level``."""
     if level == d or rng.random() < 0.4:
@@ -757,6 +806,19 @@ def test_plug_rejects_truncated_last_blob():
 def test_plug_rejects_settings_no_signal_can_use(kwargs):
     with pytest.raises(ValueError, match="q_bits" if "q_bits" in kwargs else "depth"):
         TreeCodecPlug(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "settings", [{"q_bits": 8.7}, {"q_bits": 8.0}, {"depth": 2.5}, {"depth": 3.0}, {"q_bits": "8"}]
+)
+def test_codec_rejects_settings_that_are_not_integers(settings):
+    # rejected before any coding, not coded at int(q_bits) or failing in 1 << q_bits
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        TreeCodecPlug(**settings)
+    w = np.random.default_rng(40).uniform(size=16)
+    d, q_bits = settings.get("depth"), settings.get("q_bits", 8)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        encode(w, 1e-3, d=d, q_bits=q_bits)
 
 
 def test_plug_accepts_the_extreme_valid_settings():
