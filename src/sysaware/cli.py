@@ -189,22 +189,15 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
 
         stage = "write outputs"
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs: dict[str, bytes] = {}
-
-        def emit(name: str, data) -> None:
-            if isinstance(data, np.ndarray):
-                data = system_sim.save_signal(out_dir / name, data).encode()
-            else:
-                (out_dir / name).write_bytes(data)
-            outputs[name] = data
-
-        emit("rd_curve.csv", system_sim.rd_points_to_csv(regular + proposed, cfg.seed).encode())
-        emit("source.txt", x)
-        emit("acquired.txt", w)
+        outputs = {"rd_curve.csv": system_sim.rd_points_to_csv(regular + proposed, cfg.seed).encode()}
+        signals = {"source.txt": x, "acquired.txt": w}
         for points in (regular, proposed):
             for i, point in enumerate(points):
-                emit(f"{point.method}_{i:02d}.bin", point.blob)
-                emit(f"recon_{point.method}_{i:02d}.txt", point.recon)
+                outputs[f"{point.method}_{i:02d}.bin"] = point.blob
+                signals[f"recon_{point.method}_{i:02d}.txt"] = point.recon
+        outputs.update(zip(signals, system_sim.signal_texts(signals.values())))
+        for name, data in outputs.items():
+            (out_dir / name).write_bytes(data)
         _write_manifest(out_dir, cfg, cfg.seed, outputs)
     except Exception as exc:
         raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc

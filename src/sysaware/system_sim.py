@@ -9,6 +9,7 @@ bit-reproducible from the recorded seed.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,7 @@ __all__ = [
     "psnr",
     "sweep",
     "rd_points_to_csv",
+    "signal_texts",
     "save_signal",
     "load_signal",
 ]
@@ -40,7 +42,8 @@ class SystemModel:
 
     ``symbol`` is the DFT symbol of the chain a(b(.)), probed once when the
     model is built. The ADMM z-update is a closed-form solve on it, so a
-    chain that is not circulant on the coded grid raises ValueError here.
+    chain that is not circulant on the coded grid raises ValueError here, as
+    does an ``rng_seed`` that is not a non-negative integer (a bool included).
     """
 
     def __init__(self, a: LinearMap, b: LinearMap, noise_std: float, rng_seed: int):
@@ -51,6 +54,8 @@ class SystemModel:
             )
         if not (np.isfinite(noise_std) and noise_std >= 0):
             raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
+        if isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral) or rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
         symbol = circulant_symbol(Compose([b, a]))
         if symbol is None:
             raise ValueError("A(B(.)) is not circulant on the coded grid, so the z-update has no solve")
@@ -211,18 +216,36 @@ def rd_points_to_csv(points: list[RDPoint], seed: int) -> str:
     return out.getvalue()
 
 
-def save_signal(path, x) -> str:
-    """Write a signal as text, one ``repr`` per LF-ended line, and return the text.
+def signal_texts(signals) -> list[bytes]:
+    """The text of each signal, one ``repr`` per LF-ended line, as ASCII bytes.
 
-    Each distinct float64 bit pattern is formatted once, since a coded signal
-    takes at most 2**q_bits values. Bit patterns, not values, are compared, so
-    -0.0 keeps its own text apart from 0.0.
+    The signals are formatted together: each distinct float64 bit pattern is
+    formatted once across them all, since a coded signal takes at most
+    2**q_bits values, and each run of equal samples becomes one repeated line.
+    Bit patterns, not values, are compared, so -0.0 keeps its own text apart
+    from 0.0.
     """
-    patterns, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64), return_inverse=True)
-    lines = np.array([f"{value!r}\n" for value in patterns.view(np.float64).tolist()], dtype=object)
-    text = "".join(lines[inverse].tolist())
-    Path(path).write_text(text, newline="\n")
-    return text
+    rows = [np.asarray(x, dtype=float).reshape(-1).view(np.int64) for x in signals]
+    sizes = np.array([row.size for row in rows])
+    bits = np.concatenate(rows)
+    ends = np.cumsum(sizes)
+    # a run starts where the bit pattern changes and at each signal's first sample
+    first = np.empty(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    first[(ends - sizes)[sizes > 0]] = True
+    starts = np.flatnonzero(first)
+    patterns, inverse = np.unique(bits[starts], return_inverse=True)
+    lines = np.array([f"{value!r}\n".encode() for value in patterns.view(np.float64).tolist()], dtype=object)
+    runs = (lines[inverse] * np.diff(starts, append=bits.size)).tolist()
+    cuts = np.searchsorted(starts, ends).tolist()
+    return [b"".join(runs[begin:end]) for begin, end in zip([0, *cuts], cuts)]
+
+
+def save_signal(path, x) -> bytes:
+    """Write a signal as its :func:`signal_texts` text and return the bytes written."""
+    (data,) = signal_texts([x])
+    Path(path).write_bytes(data)
+    return data
 
 
 def load_signal(path, parse=float) -> np.ndarray:

@@ -26,11 +26,14 @@ has a fixed overhead that outweighs its per-element work on small rows, so
 the work is arranged in few calls: only the recursions from one level to the
 next (the sums, the m2 merge, the pruning, and the top-down marking of
 reached nodes) make a call per level, and everything else (the means, the
-quantization, every leaf cost) runs once over the whole heap. The node
-widths, which the shape (M, d) alone fixes, are built once per shape and
-cached read-only. The float work runs in heap-sized rows reused in place
-through ``out=``: at M = 2**16 fresh temporaries cost more in allocation and
-page faults than the arithmetic they feed.
+quantization, every leaf cost) runs once over the whole heap. Both run in a
+workspace built once per shape (M, d): five heap-sized float rows (the node
+widths, which the shape alone fixes, and four rows the work reuses in place
+through ``out=``) and each level's slices of them for every recursion, so a
+call neither allocates a heap-sized row nor slices a level. At M = 2**16
+fresh rows cost more in allocation and page faults than the arithmetic they
+feed, and at M = 256 slicing every level on every call would cost about a
+quarter of the work.
 
 Only the rate term nu * q_bits depends on nu, so an encode is two steps. The
 analysis, once per signal, builds the sums, m2, means and quantization
@@ -38,18 +41,18 @@ indices and every node's leaf cost without the rate term; it keeps two rows
 (those leaf costs and the indices). The prune, once per nu, adds nu * q_bits
 to a copy of the leaf costs, runs the bottom-up pruning and the top-down
 marking, and lists the leaves. A rate ladder codes one signal at many nu, so
-:class:`TreeCodecPlug` keeps its last signal's analysis and only prunes when
-the same samples come again: the analysis reads every sample, while a
-prune reads only the heap and lists fewer leaves the higher nu is.
+:class:`TreeCodecPlug` keeps its workspace, and in it its last signal's
+analysis, and only prunes when the same samples come again: the analysis
+reads every sample, while a prune reads only the heap and lists fewer leaves
+the higher nu is.
 """
 
 from __future__ import annotations
 
-import functools
 import mmap
 import operator
 import struct
-from typing import NamedTuple
+import threading
 
 import numpy as np
 
@@ -73,11 +76,13 @@ MAX_LEN = 1 << 24  # longest signal the codec writes or reads
 MAX_ABS = (2.0**1022 / MAX_LEN) ** 0.5 / 2
 MAX_Q_BITS = 52  # widest index whose rounding and reconstruction are exact in float64
 _HEADER_LEN = 11  # magic, d0, d, q_bits, M as 4-byte big-endian
-# Heap slices of each level that has children, and of their left and right children.
-_LEVELS = tuple(
-    (slice(f, 2 * f + 1), slice(2 * f + 1, 4 * f + 3, 2), slice(2 * f + 2, 4 * f + 3, 2))
-    for f in ((1 << level) - 1 for level in range(MAX_LEN.bit_length() - 1))
-)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` through ``operator.index``, which also takes a bool: that raises TypeError here."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not the bool {value!r}")
+    return operator.index(value)
 
 
 class BitstreamError(ValueError):
@@ -100,9 +105,10 @@ class Bitstream:
     boundary; then q_bits per leaf in left-to-right leaf order, MSB-first,
     zero-padded to a byte boundary.
 
-    The constructor takes d0, d and q_bits through ``operator.index`` and
-    each row as a 1-D integer row (a list too), kept as int64; a float,
-    bool, object or non-1-D row raises ValueError naming it. It then
+    The constructor takes d0, d and q_bits through ``operator.index``, and a
+    bool there raises TypeError naming the field; it takes each row as a 1-D
+    integer row (a list too), kept as int64, and a float, bool, object or
+    non-1-D row raises ValueError naming it. It then
     checks the header ranges, that the leaves tile the m samples, each
     aligned to its width and no deeper than d, and that every index is in
     [0, 2**q_bits), and raises ValueError otherwise: a stream that exists
@@ -110,7 +116,7 @@ class Bitstream:
     """
 
     def __init__(self, d0: int, d: int, q_bits: int, leaf_levels, leaf_indices):
-        self.d0, self.d, self.q_bits = operator.index(d0), operator.index(d), operator.index(q_bits)
+        self.d0, self.d, self.q_bits = _integer("d0", d0), _integer("d", d), _integer("q_bits", q_bits)
         # d0 < MAX_LEN.bit_length() is 2**d0 <= MAX_LEN without building 2**d0 for any d0
         if not (1 <= self.d <= self.d0 < MAX_LEN.bit_length() and 1 <= self.q_bits <= MAX_Q_BITS):
             raise ValueError(
@@ -245,26 +251,59 @@ def encode(w, nu: float, d: int | None = None, q_bits: int = 8) -> Bitstream:
     """Encode ``w`` (1-D, length a power of two, |samples| <= MAX_ABS) at Lagrangian weight ``nu``.
 
     ``d`` (by default the maximal depth log2(len(w))) and ``q_bits`` are
-    integers. Returns the pruned tree as a :class:`Bitstream`. ``nu`` must be
-    non-negative with nu * q_bits finite.
+    integers, not bools. Returns the pruned tree as a :class:`Bitstream`.
+    ``nu`` must be non-negative with nu * q_bits finite.
     """
     return _prune(_analyze(w, d, q_bits), nu)
 
 
-class _Analysis(NamedTuple):
-    """What an encode computes before ``nu`` enters: the depth-d heap's leaf
-    costs without the rate term, and every node's quantization index. A
-    prune only reads it, so one analysis serves any number of prunes."""
+class _Workspace:
+    """The rows, and the views of them, that every encode of the depth-d heap over m samples uses.
 
-    m: int
-    d: int
-    q_bits: int
-    leaf_cost: np.ndarray  # m2 + width * (mean - index / levels)^2
-    index: np.ndarray  # floor(clamp(mean, 0, 1) * levels + 0.5)
+    Five heap-sized float rows share one anonymous mapping: ``width``, which
+    the shape alone fixes; ``leaf_cost`` and ``index``, the two rows an
+    analysis keeps; and ``mean`` and ``work``, its temporaries, which a prune
+    reuses as its cost copy and, in ``work``'s front half, its children row.
+    The prune's ``split`` and ``reached`` flags are bool views of the back
+    half. Each level-to-level recursion runs on views built here once, a tuple
+    per level: ``sum_levels`` and ``m2_levels`` (the analysis's merges),
+    ``min_levels`` (the prune's minimization), all from the deepest parents
+    up, and ``mark_levels`` (the top-down marking) from the root down.
+
+    ``q_bits`` is that of the analysis the rows hold, and ``source`` is
+    :class:`TreeCodecPlug`'s key for it, None when there is none to reuse.
+    """
+
+    def __init__(self, m: int, d: int):
+        n_nodes = (2 << d) - 1
+        n_parents = n_nodes >> 1
+        self.m, self.d, self.q_bits, self.source = m, d, 0, None
+        # A plug's rows outlive its calls, so they get their own mapping: held
+        # in malloc's heap, a long-lived block of 0.5 MB or more changed how glibc
+        # trims it, so later calls took fresh pages and the process held more memory.
+        rows = np.frombuffer(mmap.mmap(-1, 40 * n_nodes), dtype=np.float64).reshape(5, n_nodes)
+        self.width, self.leaf_cost, self.index, self.mean, self.work = rows
+        flags = self.work[n_parents:].view(bool)
+        self.split, self.reached = flags[:n_nodes], flags[n_nodes : 2 * n_nodes]
+        self.width[n_parents:] = m >> d
+        self.sum_levels, self.m2_levels, self.min_levels, self.mark_levels = [], [], [], []
+        mean, cost, work, split = self.mean, self.leaf_cost, self.work, self.split
+        for level in range(d):
+            first = (1 << level) - 1
+            node = slice(first, 2 * first + 1)
+            left, right = slice(2 * first + 1, 4 * first + 3, 2), slice(2 * first + 2, 4 * first + 3, 2)
+            self.width[node] = m >> level
+            sums = mean[node], mean[left], mean[right]
+            self.sum_levels.insert(0, sums)
+            self.m2_levels.insert(0, (cost[node], cost[left], cost[right], work[node]))
+            self.min_levels.insert(0, (*sums, work[node], split[node]))
+            if level < d - 1:
+                self.mark_levels.append((split[node], split[left], split[right]))
 
 
-def _analyze(w, d: int | None, q_bits: int) -> _Analysis:
-    """The nu-free part of :func:`encode`: validate, then build the heap's statistics."""
+def _analyze(w, d: int | None, q_bits: int, workspace: _Workspace | None = None) -> _Workspace:
+    """The nu-free part of :func:`encode`: validate, then build the heap's
+    statistics in ``workspace``, or in a new one if it is None or of another shape."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise ValueError(f"signal must be 1-D, its length a power of two, got shape {w.shape}")
@@ -274,7 +313,7 @@ def _analyze(w, d: int | None, q_bits: int) -> _Analysis:
     if m > MAX_LEN:
         raise ValueError(f"signal length {m} exceeds MAX_LEN={MAX_LEN}")
     d0 = m.bit_length() - 1
-    d, q_bits = d0 if d is None else operator.index(d), operator.index(q_bits)
+    d, q_bits = d0 if d is None else _integer("d", d), _integer("q_bits", q_bits)
     if not 1 <= d <= d0:
         raise ValueError(f"depth must be in [1, {d0}], got {d}")
     if not 1 <= q_bits <= MAX_Q_BITS:
@@ -283,41 +322,38 @@ def _analyze(w, d: int | None, q_bits: int) -> _Analysis:
     if not (-MAX_ABS <= w.min() and w.max() <= MAX_ABS):
         raise ValueError(f"signal contains non-finite samples or samples beyond MAX_ABS={MAX_ABS:.4g}")
 
-    n_nodes = (2 << d) - 1
-    n_parents = n_nodes >> 1
-    width = _node_widths(m, d)
-    # the analysis keeps cost and index and drops mean and work; four rows
-    # apiece, since unpacking a 2-D block into rows costs more at M = 256
-    cost, index = np.empty(n_nodes), np.empty(n_nodes)
-    mean, work = np.empty(n_nodes), np.empty(n_nodes)
+    ws = workspace
+    if ws is None or ws.m != m or ws.d != d:
+        ws = _Workspace(m, d)
+    ws.q_bits = q_bits
+    width, cost, index, mean, work = ws.width, ws.leaf_cost, ws.index, ws.mean, ws.work
     sums, m2 = mean, cost  # in place, the sums become the means and m2 the leaf costs
+    n_parents = width.size >> 1
 
     # Sum and second moment of the level-d segments in one direct pass (m2 is
     # exactly 0 at width 1); each shallower level merges its children's.
-    bottom = slice(n_parents, n_nodes)
     if m == 1 << d:
-        sums[bottom] = w
-        m2[bottom] = 0.0
+        sums[n_parents:] = w
+        m2[n_parents:] = 0.0
     else:
         segments = w.reshape(1 << d, m >> d)
-        segments.sum(axis=1, out=sums[bottom])
-        deviation = segments - (sums[bottom] / (m >> d))[:, None]
+        segments.sum(axis=1, out=sums[n_parents:])
+        deviation = segments - (sums[n_parents:] / (m >> d))[:, None]
         np.square(deviation, out=deviation)
-        deviation.sum(axis=1, out=m2[bottom])
-    for node, left, right in reversed(_LEVELS[:d]):
-        np.add(sums[left], sums[right], out=sums[node])
+        deviation.sum(axis=1, out=m2[n_parents:])
+    for node, left, right in ws.sum_levels:
+        np.add(left, right, out=node)
     np.divide(sums, width, out=mean)
     # (mean_L - mean_R)^2 * width_child / 2 for every parent at once; the
     # parents' m2 rows are still free and hold width_child / 2 meanwhile.
-    merge = work[:n_parents]
+    merge, half_width = work[:n_parents], m2[:n_parents]
     np.subtract(mean[1::2], mean[2::2], out=merge)
     np.multiply(merge, merge, out=merge)
-    np.multiply(width[1::2], 0.5, out=m2[:n_parents])
-    np.multiply(merge, m2[:n_parents], out=merge)
-    for node, left, right in reversed(_LEVELS[:d]):
-        parent = m2[node]
-        np.add(m2[left], m2[right], out=parent)
-        np.add(parent, merge[node], out=parent)
+    np.multiply(width[1::2], 0.5, out=half_width)
+    np.multiply(merge, half_width, out=merge)
+    for parent, left, right, merged in ws.m2_levels:
+        np.add(left, right, out=parent)
+        np.add(parent, merged, out=parent)
 
     # Every node's leaf cost m2 + width * (mean - index / levels)^2 at once,
     # with index = floor(clamp(mean, 0, 1) * levels + 0.5).
@@ -332,39 +368,35 @@ def _analyze(w, d: int | None, q_bits: int) -> _Analysis:
     np.square(error, out=error)
     np.multiply(error, width, out=error)
     np.add(m2, error, out=cost)
-    return _Analysis(m, d, q_bits, cost, index)
+    return ws
 
 
-def _prune(analysis: _Analysis, nu: float) -> Bitstream:
-    """The nu-dependent part of :func:`encode`: the optimal pruned tree's leaves."""
+def _prune(ws: _Workspace, nu: float) -> Bitstream:
+    """The nu-dependent part of :func:`encode`: the optimal pruned tree's leaves
+    for the analysis ``ws`` holds, which it reads and leaves unchanged."""
     if not nu >= 0:  # also rejects NaN
         raise ValueError("nu must be non-negative")
-    m, d, q_bits, leaf_cost, index = analysis
+    q_bits = ws.q_bits
     rate = float(nu) * q_bits
     if not rate < np.inf:  # all costs inf would tie, and a tie splits: the finest tree
         raise ValueError(f"nu * q_bits must be finite, got nu={nu!r} and q_bits={q_bits}")
-    n_nodes = leaf_cost.size
-    n_parents = n_nodes >> 1
-    cost, work = np.empty(n_nodes), np.empty(n_parents)
-    np.add(leaf_cost, rate, out=cost)
-    split = np.empty(n_nodes, dtype=bool)
+    cost, split, reached = ws.mean, ws.split, ws.reached
+    n_parents = cost.size >> 1
+    np.add(ws.leaf_cost, rate, out=cost)
 
     # Bottom-up exact minimization: a node splits only when its children's
     # combined best cost does not exceed its own leaf cost (merge on strict >).
     split[n_parents:] = False
-    for node, left, right in reversed(_LEVELS[:d]):
-        parent, children = cost[node], work[node]
-        np.add(cost[left], cost[right], out=children)
-        np.less_equal(children, parent, out=split[node])
+    for parent, left, right, children, splits in ws.min_levels:
+        np.add(left, right, out=children)
+        np.less_equal(children, parent, out=splits)
         np.minimum(parent, children, out=parent)
 
     # Top-down: a node is reached when every ancestor splits, and the reached
     # nodes that do not split are the leaves. ``split`` becomes reached & split.
-    for node, left, right in _LEVELS[: d - 1]:
-        parent = split[node]
-        np.logical_and(split[left], parent, out=split[left])
-        np.logical_and(split[right], parent, out=split[right])
-    reached = np.empty(n_nodes, dtype=bool)
+    for parent, left, right in ws.mark_levels:
+        np.logical_and(left, parent, out=left)
+        np.logical_and(right, parent, out=right)
     reached[0] = True
     reached[1::2] = reached[2::2] = split[:n_parents]
     pos = np.greater(reached, split, out=reached).nonzero()[0]
@@ -374,27 +406,10 @@ def _prune(analysis: _Analysis, nu: float) -> Bitstream:
     mantissa, exponent = np.frexp(pos + 1)
     order = np.argsort(mantissa)
     return Bitstream(
-        d0=m.bit_length() - 1, d=d, q_bits=q_bits,
+        d0=ws.m.bit_length() - 1, d=ws.d, q_bits=q_bits,
         leaf_levels=exponent[order].astype(np.int64) - 1,
-        leaf_indices=index[pos[order]].astype(np.int64),
+        leaf_indices=ws.index[pos[order]].astype(np.int64),
     )
-
-
-@functools.lru_cache(maxsize=4)
-def _node_widths(m: int, d: int) -> np.ndarray:
-    """Width of every node of the depth-d heap over m samples, as read-only floats.
-
-    The row outlives every call, so it gets its own anonymous mapping: held in
-    malloc's heap, a long-lived block of 0.5 MB or more changed how glibc trims
-    it, so later calls took fresh pages and the process held more memory.
-    """
-    n_nodes = (2 << d) - 1
-    width = np.frombuffer(mmap.mmap(-1, 8 * n_nodes), dtype=np.float64)
-    width[n_nodes >> 1 :] = m >> d
-    for level, (node, _, _) in enumerate(_LEVELS[:d]):
-        width[node] = m >> level
-    width.flags.writeable = False
-    return width
 
 
 def decode(data: Bitstream | bytes) -> np.ndarray:
@@ -408,51 +423,60 @@ class TreeCodecPlug:
     """Adapter exposing the tree codec through the generic codec interface.
 
     ``compress(signal, theta)`` interprets theta as the Lagrangian weight nu.
-    A rate ladder codes one signal at many nu, and only the pruning depends on
-    nu, so the plug keeps the last signal's analysis (the leaf costs without
-    the rate term and the quantization indices, two heap-sized rows) keyed on
-    the signal's float64 bytes, its shape, the depth and q_bits: compressing
-    the same bytes again only prunes. A changed sample, even 0.0 against
-    -0.0, is a new signal. At most one analysis is kept, and the old one is
-    dropped before the next is built, so two never coexist: at M = 2**16 one
-    is 2 MB, and the ADMM loop, which codes a new signal on every iteration,
-    would gain nothing from more.
+    The plug codes in one workspace, kept from call to call and rebuilt only
+    when the signal's length or the depth changes: five rows of 2**(d+1) - 1
+    floats, 5 MB at M = 2**16, and a per-level view of each recursion. A rate
+    ladder codes one signal at many nu, and only the pruning depends on nu, so
+    the workspace also keeps the last signal's analysis (the leaf costs
+    without the rate term and the quantization indices) keyed on the signal's
+    float64 bytes, its shape, the depth and q_bits: compressing the same bytes
+    again only prunes. A changed sample, even 0.0 against -0.0, is a new
+    signal. The ADMM loop, which codes a new signal on every iteration, would
+    gain nothing from keeping more analyses. A call takes the workspace out
+    of the plug and puts it back when it is done, and a call made meanwhile,
+    from another thread, codes in a workspace of its own.
 
     The plug also remembers the last blob it produced together with its coded
     tree, so ``decompress`` and ``rate_bits`` on those same bytes skip the
     parse; any other bytes are parsed (and rejected when malformed) as by
-    :meth:`Bitstream.from_bytes`. A non-integral depth or q_bits raises
-    TypeError (``operator.index``) here, before any coding.
+    :meth:`Bitstream.from_bytes`. A depth or q_bits that is a bool or not
+    integral raises TypeError here, before any coding.
     """
 
     def __init__(self, depth: int | None = None, q_bits: int = 8):
-        self.depth = None if depth is None else operator.index(depth)
+        self.depth = None if depth is None else _integer("depth", depth)
         if self.depth is not None and self.depth < 1:
             raise ValueError(f"depth must be None (finest) or >= 1, got {depth}")
-        self.q_bits = operator.index(q_bits)
+        self.q_bits = _integer("q_bits", q_bits)
         if not 1 <= self.q_bits <= MAX_Q_BITS:
             raise ValueError(f"q_bits must be in [1, {MAX_Q_BITS}], got {q_bits}")
-        # (shape, depth, q_bits), the signal's bits, and its analysis
-        self._analysis: tuple[tuple, np.ndarray, _Analysis] | None = None
+        self._workspace: _Workspace | None = None
+        self._taking = threading.Lock()
         self._last: tuple[bytes, Bitstream] | None = None
 
     def compress(self, signal, theta: float) -> bytes:
         w = np.asarray(signal, dtype=float)
         bits = w.view(np.int64)  # compared bit for bit, so 0.0 and -0.0 differ
         key = (w.shape, self.depth, self.q_bits)
-        cached = self._analysis  # read once: the triple is replaced whole
-        # with the shapes equal and nonempty, the first sample turns away most
-        # new signals (one per ADMM iteration) without a pass over all of them
-        if (
-            cached is None
-            or cached[0] != key
-            or cached[1].item(0) != bits.item(0)
-            or not np.array_equal(cached[1], bits)
-        ):
-            cached = self._analysis = None
-            analysis = _analyze(w, self.depth, self.q_bits)
-            cached = self._analysis = (key, bits.copy(), analysis)
-        stream = _prune(cached[2], theta)
+        with self._taking:  # a call made meanwhile finds None and builds its own
+            ws, self._workspace = self._workspace, None
+        try:
+            source = None if ws is None else ws.source
+            # with the shapes equal and nonempty, the first sample turns away most
+            # new signals (one per ADMM iteration) without a pass over all of them
+            if (
+                source is None
+                or source[0] != key
+                or source[1].item(0) != bits.item(0)
+                or not np.array_equal(source[1], bits)
+            ):
+                if ws is not None:
+                    ws.source = None  # the analysis that follows overwrites the rows
+                ws = _analyze(w, self.depth, self.q_bits, ws)
+                ws.source = (key, bits.copy())
+            stream = _prune(ws, theta)
+        finally:
+            self._workspace = ws
         blob = stream.to_bytes()
         self._last = (blob, stream)
         return blob

@@ -4,8 +4,9 @@ pseudoinverse and range projection, the realized noise energy of an
 acquisition, an operator's dense matrix, a conjugate-gradient solve of the
 regularized normal equations, the z-update as one expression, a scalar
 writer of the codec's wire format, reverse water-filling that builds every
-term anew for each budget, the distortion floor from masks built anew, and a
-spectral model's water-filling terms derived from full-length per-bin rows.
+term anew for each budget, the distortion floor from masks built anew, a
+spectral model's water-filling terms derived from full-length per-bin rows,
+and a signal's text formatted one signal at a time.
 
 Response entries of a :class:`CirculantSpectral` with
 magnitude at most ``ZERO_TOL`` times the largest magnitude count as exact
@@ -248,3 +249,11 @@ def water_fill_reference(model: SpectralModel, total_d: float) -> SimpleNamespac
         d_k=d_k, r_k=r_k, theta=theta, total_distortion=total, total_rate=float(r_k.sum()),
         clamped=clamped, rate_floored=rate_floored,
     )
+
+
+def signal_text_reference(x) -> bytes:
+    """A signal's text, one ``repr`` per LF-ended line, formatted alone: each
+    distinct bit pattern once, then one line per sample."""
+    patterns, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64), return_inverse=True)
+    lines = np.array([f"{value!r}\n" for value in patterns.view(np.float64).tolist()], dtype=object)
+    return "".join(lines[inverse].tolist()).encode()

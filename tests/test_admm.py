@@ -200,9 +200,9 @@ def test_run_analyzes_every_new_z_tilde_with_tree_codec_plug(monkeypatch):
     analyzed = []
     original = tree_codec._analyze
 
-    def counting(w, d, q_bits):
+    def counting(w, *args):
         analyzed.append(w.tobytes())
-        return original(w, d, q_bits)
+        return original(w, *args)
 
     monkeypatch.setattr(tree_codec, "_analyze", counting)
     system, w = default_chain_measurements()

@@ -208,6 +208,18 @@ def test_run_bad_system_or_admm_parameter_exits_1_in_system_setup(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_run_negative_seed_exits_1_in_system_setup_naming_rng_seed(tmp_path, capsys, route):
+    body = SMALL_RUN.replace("system.seed = 77", "system.seed = -1") if route == "config" else SMALL_RUN
+    cfg = write_config(tmp_path / "exp.cfg", body)
+    flag = ["--seed", "-1"] if route == "flag" else []
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out, *flag]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'system setup' failed: rng_seed must be a non-negative integer, got -1" in err
+    assert not out.exists()
+
+
 def test_run_zero_subsample_factor_names_the_factor_rule(tmp_path, capsys):
     body = SMALL_RUN.replace("system.subsample_factor = 4", "system.subsample_factor = 0")
     cfg = write_config(tmp_path / "exp.cfg", body)

@@ -1,6 +1,7 @@
 """Chirp experiment plumbing: signal, system, metrics, sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from sysaware.system_sim import (
     rd_points_to_csv,
     render,
     save_signal,
+    signal_texts,
     sweep,
 )
 from sysaware.tree_codec import TreeCodecPlug
 
-from oracles import Identity, ideal_distortion_check
+from oracles import Identity, ideal_distortion_check, signal_text_reference
 
 
 def identity_system(n, noise_std=0.0, seed=0):
@@ -98,6 +100,16 @@ def test_system_models_can_sit_in_a_list_and_a_set():
 def test_system_model_requires_finite_non_negative_noise(noise_std):
     with pytest.raises(ValueError, match="finite and non-negative"):
         SystemModel(a=Identity(4), b=Identity(4), noise_std=noise_std, rng_seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), True, False, 1.0, "3", None])
+def test_system_model_requires_a_non_negative_integer_seed(seed):
+    # numpy's own refusal of a negative seed names neither the field nor the value
+    with pytest.raises(ValueError, match=re.escape(f"rng_seed must be a non-negative integer, got {seed!r}")):
+        SystemModel(a=Identity(4), b=Identity(4), noise_std=1.0, rng_seed=seed)
+    for seed in (0, np.uint64(2**64 - 1), 2**70):
+        system = SystemModel(a=Identity(4), b=Identity(4), noise_std=1.0, rng_seed=seed)
+        assert np.array_equal(acquire(np.zeros(4), system), acquire(np.zeros(4), system))
 
 
 def test_default_system_dimensions():
@@ -345,6 +357,26 @@ def test_save_signal_formats_each_value_with_repr(tmp_path):
     assert path.read_text().splitlines()[1] == "-0.0"
     save_signal(path, np.array([]))
     assert path.read_text() == ""
+
+
+def test_signal_texts_match_the_one_signal_formatter_alone_and_batched(tmp_path):
+    rng = np.random.default_rng(17)
+    runs = np.repeat(rng.uniform(size=12).round(2), rng.integers(1, 40, 12))
+    signals = {
+        "run-heavy": np.append(runs, [0.0, 0.0]),  # ends where the next signal starts
+        "signed-zero": np.resize([0.0, -0.0, -0.0, 0.0, 0.0, 0.25], 40),
+        "one-sample": np.array([0.25]),
+        "empty": np.array([]),
+        "all-distinct": np.append(rng.uniform(-1, 1, 300), [5e-324, 1e300, 0.1 + 0.2]),
+    }
+    expected = [signal_text_reference(x) for x in signals.values()]
+    assert signal_texts(signals.values()) == expected
+    assert signal_texts(reversed(signals.values())) == expected[::-1]
+    assert signal_texts([signals["empty"], *signals.values()]) == [b"", *expected]
+    for (name, x), text in zip(signals.items(), expected):
+        assert signal_texts([x]) == [text], name
+        path = tmp_path / f"{name}.txt"
+        assert save_signal(path, x) == text == path.read_bytes(), name
 
 
 def test_rd_point_defaults():

@@ -10,6 +10,8 @@ walkers.
 
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -307,30 +309,34 @@ def test_encode_matches_direct_statistics_oracle():
 
 
 def test_encode_matches_oracle_when_shapes_interleave():
-    # the encoder caches the node widths per (M, d); a key missing M or d would
-    # hand one shape another's widths
-    tree_codec._node_widths.cache_clear()
+    # a plug keeps its workspace while (M, d) holds; a check missing M or d
+    # would code one shape in another's widths and views
     rng = np.random.default_rng(99)
     shapes = [(256, 8), (1 << 11, 5), (256, 3), (1 << 16, 16), (256, 8), (1 << 11, 8), (1 << 11, 5)]
+    plug = TreeCodecPlug()
     for m, d in shapes:
         w = rng.uniform(size=m)
         nu = 1e-5 if m == 1 << 16 else 1e-3
-        stream = encode(w, nu=nu, d=d)
+        plug.depth = d
         expected = oracle_encode(w, nu, d, 8)
-        assert stream.to_bytes() == expected.to_bytes(), (m, d)
-        assert np.array_equal(stream.leaf_levels, expected.leaf_levels), (m, d)
-        assert np.array_equal(stream.leaf_indices, expected.leaf_indices), (m, d)
+        for stream in (encode(w, nu=nu, d=d), Bitstream.from_bytes(plug.compress(w, nu))):
+            assert stream.to_bytes() == expected.to_bytes(), (m, d)
+            assert np.array_equal(stream.leaf_levels, expected.leaf_levels), (m, d)
+            assert np.array_equal(stream.leaf_indices, expected.leaf_indices), (m, d)
 
 
-def test_encoder_width_cache_is_read_only_and_shared():
-    width = tree_codec._node_widths(1 << 11, 5)
+def test_plug_keeps_its_workspace_and_node_widths_while_the_shape_holds():
+    rng = np.random.default_rng(11)
+    plug = TreeCodecPlug(depth=5)
+    plug.compress(rng.uniform(size=1 << 11), 1e-3)
+    workspace = plug._workspace
     levels = np.repeat(np.arange(6), 1 << np.arange(6))  # heap order: 2**l nodes at level l
-    assert width.dtype == np.float64
-    assert np.array_equal(width, (1 << 11) >> levels)
-    assert not width.flags.writeable
-    with pytest.raises(ValueError):
-        width[0] = 0.0
-    assert tree_codec._node_widths(1 << 11, 5) is width
+    assert workspace.width.dtype == np.float64
+    assert np.array_equal(workspace.width, (1 << 11) >> levels)
+    plug.compress(rng.uniform(size=1 << 11), 1e-2)  # a new signal of the same shape
+    assert plug._workspace is workspace
+    plug.compress(rng.uniform(size=1 << 12), 1e-3)
+    assert plug._workspace is not workspace and plug._workspace.m == 1 << 12
 
 
 def test_encode_leaf_arrays_are_int64():
@@ -821,6 +827,22 @@ def test_codec_rejects_settings_that_are_not_integers(settings):
         encode(w, 1e-3, d=d, q_bits=q_bits)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_codec_rejects_bool_settings_naming_the_field(flag):
+    # a bool passes operator.index: q_bits=True would make a 1-bit codec
+    header = {"d0": 3, "d": 2, "q_bits": 8}
+    for name in header:
+        with pytest.raises(TypeError, match=f"{name} must be an integer, not the bool {flag}"):
+            Bitstream(**{**header, name: flag}, leaf_levels=[1, 1], leaf_indices=[10, 200])
+    w = np.random.default_rng(40).uniform(size=16)
+    for name in ("depth", "q_bits"):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, not the bool {flag}"):
+            TreeCodecPlug(**{name: flag})
+    for name in ("d", "q_bits"):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, not the bool {flag}"):
+            encode(w, 1e-3, **{name: flag})
+
+
 def test_plug_accepts_the_extreme_valid_settings():
     w = np.random.default_rng(39).uniform(size=16)
     for plug in (TreeCodecPlug(depth=1, q_bits=1), TreeCodecPlug(q_bits=MAX_Q_BITS)):
@@ -839,9 +861,9 @@ def analyses(monkeypatch):
     calls = []
     original = tree_codec._analyze
 
-    def counting(w, d, q_bits):
+    def counting(w, *args):
         calls.append(np.asarray(w, dtype=float).tobytes())
-        return original(w, d, q_bits)
+        return original(w, *args)
 
     monkeypatch.setattr(tree_codec, "_analyze", counting)
     return calls
@@ -909,17 +931,63 @@ def test_plug_keeps_one_analysis_and_only_for_a_valid_signal():
     plug = TreeCodecPlug(q_bits=8)
     w = np.random.default_rng(43).uniform(size=64)
     plug.compress(w, 1e-3)
-    first = plug._analysis
+    first = plug._workspace.source
     plug.compress(w, 1e-2)
-    assert plug._analysis is first
+    assert plug._workspace.source is first
     bad = w.copy()
     bad[7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         plug.compress(bad, 1e-3)
-    assert plug._analysis is None  # the old analysis went before the new one failed
+    assert plug._workspace.source is None  # the old analysis went before the new one failed
     with pytest.raises(ValueError, match="nu"):
         plug.compress(w, -1.0)
     assert plug.compress(w, 1e-3) == encode(w, 1e-3).to_bytes()
     for empty in (np.zeros(0), np.zeros((0, 64))):  # after a cached signal, as before one
         with pytest.raises(ValueError, match="power of two"):
             plug.compress(empty, 1e-3)
+
+
+def test_plug_alternating_shapes_codes_as_encode_and_keeps_one_workspace_per_shape(analyses):
+    rng = np.random.default_rng(46)
+    short, long_ = rng.uniform(size=256), rng.uniform(size=1 << 12)
+    for plug in (TreeCodecPlug(), TreeCodecPlug(depth=6, q_bits=5), TreeCodecPlug(q_bits=13)):
+        last, workspaces = None, []
+        for w in (short, long_, long_, short, short, long_, short):
+            # a repeated signal is only pruned
+            assert plug_ladder(plug, w, analyses) == ([] if w is last else [w.tobytes()])
+            last = w
+            workspaces.append(plug._workspace)
+        # rebuilt on each change of shape, kept while it holds
+        changes = [a is not b for a, b in zip(workspaces, workspaces[1:])]
+        assert changes == [True, False, True, False, True, True]
+
+
+def test_concurrent_compresses_on_one_plug_match_a_serial_run():
+    # one call takes the plug's workspace, and one made meanwhile codes in its
+    # own; a short switch interval makes the four threads interleave inside
+    # the compresses
+    rng = np.random.default_rng(47)
+    signals = [rng.uniform(size=1 << 16) for _ in range(4)]
+    ladder = (1e-4, 1e-3, 1e-2)
+    serial = [[encode(w, nu).to_bytes() for nu in ladder] for w in signals]
+    plug = TreeCodecPlug()
+    results = [[] for _ in signals]
+    start = threading.Barrier(len(signals))
+
+    def code(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            results[i].append([plug.compress(signals[i], nu) for nu in ladder])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=code, args=(i,)) for i in range(len(signals))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[blobs] * 3 for blobs in serial]
