@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import admm
-from .linops import Compose, Convolution, LinearMap, Replicate, Subsample, circulant_symbol
+from .linops import kernel_spectrum, vector_of_length
 
 __all__ = [
     "SystemModel",
@@ -37,29 +37,47 @@ __all__ = [
 PSNR_CAP_DB = 200.0
 
 
-class SystemModel:
-    """Acquisition operator a, rendering operator b, noise level, and seed.
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-    ``symbol`` is the DFT symbol of the chain a(b(.)), probed once when the
-    model is built. The ADMM z-update is a closed-form solve on it, so a
-    chain that is not circulant on the coded grid raises ValueError here, as
-    does an ``rng_seed`` that is not a non-negative integer (a bool included).
+
+class SystemModel:
+    """The blur-subsample system: centered circular convolution of n samples
+    with ``kernel``, every ``factor``-th sample kept (m = n // factor), and
+    white Gaussian noise of ``noise_std`` from Philox keyed with ``rng_seed``;
+    rendering repeats each coded sample ``factor`` times.
+
+    ``response`` is the kernel's :func:`~sysaware.linops.kernel_spectrum`.
+    ``symbol``, the DFT symbol of acquire(render(.)) that the z-update solves
+    on, is the fft of the rendered impulse's noise-free acquisition: the chain
+    is circulant on the coded grid by construction. ValueError: an n below 1,
+    an empty kernel, a factor that is a bool, not an integer, below 1 or not a
+    divisor of n, a negative or non-finite ``noise_std``, or an ``rng_seed``
+    that is a bool or not a non-negative integer.
     """
 
-    def __init__(self, a: LinearMap, b: LinearMap, noise_std: float, rng_seed: int):
-        if a.in_dim != b.out_dim or a.out_dim != b.in_dim:
-            raise ValueError(
-                f"a ({a.in_dim}->{a.out_dim}) and "
-                f"b ({b.in_dim}->{b.out_dim}) do not form a closed loop"
-            )
+    def __init__(self, n: int, kernel, factor: int, noise_std: float, rng_seed: int):
+        if not _is_integer(factor):
+            raise ValueError(f"subsampling factor must be an integer, got {factor!r}")
+        if factor < 1:
+            raise ValueError(f"subsampling factor must be >= 1, got {factor}")
+        if not _is_integer(n) or n < 1:
+            raise ValueError(f"operator dimensions must be positive, got n={n!r}")
+        if n % factor:
+            raise ValueError(f"subsampling factor {factor} must divide n={n}")
+        self.n, self.factor, self.m = int(n), int(factor), int(n // factor)
+        self.response = kernel_spectrum(self.n, kernel)
         if not (np.isfinite(noise_std) and noise_std >= 0):
             raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
-        if isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral) or rng_seed < 0:
+        if not _is_integer(rng_seed) or rng_seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
-        symbol = circulant_symbol(Compose([b, a]))
-        if symbol is None:
-            raise ValueError("A(B(.)) is not circulant on the coded grid, so the z-update has no solve")
-        self.a, self.b, self.noise_std, self.rng_seed, self.symbol = a, b, noise_std, rng_seed, symbol
+        self.noise_std, self.rng_seed = noise_std, rng_seed
+        impulse = np.zeros(self.m)
+        impulse[0] = 1.0
+        self.symbol = np.fft.fft(self._blur_subsample(render(impulse, self)))
+
+    def _blur_subsample(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(np.fft.fft(x) * self.response).real[:: self.factor].copy()
 
 
 @dataclass(frozen=True)
@@ -112,22 +130,18 @@ def make_blur_subsample_system(
     seed: int = 0,
 ) -> SystemModel:
     """Gaussian blur + subsample acquisition with replicating rendering."""
-    if not factor >= 1:
-        raise ValueError(f"subsampling factor must be >= 1, got {factor}")
-    if n % factor:
-        raise ValueError(f"subsampling factor {factor} must divide n={n}")
-    a = Compose([Convolution(n, gaussian_kernel(kernel_std, kernel_support)), Subsample(n, factor)])
-    b = Replicate(n // factor, factor)
-    return SystemModel(a=a, b=b, noise_std=float(noise_std), rng_seed=int(seed))
+    kernel = gaussian_kernel(kernel_std, kernel_support)
+    return SystemModel(n, kernel, factor, float(noise_std), int(seed))
 
 
 def acquire(x, system: SystemModel) -> np.ndarray:
-    """Measure x through the acquisition operator plus white Gaussian noise.
+    """Measure x, of n samples, through the blur and the subsampling plus
+    white Gaussian noise.
 
     The noise draw uses Philox keyed with the model seed, so repeated calls
     return identical measurements.
     """
-    w = system.a.apply(x)
+    w = system._blur_subsample(vector_of_length(x, system.n, "acquire: x"))
     if system.noise_std > 0:
         rng = np.random.Generator(np.random.Philox(system.rng_seed))
         w = w + system.noise_std * rng.standard_normal(w.size)
@@ -135,7 +149,8 @@ def acquire(x, system: SystemModel) -> np.ndarray:
 
 
 def render(v, system: SystemModel) -> np.ndarray:
-    return system.b.apply(v)
+    """Repeat each of the m coded samples of v ``factor`` times."""
+    return np.repeat(vector_of_length(v, system.m, "render: v"), system.factor)
 
 
 def psnr(x, y) -> float:
@@ -165,7 +180,7 @@ def sweep(
 
     method "regular" compresses w directly; "proposed" runs the ADMM loop on
     the system's symbol with each parameter as theta and the shared loop
-    settings admm_cfg. A w whose shape is not (system.a.out_dim,) raises
+    settings admm_cfg. A w whose shape is not (system.m,) raises
     ValueError. A failing point raises RuntimeError naming the method and the
     parameter.
     """
@@ -173,8 +188,8 @@ def sweep(
         raise ValueError(f"method must be 'regular' or 'proposed', got {method!r}")
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    if w.shape != (system.a.out_dim,):
-        raise ValueError(f"w must have shape ({system.a.out_dim},), got {w.shape}")
+    if w.shape != (system.m,):
+        raise ValueError(f"w must have shape ({system.m},), got {w.shape}")
     m = w.size
     points = []
     for param in params:

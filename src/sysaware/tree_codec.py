@@ -103,7 +103,8 @@ class Bitstream:
     4-byte big-endian integer; the pre-order tree description, one bit per
     visited node (1 = split, 0 = leaf), MSB-first, zero-padded to a byte
     boundary; then q_bits per leaf in left-to-right leaf order, MSB-first,
-    zero-padded to a byte boundary.
+    zero-padded to a byte boundary. :meth:`from_bytes` rejects nonzero
+    padding bits, so each stream has exactly one encoding.
 
     The constructor takes d0, d and q_bits through ``operator.index``, and a
     bool there raises TypeError naming the field; it takes each row as a 1-D
@@ -199,6 +200,13 @@ class Bitstream:
             )
         if len(data) > expected_len:
             raise BitstreamError("trailing data after leaf payload", offset=expected_len)
+        # padding bits are zero, so each stream has exactly one encoding
+        for end, used, section in (
+            (payload_start, n_bits, "tree description"),
+            (expected_len, q_bits * n_leaves, "leaf payload"),
+        ):
+            if data[end - 1] & (0xFF >> ((used - 1) % 8 + 1)):  # the bits after the last used one
+                raise BitstreamError(f"nonzero padding bits after the {section}", offset=end - 1)
 
         payload = np.unpackbits(
             np.frombuffer(data, dtype=np.uint8, offset=payload_start), count=q_bits * n_leaves

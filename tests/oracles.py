@@ -1,12 +1,19 @@
-"""Reference helpers that only the tests use: the identity operator, a
-circulant operator with an arbitrary frequency response, circulant
-pseudoinverse and range projection, the realized noise energy of an
+"""Reference helpers that only the tests use: matrix-free operators
+(identity, subsampling, replication, kernel convolution, any circulant
+response, and their composition), the circulant probe of an operator chain,
+circulant pseudoinverse and range projection, the realized noise energy of an
 acquisition, an operator's dense matrix, a conjugate-gradient solve of the
 regularized normal equations, the z-update as one expression, a scalar
 writer of the codec's wire format, reverse water-filling that builds every
 term anew for each budget, the distortion floor from masks built anew, a
 spectral model's water-filling terms derived from full-length per-bin rows,
 and a signal's text formatted one signal at a time.
+
+Operators act on 1D real signals and are immutable after construction:
+``apply`` is a pure function of its input, and an input of the wrong length
+raises :class:`~sysaware.linops.DimensionMismatchError`. Circulant operators
+apply their response with the numpy convention (unnormalized forward
+transform, 1/N inverse), so their boundaries are periodic.
 
 Response entries of a :class:`CirculantSpectral` with
 magnitude at most ``ZERO_TOL`` times the largest magnitude count as exact
@@ -20,12 +27,44 @@ from types import SimpleNamespace
 import numpy as np
 
 from sysaware.gauss_theory import SpectralModel
-from sysaware.linops import LinearMap
+from sysaware.linops import DimensionMismatchError, kernel_spectrum
 from sysaware.system_sim import SystemModel, acquire
 from sysaware.tree_codec import MAGIC
 
 # Relative magnitude below which a frequency-response entry counts as zero.
 ZERO_TOL = 1e-12
+# Relative defect below which a probed square operator counts as circulant.
+CIRCULANT_TOL = 1e-12
+
+
+def _as_vector(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1D vector, got shape {x.shape}")
+    return x
+
+
+class LinearMap:
+    """Base class for matrix-free operators mapping R^in_dim -> R^out_dim.
+
+    Subclasses implement ``_apply``; ``apply`` validates the input length and
+    raises :class:`DimensionMismatchError` on mismatch.
+    """
+
+    def __init__(self, in_dim: int, out_dim: int):
+        if in_dim < 1 or out_dim < 1:
+            raise ValueError("operator dimensions must be positive")
+        self.in_dim = int(in_dim)
+        self.out_dim = int(out_dim)
+
+    def apply(self, x) -> np.ndarray:
+        x = _as_vector(x)
+        if x.size != self.in_dim:
+            raise DimensionMismatchError(f"{type(self).__name__}.apply", self.in_dim, x.size)
+        return self._apply(x)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
 
 class Identity(LinearMap):
@@ -36,9 +75,50 @@ class Identity(LinearMap):
         return x.copy()
 
 
+class Subsample(LinearMap):
+    """Keep every ``factor``-th sample, starting at index 0."""
+
+    def __init__(self, n: int, factor: int):
+        factor = int(factor)
+        if factor < 1:
+            raise ValueError("subsampling factor must be >= 1")
+        super().__init__(n, len(range(0, n, factor)))
+        self.factor = factor
+
+    def _apply(self, x):
+        return x[:: self.factor].copy()
+
+
+class Replicate(LinearMap):
+    """Repeat each sample ``factor`` times contiguously (piecewise-constant upsampling)."""
+
+    def __init__(self, n: int, factor: int):
+        factor = int(factor)
+        if factor < 1:
+            raise ValueError("replication factor must be >= 1")
+        super().__init__(n, n * factor)
+        self.factor = factor
+
+    def _apply(self, x):
+        return np.repeat(x, self.factor)
+
+
+class Convolution(LinearMap):
+    """Centered circular convolution with a finite kernel, applied through the
+    DFT: ``freq_response`` is :func:`~sysaware.linops.kernel_spectrum` of the kernel."""
+
+    def __init__(self, n: int, kernel):
+        super().__init__(n, n)
+        self.freq_response = kernel_spectrum(n, kernel)
+        self.kernel = _as_vector(kernel).copy()
+
+    def _apply(self, x):
+        return np.fft.ifft(np.fft.fft(x) * self.freq_response).real
+
+
 class CirculantSpectral(LinearMap):
     """Square circulant operator applied through the DFT, with any response;
-    :class:`~sysaware.linops.Convolution` is the one built from a kernel."""
+    :class:`Convolution` is the one built from a kernel."""
 
     def __init__(self, freq_response):
         self.freq_response = np.array(freq_response, dtype=complex)
@@ -46,6 +126,60 @@ class CirculantSpectral(LinearMap):
 
     def _apply(self, x):
         return np.fft.ifft(np.fft.fft(x) * self.freq_response).real
+
+
+class Compose(LinearMap):
+    """Pipeline of operators applied in list order (first stage acts first).
+
+    The stage list must be non-empty.
+    """
+
+    def __init__(self, stages):
+        stages = tuple(stages)
+        if not stages:
+            raise ValueError("Compose needs at least one stage")
+        for s, t in zip(stages, stages[1:]):
+            if s.out_dim != t.in_dim:
+                raise DimensionMismatchError(
+                    f"Compose: {type(t).__name__} input after {type(s).__name__}",
+                    s.out_dim,
+                    t.in_dim,
+                )
+        super().__init__(stages[0].in_dim, stages[-1].out_dim)
+        self.stages = stages
+
+    def _apply(self, x):
+        for stage in self.stages:
+            x = stage.apply(x)
+        return x
+
+
+def circulant_symbol(op: LinearMap) -> np.ndarray | None:
+    """DFT symbol h with op(x) == ifft(h * fft(x)), or None if op is not circulant.
+
+    h is the DFT of the impulse response op(e0). It is accepted when that
+    identity holds, to ``CIRCULANT_TOL`` relative to max|h| * ||x||, on a
+    fixed-seed random probe and on the probe rolled by one sample; any square
+    map, composite or not, is checked the same way.
+    """
+    if op.in_dim != op.out_dim:
+        return None
+    impulse = np.zeros(op.in_dim)
+    impulse[0] = 1.0
+    h = np.fft.fft(op.apply(impulse))
+    probe = np.random.default_rng(0).standard_normal(op.in_dim)
+    limit = CIRCULANT_TOL * float(np.abs(h).max()) * float(np.linalg.norm(probe))
+    for x in (probe, np.roll(probe, 1)):
+        if np.linalg.norm(op.apply(x) - np.fft.ifft(h * np.fft.fft(x)).real) > limit:
+            return None
+    return h
+
+
+def system_chain(n: int, kernel, factor: int) -> tuple[Compose, Replicate]:
+    """The operators (A, B) of a :class:`~sysaware.system_sim.SystemModel`
+    built from the same arguments: A convolves with ``kernel`` and keeps every
+    ``factor``-th sample, and B repeats each coded sample ``factor`` times."""
+    return Compose([Convolution(n, kernel), Subsample(n, factor)]), Replicate(n // factor, factor)
 
 
 def support(op: CirculantSpectral) -> np.ndarray:
@@ -76,13 +210,14 @@ def mask_spectrum(op: CirculantSpectral, xf: np.ndarray) -> np.ndarray:
 
 
 def ideal_distortion_check(x, system: SystemModel) -> float:
-    """Per-sample energy of the actual noise draw: (1/M)||w - A(x)||^2.
+    """Per-sample energy of the actual noise draw: (1/M)||w - A(x)||^2, with
+    A(x) the noise-free acquisition.
 
     For nonzero noise this concentrates around noise_std**2, which is the
     distortion an ideal system-aware coder approaches at high rate.
     """
     w = acquire(x, system)
-    clean = system.a.apply(x)
+    clean = np.fft.ifft(np.fft.fft(x) * system.response).real[:: system.factor]
     return float(((w - clean) ** 2).mean())
 
 

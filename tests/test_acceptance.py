@@ -12,13 +12,7 @@ import numpy as np
 from sysaware import admm, cli, tree_codec
 from sysaware.admm import AdmmConfig
 from sysaware.gauss_theory import SpectralModel, expected_min_distortion, water_fill
-from sysaware.linops import (
-    Compose,
-    ZUpdateTerms,
-    circulant_symbol,
-    kernel_spectrum,
-    solve_regularized,
-)
+from sysaware.linops import ZUpdateTerms, kernel_spectrum, solve_regularized
 from sysaware.system_sim import (
     SystemModel,
     acquire,
@@ -30,8 +24,9 @@ from sysaware.tree_codec import TreeCodecPlug
 
 from oracles import (
     CirculantSpectral,
-    Identity,
+    Compose,
     cg_regularized_solve,
+    circulant_symbol,
     ideal_distortion_check,
     project_range,
     pseudoinverse_apply,
@@ -77,7 +72,7 @@ def test_2_identity_reduction():
     w = make_chirp(256)
     codec = TreeCodecPlug(q_bits=8)
     theta = 1e-3
-    system = SystemModel(a=Identity(256), b=Identity(256), noise_std=0.0, rng_seed=0)
+    system = SystemModel(256, [1.0], 1, 0.0, 0)
     blob, trace, _ = admm.run(w, system.symbol, codec, theta, AdmmConfig(max_iters=1))
     ok = blob == codec.compress(w, theta) and len(trace) == 1
     report(2, "identity reduction", ok, f" ({time.monotonic() - start:.2f} s)")
@@ -233,7 +228,7 @@ def test_8_noise_concentration():
     x = make_chirp(4096)
     ok = True
     for seed in range(10):
-        system = SystemModel(a=Identity(4096), b=Identity(4096), noise_std=1e-3, rng_seed=seed)
+        system = SystemModel(4096, [1.0], 1, 1e-3, seed)
         d_s = ideal_distortion_check(x, system)
         ok &= abs(d_s - 1e-6) <= 0.1 * 1e-6
     report(8, "noise concentration", ok, f" ({time.monotonic() - start:.2f} s)")

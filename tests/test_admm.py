@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from sysaware import admm, linops, system_sim, tree_codec
+from sysaware import admm, tree_codec
 from sysaware.admm import (
     AdmmConfig,
     AdmmState,
@@ -17,18 +17,21 @@ from sysaware.admm import (
     stopping_check,
     system_distortion_dc,
 )
-from sysaware.linops import (
-    Compose,
-    Convolution,
-    Replicate,
-    Subsample,
-    ZUpdateTerms,
-    circulant_symbol,
-)
-from sysaware.system_sim import SystemModel
+from sysaware.linops import ZUpdateTerms
+from sysaware.system_sim import gaussian_kernel
 from sysaware.tree_codec import Bitstream, TreeCodecPlug
 
-from oracles import Identity, dense_matrix, z_update_reference
+from oracles import (
+    Compose,
+    Convolution,
+    Identity,
+    Replicate,
+    Subsample,
+    circulant_symbol,
+    dense_matrix,
+    system_chain,
+    z_update_reference,
+)
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,12 @@ class CodecPlug:
 
 
 def chain_symbol(a, b):
-    """The DFT symbol of A(B(.)), from the one place that probes it."""
-    return SystemModel(a=a, b=b, noise_std=0.0, rng_seed=0).symbol
+    """The DFT symbol of the operator chain A(B(.)), probed by the oracle; a
+    chain that does not close or is not circulant raises ValueError."""
+    symbol = circulant_symbol(Compose([b, a]))
+    if symbol is None:
+        raise ValueError("A(B(.)) is not circulant on the coded grid, so the z-update has no solve")
+    return symbol
 
 
 def make_state(t, residual=0.0, norm=1.0):
@@ -144,24 +151,18 @@ def default_chain_measurements():
 
 
 def test_run_probes_the_chain_once_per_run(monkeypatch):
-    probes, symbols = [], []
-    probe, solve = linops.circulant_symbol, admm.solve_regularized
-
-    def counted_probe(op):
-        probes.append(op)
-        return probe(op)
+    symbols = []
+    solve = admm.solve_regularized
 
     def recorded_solve(terms, *args):
         symbols.append(terms.symbol)
         return solve(terms, *args)
 
-    for owner in (linops, system_sim):
-        monkeypatch.setattr(owner, "circulant_symbol", counted_probe)
     monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
+    # the SystemModel builds its symbol once, when it is built
     system, w = default_chain_measurements()
-    assert len(probes) == 1  # the SystemModel probes its chain when it is built
     _, trace, _ = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig(max_iters=3, tol=0.0))
-    assert len(trace) == 3 and len(probes) == 1 and len(symbols) == 3
+    assert len(trace) == 3 and len(symbols) == 3
     assert all(symbol is system.symbol for symbol in symbols)
 
 
@@ -304,10 +305,10 @@ def test_non_circulant_chain_raises_before_any_codec_call():
     hold = Compose([conv, Subsample(32, 2), Replicate(16, 2)])
     b = Replicate(32, 2)
     assert circulant_symbol(Compose([b, hold])) is None
-    # the system, which both run (through its symbol) and sweep need, is
-    # rejected when it is built, so neither can reach a codec
+    # run takes a symbol, so a chain without one is rejected before any codec
+    # call; a SystemModel cannot express such a chain at all
     with pytest.raises(ValueError, match="not circulant"):
-        SystemModel(a=hold, b=b, noise_std=0.0, rng_seed=0)
+        chain_symbol(hold, b)
 
 
 def test_chirp_loop_terminates_and_stays_bounded():
@@ -424,11 +425,12 @@ def test_system_distortion_dc_through_the_symbol_matches_the_operators():
     from sysaware.system_sim import make_blur_subsample_system
 
     system = make_blur_subsample_system()
+    a, b = system_chain(1024, gaussian_kernel(), 4)
     rng = np.random.default_rng(10)
     for _ in range(5):
-        w = rng.normal(size=system.a.out_dim)
-        v = rng.uniform(size=system.b.in_dim)
-        direct = float(((w - system.a.apply(system.b.apply(v))) ** 2).mean())
+        w = rng.normal(size=a.out_dim)
+        v = rng.uniform(size=b.in_dim)
+        direct = float(((w - a.apply(b.apply(v))) ** 2).mean())
         spectral = system_distortion_dc(ZUpdateTerms(system.symbol, w, 1.0), v)
         assert abs(spectral - direct) <= 1e-12 * direct
 

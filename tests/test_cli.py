@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sysaware import admm, cli, linops, system_sim, tree_codec
+from sysaware import admm, cli, system_sim, tree_codec
 from sysaware.system_sim import make_chirp, save_signal
 
 
@@ -63,30 +63,26 @@ def test_run_small_config(tmp_path, capsys):
 
 
 def test_run_acquires_and_probes_once_and_passes_the_admm_settings(tmp_path, monkeypatch):
-    acquired, probed, cfgs = [], [], []
-    acquire, probe, run = system_sim.acquire, linops.circulant_symbol, admm.run
+    acquired, cfgs = [], []
+    acquire, run = system_sim.acquire, admm.run
     run_signature = inspect.signature(run)
 
     def counted_acquire(*args, **kwargs):
         acquired.append(args)
         return acquire(*args, **kwargs)
 
-    def counted_probe(op):
-        probed.append(op)
-        return probe(op)
-
     def recorded_run(*args, **kwargs):
-        cfgs.append(run_signature.bind(*args, **kwargs).arguments["cfg"])
+        arguments = run_signature.bind(*args, **kwargs).arguments
+        cfgs.append(arguments["cfg"])
+        assert arguments["symbol"] is acquired[0][1].symbol  # the one system's symbol
         return run(*args, **kwargs)
 
     monkeypatch.setattr(system_sim, "acquire", counted_acquire)
-    for owner in (linops, system_sim):
-        monkeypatch.setattr(owner, "circulant_symbol", counted_probe)
     monkeypatch.setattr(admm, "run", recorded_run)
     settings = "admm.beta_tilde = 0.5\nadmm.max_iters = 12\nadmm.tol = 0.01\n"
     cfg = write_config(tmp_path / "exp.cfg", SMALL_RUN + settings)
     assert run_cli(["run", "--config", cfg, "--out", tmp_path / "out"]) == 0
-    assert len(acquired) == 1 and len(probed) == 1
+    assert len(acquired) == 1
     assert cfgs == [admm.AdmmConfig(beta_tilde=0.5, max_iters=12, tol=0.01)] * 3
 
 

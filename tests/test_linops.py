@@ -4,28 +4,29 @@ import numpy as np
 import pytest
 
 from sysaware.linops import (
-    Compose,
-    Convolution,
     DimensionMismatchError,
-    LinearMap,
-    Replicate,
-    Subsample,
     ZUpdateTerms,
-    circulant_symbol,
     kernel_spectrum,
     solve_regularized,
 )
-from sysaware.system_sim import make_blur_subsample_system
+from sysaware.system_sim import gaussian_kernel, make_blur_subsample_system
 
 from oracles import (
     CirculantSpectral,
+    Compose,
+    Convolution,
     Identity,
+    LinearMap,
+    Replicate,
+    Subsample,
     cg_regularized_solve,
+    circulant_symbol,
     mask_spectrum,
     pinv_response,
     project_range,
     pseudoinverse_apply,
     support,
+    system_chain,
 )
 
 # ---------------------------------------------------------------- oracles #
@@ -379,9 +380,10 @@ def test_circulant_symbol_rejects_shift_variant_and_non_square():
 
 def test_solve_default_chain_takes_closed_form():
     system = make_blur_subsample_system()
-    a, b = system.a, system.b
+    a, b = system_chain(1024, gaussian_kernel(), 4)
     symbol = circulant_symbol(Compose([b, a]))
     assert symbol is not None and symbol.size == 256
+    assert symbol.tobytes() == system.symbol.tobytes()
     rng = np.random.default_rng(43)
     w = rng.normal(size=256)
     v = rng.normal(size=256)

@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from sysaware import admm, linops, system_sim
+from sysaware import admm
 from sysaware.admm import AdmmConfig, run
+from sysaware.linops import DimensionMismatchError
 from sysaware.system_sim import (
     RDPoint,
     SystemModel,
@@ -25,11 +26,17 @@ from sysaware.system_sim import (
 )
 from sysaware.tree_codec import TreeCodecPlug
 
-from oracles import Identity, ideal_distortion_check, signal_text_reference
+from oracles import (
+    Compose,
+    circulant_symbol,
+    ideal_distortion_check,
+    signal_text_reference,
+    system_chain,
+)
 
 
 def identity_system(n, noise_std=0.0, seed=0):
-    return SystemModel(a=Identity(n), b=Identity(n), noise_std=noise_std, rng_seed=seed)
+    return SystemModel(n, [1.0], 1, noise_std, seed)
 
 
 # ------------------------------------------------------------------ chirp #
@@ -84,10 +91,11 @@ def test_blur_subsample_system_checks_the_factor_before_dividing_by_it(factor):
 
 
 def test_system_model_validates_loop_closure():
+    # the loop closes by construction when the factor divides n
+    with pytest.raises(ValueError, match="subsampling factor 3 must divide n=4"):
+        SystemModel(4, [1.0], 3, 0.0, 0)
     with pytest.raises(ValueError):
-        SystemModel(a=Identity(4), b=Identity(5), noise_std=0.0, rng_seed=0)
-    with pytest.raises(ValueError):
-        SystemModel(a=Identity(4), b=Identity(4), noise_std=-1.0, rng_seed=0)
+        SystemModel(4, [1.0], 1, -1.0, 0)
 
 
 def test_system_models_can_sit_in_a_list_and_a_set():
@@ -99,25 +107,74 @@ def test_system_models_can_sit_in_a_list_and_a_set():
 @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
 def test_system_model_requires_finite_non_negative_noise(noise_std):
     with pytest.raises(ValueError, match="finite and non-negative"):
-        SystemModel(a=Identity(4), b=Identity(4), noise_std=noise_std, rng_seed=0)
+        SystemModel(4, [1.0], 1, noise_std, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-3), True, False, 1.0, "3", None])
 def test_system_model_requires_a_non_negative_integer_seed(seed):
     # numpy's own refusal of a negative seed names neither the field nor the value
     with pytest.raises(ValueError, match=re.escape(f"rng_seed must be a non-negative integer, got {seed!r}")):
-        SystemModel(a=Identity(4), b=Identity(4), noise_std=1.0, rng_seed=seed)
+        SystemModel(4, [1.0], 1, 1.0, seed)
     for seed in (0, np.uint64(2**64 - 1), 2**70):
-        system = SystemModel(a=Identity(4), b=Identity(4), noise_std=1.0, rng_seed=seed)
+        system = SystemModel(4, [1.0], 1, 1.0, seed)
         assert np.array_equal(acquire(np.zeros(4), system), acquire(np.zeros(4), system))
+
+
+PIN_KERNELS = {1: [0.7], 3: [0.25, 0.5, 0.25], 15: gaussian_kernel().tolist()}
+
+
+@pytest.mark.parametrize("taps", sorted(PIN_KERNELS))
+@pytest.mark.parametrize("n", [16, 64, 1024, 4096])
+@pytest.mark.parametrize("factor", [1, 2, 4, 8])
+def test_system_model_is_bitwise_the_operator_chain(n, factor, taps):
+    kernel = PIN_KERNELS[taps]
+    system = SystemModel(n, kernel, factor, 0.0, 0)
+    a, b = system_chain(n, kernel, factor)
+    symbol = circulant_symbol(Compose([b, a]))  # also checks the chain is circulant
+    assert symbol is not None and system.symbol.tobytes() == symbol.tobytes()
+    rng = np.random.default_rng(n + factor + taps)
+    x, v = rng.uniform(size=n), rng.uniform(size=n // factor)
+    assert acquire(x, system).tobytes() == a.apply(x).tobytes()
+    assert render(v, system).tobytes() == b.apply(v).tobytes()
+
+
+def test_acquire_and_render_reject_a_misshapen_vector():
+    system = make_blur_subsample_system(n=64, factor=4)
+    for bad in (np.zeros(63), np.zeros(65), np.zeros((4, 16)), 1.0):
+        with pytest.raises(DimensionMismatchError, match="acquire: x: expected length 64"):
+            acquire(bad, system)
+    for bad in (np.zeros(15), np.zeros(64), np.zeros((2, 8)), 1.0):
+        with pytest.raises(DimensionMismatchError, match="render: v: expected length 16"):
+            render(bad, system)
+
+
+@pytest.mark.parametrize(
+    "n,kernel,factor,needle",
+    [
+        (0, [1.0], 1, "operator dimensions must be positive, got n=0"),
+        (-4, [1.0], 2, "operator dimensions must be positive, got n=-4"),
+        (4.0, [1.0], 1, "operator dimensions must be positive, got n=4.0"),
+        (8, [], 2, "kernel must be non-empty"),
+        (8, [1.0], 0, "subsampling factor must be >= 1, got 0"),
+        (8, [1.0], -2, "subsampling factor must be >= 1, got -2"),
+        (8, [1.0], True, "subsampling factor must be an integer, got True"),
+        (8, [1.0], 2.0, "subsampling factor must be an integer, got 2.0"),
+        (8, [1.0], "2", "subsampling factor must be an integer, got '2'"),
+        (8, [1.0], 3, "subsampling factor 3 must divide n=8"),
+    ],
+)
+def test_system_model_rejects_a_degenerate_system(n, kernel, factor, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        SystemModel(n, kernel, factor, 0.0, 0)
 
 
 def test_default_system_dimensions():
     system = make_blur_subsample_system()
-    assert system.a.in_dim == 1024 and system.a.out_dim == 256
-    assert system.b.in_dim == 256 and system.b.out_dim == 1024
+    assert (system.n, system.factor, system.m) == (1024, 4, 256)
+    assert system.response.shape == (1024,) and system.symbol.shape == (256,)
     w = acquire(make_chirp(1024), system)
     assert w.shape == (256,)
+    assert render(w, system).shape == (1024,)
 
 
 def test_dimension_chain_for_power_of_two_sizes():
@@ -133,7 +190,13 @@ def test_dimension_chain_for_power_of_two_sizes():
 def test_acquire_noiseless_identity():
     x = make_chirp(64)
     system = identity_system(64)
-    assert np.array_equal(acquire(x, system), x)
+    # the one-tap kernel still goes through the FFT, as a config with
+    # kernel_support 1 and factor 1 always did: x back to an ulp, and bit for
+    # bit the operator chain's
+    w = acquire(x, system)
+    assert np.abs(w - x).max() <= np.finfo(float).eps
+    a, _ = system_chain(64, [1.0], 1)
+    assert w.tobytes() == a.apply(x).tobytes()
 
 
 def test_acquire_deterministic_per_seed():
@@ -191,7 +254,8 @@ def test_ideal_distortion_matches_realized_noise_exactly():
     x = make_chirp(128)
     system = make_blur_subsample_system(n=128, factor=4, noise_std=0.01, seed=5)
     w = acquire(x, system)
-    realized = w - system.a.apply(x)
+    a, _ = system_chain(128, gaussian_kernel(), 4)
+    realized = w - a.apply(x)
     assert ideal_distortion_check(x, system) == float((realized**2).mean())
 
 
@@ -243,26 +307,19 @@ def test_sweep_rate_monotone_in_nu():
 
 
 def test_proposed_sweep_probes_the_chain_once(monkeypatch):
-    probes, symbols = [], []
-    probe, solve = linops.circulant_symbol, admm.solve_regularized
-
-    def counted_probe(op):
-        probes.append(op)
-        return probe(op)
+    symbols = []
+    solve = admm.solve_regularized
 
     def recorded_solve(terms, *args):
         symbols.append(terms.symbol)
         return solve(terms, *args)
 
-    for owner in (linops, system_sim):
-        monkeypatch.setattr(owner, "circulant_symbol", counted_probe)
     monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
     x = make_chirp(128)
     system = make_blur_subsample_system(n=128, factor=4, seed=3)
-    assert len(probes) == 1
     cfg = AdmmConfig(max_iters=3, tol=0.0)
     points = sweep(x, acquire(x, system), system, TreeCodecPlug(), [1e-4, 1e-3, 1e-2], "proposed", cfg)
-    assert len(points) == 3 and len(probes) == 1
+    assert len(points) == 3
     assert len(symbols) == sum(p.iterations for p in points)
     assert all(symbol is system.symbol for symbol in symbols)
 

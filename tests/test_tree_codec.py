@@ -127,7 +127,8 @@ def leaf_partition(stream):
 
 
 def oracle_decode(data):
-    """Scalar parser and decoder: header checks, pre-order walk, payload read bit by bit."""
+    """Scalar parser and decoder: header checks, pre-order walk, padding and
+    payload read bit by bit."""
     if len(data) < 11:
         raise BitstreamError("truncated header", offset=len(data))
     if data[:4] != MAGIC:
@@ -164,6 +165,10 @@ def oracle_decode(data):
         raise BitstreamError("truncated leaf payload", offset=len(data))
     if len(data) > expected_len:
         raise BitstreamError("trailing data", offset=expected_len)
+    for start, used, end in ((11, pos, payload_start), (payload_start, q_bits * len(levels), expected_len)):
+        for bit in range(used, 8 * (end - start)):
+            if bit_at(start, bit):
+                raise BitstreamError("nonzero padding bit", offset=start + bit // 8)
 
     out = np.empty(m)
     start = 0
@@ -608,6 +613,57 @@ def test_padding_bits_are_zero():
     # 31 tree bits in 4 bytes, 48 payload bits in 6 bytes
     assert len(data) == 11 + 4 + 6
     assert data[14] & 1 == 0  # final padding bit of the tree section
+
+
+def test_parser_rejects_each_nonzero_padding_bit_naming_its_byte():
+    # one leaf: 1 tree bit and 3 payload bits, so 7 and 5 padding bits
+    data = encode(np.full(4, 0.5), nu=0.01, q_bits=3).to_bytes()
+    assert len(data) == 13 and Bitstream.from_bytes(data).to_bytes() == data
+    for offset, section, padding in ((11, "tree description", 7), (12, "leaf payload", 5)):
+        for bit in range(padding):
+            mutant = bytearray(data)
+            mutant[offset] |= 1 << bit
+            with pytest.raises(BitstreamError, match=f"nonzero padding bits after the {section}") as err:
+                Bitstream.from_bytes(bytes(mutant))
+            assert err.value.offset == offset
+
+
+def fuzz_mutants(blobs, count, seed):
+    """``count`` seeded mutants of the blobs: one to three bit flips, a
+    truncation, or random bytes written over or after the blob."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        data = bytearray(blobs[rng.integers(len(blobs))])
+        kind = rng.integers(3)
+        if kind == 0:
+            for pos in rng.integers(8 * len(data), size=rng.integers(1, 4)).tolist():
+                data[pos // 8] ^= 0x80 >> (pos % 8)
+        elif kind == 1:
+            del data[rng.integers(len(data)) :]
+        else:
+            at = int(rng.integers(len(data) + 1))
+            data[at : at + int(rng.integers(3))] = rng.bytes(int(rng.integers(1, 4)))
+        yield bytes(data)
+
+
+def test_every_stream_the_parser_accepts_serializes_back_to_its_bytes():
+    rng = np.random.default_rng(2718)
+    blobs = [
+        TreeCodecPlug(q_bits=q_bits).compress(rng.uniform(size=m), nu)
+        for m, q_bits, nu in ((64, 5, 1e-3), (64, 8, 1e-2), (256, 3, 1e-4), (16, 6, 0.0))
+    ]
+    # each blob pads its tree section, and the 5- and 3-bit ones their payload
+    # too, so some flips land in padding
+    counts = {"parsed": 0, "padding": 0, "other error": 0}
+    for data in fuzz_mutants(blobs, 10_000, seed=31):
+        try:
+            stream = Bitstream.from_bytes(data)
+        except BitstreamError as err:
+            counts["padding" if "padding" in str(err) else "other error"] += 1
+        else:
+            assert stream.to_bytes() == data
+            counts["parsed"] += 1
+    assert min(counts.values()) >= 20, counts
 
 
 # ----------------------------------------------------------- parse errors #
