@@ -4,8 +4,10 @@ The measurements w live in the codec's domain (length M); the loop alternates
 between compressing a shifted signal, re-solving the regularized normal
 equations against the chain A(B(.)) of the acquisition operator A and the
 rendering operator B, and a scaled dual update. The system enters only
-through that z-update, which is a closed-form solve on the DFT symbol of the
-circulant chain, so the loop takes the symbol and never the operators.
+through that z-update, which lives here (:class:`ZUpdateTerms`,
+:func:`solve_regularized`): a closed-form solve on the DFT symbol of the
+circulant chain, so the loop takes the symbol and never the operators. A
+vector of the wrong shape raises :class:`DimensionMismatchError`.
 The result is always the blob produced by the final iteration's compression.
 What depends only on (symbol, w, beta_tilde) is computed once per run, so
 an iteration takes three FFTs: the z-update's forward and inverse, and
@@ -40,15 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import ZUpdateTerms, solve_regularized
-
 __all__ = [
     "AdmmConfig",
     "AdmmState",
     "CodecError",
+    "DimensionMismatchError",
+    "ZUpdateTerms",
     "run",
+    "solve_regularized",
     "stopping_check",
     "system_distortion_dc",
+    "vector_of_length",
 ]
 
 _NORM_FLOOR = 1e-30  # keeps the relative stopping rule meaningful near zero
@@ -57,6 +61,50 @@ _NORM_FLOOR = 1e-30  # keeps the relative stopping rule meaningful near zero
 # iterations; each keeps every acceptance-1 margin and leaves no proposed
 # point dominated at seeds 0-39, so the choice is not sensitive.
 _STALL_WINDOW = 5
+
+
+class DimensionMismatchError(ValueError):
+    """A vector's length, or its shape when it is not 1-D, does not match
+    what the operation expects."""
+
+    def __init__(self, what: str, expected: int, actual: int | tuple):
+        got = f"shape {actual}" if isinstance(actual, tuple) else actual
+        super().__init__(f"{what}: expected length {expected}, got {got}")
+        self.expected = expected
+        self.actual = actual
+
+
+def vector_of_length(x, size: int, what: str) -> np.ndarray:
+    """``x`` as a float vector of ``size`` samples; any other shape raises
+    :class:`DimensionMismatchError` naming ``what``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (size,):
+        raise DimensionMismatchError(what, size, x.size if x.ndim == 1 else x.shape)
+    return x
+
+
+class ZUpdateTerms:
+    """The z-update's terms fixed through an ADMM run: W = fft(w), conj(h) * W and
+    |h|^2 + beta_tilde, for the DFT symbol h of the circulant chain H = A(B(.)),
+    the measurements w and the proximity weight beta_tilde, both checked here."""
+
+    def __init__(self, symbol: np.ndarray, w, beta_tilde: float):
+        w = vector_of_length(w, symbol.size, "ZUpdateTerms: w")
+        self.symbol, self.beta = symbol, float(beta_tilde)
+        if not 0 < self.beta < np.inf:  # also rejects NaN
+            raise ValueError("beta_tilde must be positive and finite")
+        self.w_hat = np.fft.fft(w)
+        self.data = np.conj(symbol) * self.w_hat
+        self.denominator = np.abs(symbol) ** 2 + self.beta
+
+
+def solve_regularized(terms: ZUpdateTerms, v_tilde) -> np.ndarray:
+    """Solve (H^T H + beta_tilde I) z = H^T w + beta_tilde v_tilde for z, with H, w
+    and beta_tilde those of ``terms``. The system is diagonal in the DFT domain,
+    (|h|^2 + beta_tilde) z_k = conj(h_k) w_k + beta_tilde v_k, so two FFTs solve it."""
+    v_tilde = vector_of_length(v_tilde, terms.symbol.size, "solve_regularized: v_tilde")
+    zf = terms.data + terms.beta * np.fft.fft(v_tilde)
+    return np.fft.ifft(zf / terms.denominator).real
 
 
 class CodecError(RuntimeError):

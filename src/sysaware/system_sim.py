@@ -2,8 +2,10 @@
 
 The reference system blurs with a wide Gaussian kernel, subsamples, and adds
 white noise; rendering replicates each coded sample back to the source grid.
-Noise comes from numpy's Philox counter-based generator so any draw is
-bit-reproducible from the recorded seed.
+Spectra use the numpy convention (unnormalized forward transform, 1/N
+inverse), so convolution boundaries are periodic. Noise comes from numpy's
+Philox counter-based generator so any draw is bit-reproducible from the
+recorded seed.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import admm
-from .linops import kernel_spectrum, vector_of_length
 
 __all__ = [
+    "kernel_spectrum",
     "SystemModel",
     "RDPoint",
     "make_chirp",
@@ -41,19 +43,47 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def kernel_spectrum(n: int, kernel) -> np.ndarray:
+    """Frequency response of centered circular convolution with ``kernel``.
+
+    The convolution computes y[i] = sum_j kernel[j] * x[(i + j - center) mod n]
+    with center = (len(kernel) - 1) // 2, so a symmetric kernel does not
+    shift the signal. The response is built from the real first column via
+    rfft and mirrored, making it exactly conjugate-symmetric.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 1:
+        raise ValueError(f"expected a 1D vector, got shape {kernel.shape}")
+    if kernel.size == 0:
+        raise ValueError("kernel must be non-empty")
+    if not np.isfinite(kernel).all():
+        raise ValueError("kernel taps must be finite")
+    center = (kernel.size - 1) // 2
+    col0 = np.zeros(n)
+    # taps that wrap onto one entry accumulate in tap order
+    np.add.at(col0, (center - np.arange(kernel.size)) % n, kernel)
+    half = np.fft.rfft(col0)
+    freq = np.empty(n, dtype=complex)
+    freq[: half.size] = half
+    tail = np.arange(half.size, n)
+    freq[tail] = np.conj(half[n - tail])
+    return freq
+
+
 class SystemModel:
     """The blur-subsample system: centered circular convolution of n samples
     with ``kernel``, every ``factor``-th sample kept (m = n // factor), and
     white Gaussian noise of ``noise_std`` from Philox keyed with ``rng_seed``;
     rendering repeats each coded sample ``factor`` times.
 
-    ``response`` is the kernel's :func:`~sysaware.linops.kernel_spectrum`.
+    ``response`` is the kernel's :func:`kernel_spectrum`.
     ``symbol``, the DFT symbol of acquire(render(.)) that the z-update solves
     on, is the fft of the rendered impulse's noise-free acquisition: the chain
     is circulant on the coded grid by construction. ValueError: an n below 1,
-    an empty kernel, a factor that is a bool, not an integer, below 1 or not a
-    divisor of n, a negative or non-finite ``noise_std``, or an ``rng_seed``
-    that is a bool or not a non-negative integer.
+    an empty kernel or one with a non-finite tap, a factor that is a bool, not
+    an integer, below 1 or not a divisor of n, a negative or non-finite
+    ``noise_std``, or an ``rng_seed`` that is a bool or not a non-negative
+    integer.
     """
 
     def __init__(self, n: int, kernel, factor: int, noise_std: float, rng_seed: int):
@@ -141,7 +171,7 @@ def acquire(x, system: SystemModel) -> np.ndarray:
     The noise draw uses Philox keyed with the model seed, so repeated calls
     return identical measurements.
     """
-    w = system._blur_subsample(vector_of_length(x, system.n, "acquire: x"))
+    w = system._blur_subsample(admm.vector_of_length(x, system.n, "acquire: x"))
     if system.noise_std > 0:
         rng = np.random.Generator(np.random.Philox(system.rng_seed))
         w = w + system.noise_std * rng.standard_normal(w.size)
@@ -150,7 +180,7 @@ def acquire(x, system: SystemModel) -> np.ndarray:
 
 def render(v, system: SystemModel) -> np.ndarray:
     """Repeat each of the m coded samples of v ``factor`` times."""
-    return np.repeat(vector_of_length(v, system.m, "render: v"), system.factor)
+    return np.repeat(admm.vector_of_length(v, system.m, "render: v"), system.factor)
 
 
 def psnr(x, y) -> float:

@@ -11,7 +11,7 @@ and a signal's text formatted one signal at a time.
 
 Operators act on 1D real signals and are immutable after construction:
 ``apply`` is a pure function of its input, and an input of the wrong length
-raises :class:`~sysaware.linops.DimensionMismatchError`. Circulant operators
+raises :class:`~sysaware.admm.DimensionMismatchError`. Circulant operators
 apply their response with the numpy convention (unnormalized forward
 transform, 1/N inverse), so their boundaries are periodic.
 
@@ -27,8 +27,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from sysaware.gauss_theory import SpectralModel
-from sysaware.linops import DimensionMismatchError, kernel_spectrum
-from sysaware.system_sim import SystemModel, acquire
+from sysaware.admm import DimensionMismatchError
+from sysaware.system_sim import SystemModel, acquire, kernel_spectrum
 from sysaware.tree_codec import MAGIC
 
 # Relative magnitude below which a frequency-response entry counts as zero.
@@ -105,7 +105,7 @@ class Replicate(LinearMap):
 
 class Convolution(LinearMap):
     """Centered circular convolution with a finite kernel, applied through the
-    DFT: ``freq_response`` is :func:`~sysaware.linops.kernel_spectrum` of the kernel."""
+    DFT: ``freq_response`` is :func:`~sysaware.system_sim.kernel_spectrum` of the kernel."""
 
     def __init__(self, n: int, kernel):
         super().__init__(n, n)

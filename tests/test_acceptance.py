@@ -10,12 +10,12 @@ import time
 import numpy as np
 
 from sysaware import admm, cli, tree_codec
-from sysaware.admm import AdmmConfig
+from sysaware.admm import AdmmConfig, ZUpdateTerms, solve_regularized
 from sysaware.gauss_theory import SpectralModel, expected_min_distortion, water_fill
-from sysaware.linops import ZUpdateTerms, kernel_spectrum, solve_regularized
 from sysaware.system_sim import (
     SystemModel,
     acquire,
+    kernel_spectrum,
     make_blur_subsample_system,
     make_chirp,
     sweep,

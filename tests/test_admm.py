@@ -13,11 +13,11 @@ from sysaware.admm import (
     AdmmConfig,
     AdmmState,
     CodecError,
+    ZUpdateTerms,
     run,
     stopping_check,
     system_distortion_dc,
 )
-from sysaware.linops import ZUpdateTerms
 from sysaware.system_sim import gaussian_kernel
 from sysaware.tree_codec import Bitstream, TreeCodecPlug
 

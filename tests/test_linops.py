@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from sysaware.linops import (
-    DimensionMismatchError,
-    ZUpdateTerms,
-    kernel_spectrum,
-    solve_regularized,
-)
-from sysaware.system_sim import gaussian_kernel, make_blur_subsample_system
+from sysaware.admm import DimensionMismatchError, ZUpdateTerms, solve_regularized
+from sysaware.system_sim import gaussian_kernel, kernel_spectrum, make_blur_subsample_system
 
 from oracles import (
     CirculantSpectral,

@@ -1,4 +1,5 @@
-"""The README's library example runs as written, and its config table lists the config schema."""
+"""The README's library example runs as written, its config table lists the config schema, and
+its package list names the package's modules."""
 
 import re
 from dataclasses import fields
@@ -33,3 +34,11 @@ def test_readme_config_table_lists_the_schema_keys_in_order():
     for cls in (ExperimentConfig, TheoryConfig):  # output_dir, in both, is listed once
         schema_keys += [f.metadata["key"] for f in fields(cls) if f.metadata["key"] not in schema_keys]
     assert table_keys == schema_keys
+
+
+def test_readme_package_list_names_every_module():
+    section = README.read_text().split("The package contains:", 1)[1].split("\n\n", 2)[1]
+    listed = re.findall(r"^- `sysaware\.(\w+)`", section, flags=re.MULTILINE)
+    package = README.parent / "src" / "sysaware"
+    modules = [path.stem for path in package.glob("*.py") if path.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from sysaware import admm
-from sysaware.admm import AdmmConfig, run
-from sysaware.linops import DimensionMismatchError
+from sysaware.admm import AdmmConfig, DimensionMismatchError, run
 from sysaware.system_sim import (
     RDPoint,
     SystemModel,
@@ -161,6 +160,9 @@ def test_acquire_and_render_reject_a_misshapen_vector():
         (8, [1.0], 2.0, "subsampling factor must be an integer, got 2.0"),
         (8, [1.0], "2", "subsampling factor must be an integer, got '2'"),
         (8, [1.0], 3, "subsampling factor 3 must divide n=8"),
+        (64, [math.nan, 1.0, 0.5], 2, "kernel taps must be finite"),
+        (64, [0.5, math.inf, 0.5], 2, "kernel taps must be finite"),
+        (64, [0.5, 1.0, -math.inf], 2, "kernel taps must be finite"),
     ],
 )
 def test_system_model_rejects_a_degenerate_system(n, kernel, factor, needle):
