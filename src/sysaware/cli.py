@@ -203,11 +203,12 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
         raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
 
 
-def _folded_bins(n: int) -> np.ndarray:
-    """Distance of each DFT bin from DC, min(k, n - k)."""
-    k = np.arange(n)
-    np.subtract(n, k[n // 2 + 1:], out=k[n // 2 + 1:])
-    return k
+def _mirrored(row: np.ndarray) -> np.ndarray:
+    """``row`` with each bin k above n // 2 set to bin n - k, so that a row
+    filled at the distances min(k, n - k) of bins 0 … n // 2 holds them at
+    every bin."""
+    row[row.size // 2 + 1:] = row[(row.size - 1) // 2:0:-1]
+    return row
 
 
 def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
@@ -218,36 +219,41 @@ def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
     return values
 
 
-def _parse_response(spec: str, folded: np.ndarray, field: str) -> np.ndarray:
+def _parse_response(spec: str, n: int, field: str) -> np.ndarray:
+    """A response on n bins: the built-in ones as bool masks, ``file:`` as complex."""
     kind, _, arg = spec.partition(":")
     if kind == "ones":
-        return np.ones(folded.size)
+        return np.ones(n, dtype=bool)
     if kind == "zeros":
-        return np.zeros(folded.size)
+        return np.zeros(n, dtype=bool)
     if kind == "file":
-        return _read_values(arg, complex, folded.size, field)
+        return _read_values(arg, complex, n, field)
     try:
         if kind == "lowpass":
-            return np.less_equal(folded, int(arg), out=np.empty(folded.size))
+            cut, mask = int(arg), np.zeros(n, dtype=bool)
+            mask[:n // 2 + 1][:max(cut + 1, 0)] = True  # min(k, n - k) = k <= C on bins 0 … n // 2
+            return _mirrored(mask)
     except ValueError as exc:
         raise ValueError(f"{field}: bad response spec {spec!r}: {exc}") from None
     raise ValueError(f"{field}: unknown response spec {spec!r}")
 
 
-def _parse_spectrum(spec: str, folded: np.ndarray) -> np.ndarray:
+def _parse_spectrum(spec: str, n: int) -> np.ndarray:
     kind, _, arg = spec.partition(":")
     if kind == "file":
-        return _read_values(arg, float, folded.size, "lambda_x")
+        return _read_values(arg, float, n, "lambda_x")
     try:
         if kind == "constant":
-            return np.full(folded.size, float(arg))
+            return np.full(n, float(arg))
         if kind == "powerlaw":
             amp, _, exponent = arg.partition(",")
-            amp, exponent, values = float(amp), float(exponent), 1.0 + folded
+            amp, exponent = float(amp), float(exponent)
+            values = np.arange(1.0, n + 1.0)
+            half = values[:n // 2 + 1]  # 1 + k = 1 + min(k, n - k) for k <= n // 2
             with np.errstate(all="ignore"):  # the model reports an overflow by name
-                values **= -exponent
-                values *= amp
-            return values
+                half **= -exponent
+                half *= amp
+            return _mirrored(values)
     except ValueError as exc:
         raise ValueError(f"lambda_x: bad spectrum spec {spec!r}: {exc}") from None
     raise ValueError(f"lambda_x: unknown spectrum spec {spec!r}")
@@ -256,14 +262,15 @@ def _parse_spectrum(spec: str, folded: np.ndarray) -> np.ndarray:
 def cmd_theory_curve(cfg: TheoryConfig, out_dir: Path) -> None:
     stage = "model setup"
     try:
-        folded = _folded_bins(cfg.n)
-        rows = dict(
-            lambda_x=_parse_spectrum(cfg.lambda_x, folded),
-            a_f=_parse_response(cfg.a_response, folded, "a_response"),
-            b_f=_parse_response(cfg.b_response, folded, "b_response"),
+        # the specs are parsed (and their errors reported) before the model
+        # rejects n < 1, so below n = 1 they build empty rows
+        bins = max(cfg.n, 0)
+        model = SpectralModel(
+            n=cfg.n,
+            lambda_x=_parse_spectrum(cfg.lambda_x, bins),
+            a_f=_parse_response(cfg.a_response, bins, "a_response"),
+            b_f=_parse_response(cfg.b_response, bins, "b_response"),
         )
-        del folded  # the model reads only the rows
-        model = SpectralModel(n=cfg.n, **rows)
         if not model.k_ab.any():
             print("warning: empty joint support, the curve carries zero rate", file=sys.stderr)
         stage = "curve"

@@ -45,10 +45,18 @@ class SpectralModel:
     lambda_x and ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero
     elsewhere) are built on first read. A derived value that overflows (or
     a gain that underflows to zero on ``k_ab``) raises ValueError naming
-    it. A response is float64 unless it is complex, then complex128: for
-    real x, y and v, (x+0j)(y+0j) = x*y + 0j and |v+0j| = hypot(v, 0) =
-    |v|, so every derived value has the bits that complex casts of real
-    responses would give.
+    it.
+
+    A response may be a bool mask; any other response is taken as float64
+    unless it is complex, then as complex128. The model reads a response
+    only through ``!= 0``, ``isfinite`` and its gathers over the support
+    and the lost bins, each gather cast to float64 (complex128 for a
+    complex response), so a mask is never widened to a full float row; the
+    public ``a_f`` and ``b_f`` are those float64 or complex128 rows, built
+    on first read (float64(True) is exactly 1.0). For real x, y and v,
+    (x+0j)(y+0j) = x*y + 0j and |v+0j| = hypot(v, 0) = |v|, so every
+    derived value has the bits that complex casts of real responses would
+    give.
 
     The model holds the terms that no budget changes, so that a curve's
     grid costs only per-budget work: the distortion floor that
@@ -66,7 +74,7 @@ class SpectralModel:
         if n < 1:
             raise ValueError("n must be >= 1")
         lam = np.asarray(lambda_x, dtype=float)
-        a_f, b_f = (np.asarray(r, dtype=complex if np.iscomplexobj(r) else float) for r in (a_f, b_f))
+        a_f, b_f = (_response(r) for r in (a_f, b_f))
         if not (lam.shape == a_f.shape == b_f.shape == (n,)):
             raise ValueError(f"lambda_x, a_f, b_f must all have shape ({n},)")
         for name, values in (("lambda_x", lam), ("a_f", a_f), ("b_f", b_f)):
@@ -78,10 +86,10 @@ class SpectralModel:
         k_ab = a_nz & b_nz
         support, lost = np.flatnonzero(k_ab), np.flatnonzero(a_nz & ~b_nz)  # b_f cannot reach lost bins
         with np.errstate(all="ignore"):  # overflow is reported below, by name
-            a_s = a_f[support]
-            gain = np.abs(a_s * b_f[support]) ** 2
+            a_s = _widened(a_f[support])
+            gain = np.abs(a_s * _widened(b_f[support])) ** 2
             lambda_w = np.abs(a_s) ** 2 * lam[support]
-            lost_w = np.abs(a_f[lost]) ** 2 * lam[lost]
+            lost_w = np.abs(_widened(a_f[lost])) ** 2 * lam[lost]
             tilde = lambda_w / gain
             weighted = gain * tilde
             ranks = np.argsort(weighted, kind="stable")
@@ -98,17 +106,33 @@ class SpectralModel:
         # the largest level, or +0.0 when none is positive (levels may be
         # zeros of either sign, and np.max's pick among them varies)
         top = levels[-1] if levels.size and levels[-1] > 0 else 0.0
-        self.n, self.lambda_x, self.a_f, self.b_f, self.k_ab = n, lam, a_f, b_f, k_ab
+        self.n, self.lambda_x, self.k_ab, self._a, self._b = n, lam, k_ab, a_f, b_f
         self._order, self._levels, self._below = order, levels, below
         self._counts = np.arange(levels.size, 0, -1, dtype=float)
         self._saturation, self._ceiling, self._floor = saturation, float(top), floor
 
-    # the per-bin rows, built on first read and then kept
+    # the public responses and the per-bin rows, built on first read and then kept
+    a_f = functools.cached_property(lambda self: _widened(self._a))
+    b_f = functools.cached_property(lambda self: _widened(self._b))
     gain = functools.cached_property(lambda self: np.abs(self.a_f * self.b_f) ** 2)
     lambda_w = functools.cached_property(lambda self: np.abs(self.a_f) ** 2 * self.lambda_x)
     lambda_w_tilde = functools.cached_property(
         lambda self: np.divide(self.lambda_w, self.gain, out=np.zeros(self.n), where=self.k_ab)
     )
+
+
+def _response(values) -> np.ndarray:
+    """A bool mask as it is, any other response as float64, or as complex128
+    if it is complex."""
+    values = np.asarray(values)
+    if values.dtype == bool:
+        return values
+    return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+
+
+def _widened(values: np.ndarray) -> np.ndarray:
+    """Response values as the model computes with them: a mask's as float64."""
+    return values.astype(float) if values.dtype == bool else values
 
 
 class SpectralAllocation:

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -535,15 +536,39 @@ def test_theory_bad_spec_exits_1_in_model_setup(tmp_path, capsys, key, spec, nee
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n,spectrum,needle",
+    [
+        (0, "powerlaw:1,2", "n must be >= 1"),
+        (-3, "powerlaw:1,2", "n must be >= 1"),
+        (-3, "file:{values}", "lambda_x: file has 3 values, expected 0"),
+    ],
+    ids=["zero", "negative", "negative-file-spectrum"],
+)
+def test_theory_n_below_1_exits_1_in_model_setup(tmp_path, capsys, n, spectrum, needle):
+    # n is the model's to reject; a spec error found while parsing comes first
+    values = tmp_path / "values.txt"
+    values.write_text("1.0\n1.0\n1.0\n")
+    cfg = write_config(
+        tmp_path / "t.cfg",
+        f"theory.n = {n}\ntheory.lambda_x = {spectrum.format(values=values)}\n"
+        "theory.a_response = lowpass:3\ntheory.b_response = lowpass:1\n",
+    )
+    out = tmp_path / "out"
+    assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: stage 'model setup' failed: {needle}\n"
+    assert not out.exists()
+
+
 def test_signal_and_spectrum_files_read_alike(tmp_path):
     # a `file:` spectrum and a signal file are the same format: one value per non-blank line
     path = tmp_path / "values.txt"
     path.write_text("0.25\n\n  1e-3 \n-0.0\n")
-    spectrum = cli._parse_spectrum(f"file:{path}", cli._folded_bins(3))
+    spectrum = cli._parse_spectrum(f"file:{path}", 3)
     assert np.array_equal(spectrum.view(np.int64), system_sim.load_signal(path).view(np.int64))
     path.write_text("0.25\nx\n")
     errors = []
-    for read in (lambda: cli._parse_spectrum(f"file:{path}", cli._folded_bins(2)),
+    for read in (lambda: cli._parse_spectrum(f"file:{path}", 2),
                  lambda: system_sim.load_signal(path)):
         with pytest.raises(ValueError) as exc:
             read()
@@ -551,25 +576,30 @@ def test_signal_and_spectrum_files_read_alike(tmp_path):
     assert errors == ["could not convert string to float: 'x\\n'"] * 2
 
 
+THEORY_SIZES = [*range(1, 10), 4096, 4097]
+
+
 @pytest.mark.parametrize("exponent", [1.0, 0.0, -0.0, -0.5, -1.0, -2.0, 0.9, 1.5])
 def test_powerlaw_spectrum_has_the_bits_of_the_plain_expression(exponent):
-    # the row is raised and scaled in place; numpy's fast paths for the
-    # exponents -1, 0, 0.5, 1 and 2 must give the bits they give out of place
-    folded = cli._folded_bins(4096)
-    for amp in (1.0, 2.5, 1e-300):
-        got = cli._parse_spectrum(f"powerlaw:{amp!r},{exponent!r}", folded)
-        want = float(amp) * (1.0 + folded) ** -float(exponent)
-        assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_folded_bins_and_lowpass_rows_match_their_plain_expressions():
-    for n in [*range(1, 10), 4096, 4097]:
-        folded = cli._folded_bins(n)
+    # the row is raised and scaled in place on bins 0 … n // 2 and mirrored;
+    # numpy's fast paths for the exponents -1, 0, 0.5, 1 and 2 must give the
+    # bits they give out of place over all n bins
+    for n in THEORY_SIZES:
         k = np.arange(n)
-        assert folded.dtype == np.int64 and np.array_equal(folded, np.minimum(k, n - k))
-        for cut in (0, n // 3, n):
-            got = cli._parse_response(f"lowpass:{cut}", folded, "a_response")
-            assert got.dtype == np.float64 and np.array_equal(got, (folded <= cut).astype(float))
+        for amp in (1.0, 2.5, 1e-300):
+            got = cli._parse_spectrum(f"powerlaw:{amp!r},{exponent!r}", n)
+            want = amp * (1.0 + np.minimum(k, n - k)) ** -exponent
+            assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_builtin_responses_are_masks_of_their_plain_expressions():
+    for n in THEORY_SIZES:
+        k = np.arange(n)
+        for spec, want in [("ones", np.ones(n, dtype=bool)), ("zeros", np.zeros(n, dtype=bool)),
+                           *((f"lowpass:{cut}", np.minimum(k, n - k) <= cut)
+                             for cut in (-1, 0, n // 3, n // 2, n))]:
+            got = cli._parse_response(spec, n, "a_response")
+            assert got.dtype == np.bool_ and got.shape == (n,) and np.array_equal(got, want), (n, spec)
 
 
 @pytest.mark.parametrize(
@@ -589,18 +619,41 @@ def test_theory_powerlaw_that_overflows_exits_1_naming_lambda_x(tmp_path, capsys
     assert not out.exists()
 
 
-def test_theory_job_builds_the_folded_bins_once_and_real_responses(tmp_path, monkeypatch):
-    # powerlaw and both lowpass responses read one folded-bin row, and the
-    # built-in responses reach the model as float64 rows
-    builds, models = [], []
-    folded_bins, model = cli._folded_bins, cli.SpectralModel
-    monkeypatch.setattr(cli, "_folded_bins", lambda n: builds.append(n) or folded_bins(n))
+def test_theory_job_hands_the_model_masks_not_float_responses(tmp_path, monkeypatch):
+    # the built-in responses reach the model as n-byte bool masks, so no
+    # float64 n-row response is built for it; lambda_x is its one float row
+    models = []
+    model = cli.SpectralModel
     monkeypatch.setattr(cli, "SpectralModel", lambda **kw: models.append(kw) or model(**kw))
-    cfg = cli.TheoryConfig(n=64, lambda_x="powerlaw:1.3,0.9", a_response="lowpass:20", b_response="lowpass:9")
-    cli.cmd_theory_curve(cfg, tmp_path / "out")
-    assert builds == [64] and len(models) == 1
-    assert models[0]["a_f"].dtype == models[0]["b_f"].dtype == np.float64
-    assert (tmp_path / "out" / "theory_curve.csv").exists()
+    for a, b in (("lowpass:20", "lowpass:9"), ("ones", "zeros")):
+        cfg = cli.TheoryConfig(n=64, lambda_x="powerlaw:1.3,0.9", a_response=a, b_response=b)
+        cli.cmd_theory_curve(cfg, tmp_path / a)
+        assert (tmp_path / a / "theory_curve.csv").exists()
+    assert len(models) == 2
+    for kw in models:
+        assert kw["lambda_x"].dtype == np.float64
+        assert kw["a_f"].dtype == kw["b_f"].dtype == np.bool_
+        assert kw["a_f"].shape == kw["b_f"].shape == (64,)
+
+
+def test_theory_large_job_traces_under_four_and_a_half_float_rows(tmp_path):
+    # CI's theory_large config: the spectrum is the one float row the job
+    # keeps, the responses are masks and no other n-length row is built
+    # for the parse, so the traced peak stays under 4.5 float64 rows
+    n = 1 << 16
+    cfg = cli.TheoryConfig(
+        n=n, lambda_x="powerlaw:1.3,0.9", a_response="lowpass:12000", b_response="lowpass:5000",
+        d_grid=(0, 5.36e-08, 1.38e-07, 3.56e-07, 9.16e-07, 2.36e-06, 6.08e-06, 1.57e-05, 4.04e-05,
+                0.000104, 0.000268, 1.0),
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli.cmd_theory_curve(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * n, peak / (8 * n)
 
 
 def test_theory_response_that_overflows_exits_1_in_model_setup(tmp_path, capsys):

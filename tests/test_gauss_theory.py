@@ -218,6 +218,34 @@ def test_real_responses_give_the_bits_of_their_complex_casts():
     assert 30 < len(errors) < 270
 
 
+def test_masks_give_the_bits_of_their_float_rows():
+    # a bool mask is read through != 0, isfinite and gathers cast to
+    # float64, so the model, its public rows and its curve are those of the
+    # mask's float64 row, beside a real or a complex partner
+    rng = np.random.default_rng(2900)
+    errors = []
+    for n, lam, a, b in real_response_models(rng):
+        a_mask, b_mask = a != 0, rng.random(n) < 0.7
+        for a_f, b_f in ((a_mask, b_mask), (a_mask, b), (a, b_mask), (a_mask, b.astype(complex))):
+            rows = [r.astype(float) if r.dtype == bool else r for r in (a_f, b_f)]
+            got, want = model_outcome(n, lam, a_f, b_f), model_outcome(n, lam, *rows)
+            assert got[0] == want[0]
+            assert len(got[1]) == len(want[1]) and all(np.array_equal(x, y) for x, y in zip(*(got[1], want[1])))
+            if not got[1]:
+                errors.append(got[0].split()[0])
+                continue
+            with np.errstate(all="ignore"):
+                m, terms = SpectralModel(n=n, lambda_x=lam, a_f=a_f, b_f=b_f), model_terms_reference(n, lam, *rows)
+            for public, row in ((m.a_f, rows[0]), (m.b_f, rows[1])):
+                assert public.dtype == row.dtype and np.array_equal(public.view(np.int64), row.view(np.int64))
+            assert m.a_f.dtype == np.float64 and np.array_equal(m._order, terms._order)
+            for name in ("_levels", "_below", "_saturation", "_ceiling", "_floor"):
+                assert np.array_equal(bits(getattr(m, name)), bits(getattr(terms, name))), name
+            assert bits(expected_min_distortion(m)) == bits(terms._floor)
+    # each overflow error is raised with the float rows' message
+    assert set(errors) == {"gain", "lambda_w", "lambda_w_tilde"} and 100 < len(errors) < 300
+
+
 def test_support_gathers_give_the_terms_of_the_full_rows():
     # the model builds its terms from gathers over the support and the lost
     # bins; the oracle derives them from full-length rows, and the rows the
