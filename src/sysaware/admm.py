@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -120,10 +121,9 @@ class AdmmConfig:
     """Loop settings shared by every point of a sweep.
 
     beta_tilde weighs proximity to the codec output against data fidelity in
-    the z-update. max_iters caps the iterations, and tol is the residual
-    stop: the primal residual ||v_hat - z_hat|| at most tol relative to the
-    iterate norms. The loop also stops on a repeated blob or a stalled
-    residual (see the module docstring), which take no setting.
+    the z-update; max_iters and tol set the ``max_iters`` and ``converged``
+    stops of the module docstring. A max_iters that is a bool or not an
+    integer raises ValueError.
     """
 
     beta_tilde: float = 0.25
@@ -135,6 +135,8 @@ class AdmmConfig:
     def __post_init__(self):
         if not 0 < self.beta_tilde < math.inf:  # also rejects NaN
             raise ValueError("beta_tilde must be positive and finite")
+        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tol >= 0:
@@ -209,11 +211,9 @@ def run(
 ) -> tuple[bytes, list[AdmmState], str]:
     """Compress w so that decoding and rendering through B approximates the
     acquisition inverse of A: run the ``_iterates`` recursion until one of
-    the four stops fires, and return the final iteration's blob, one
-    :class:`AdmmState` of scalars per iteration, and the stop's label,
-    ``converged``, ``repeat``, ``stall`` or ``max_iters`` (the first in that
-    order when several fire at once). A ``repeat`` run returns the blob the
-    codec repeated.
+    the stops of the module docstring fires, and return the final
+    iteration's blob, one :class:`AdmmState` of scalars per iteration, and
+    the stop's label.
 
     ``symbol`` is the DFT symbol of A(B(.)), as
     :attr:`~sysaware.system_sim.SystemModel.symbol` holds it; every z-update

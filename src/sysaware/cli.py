@@ -137,7 +137,12 @@ def _config_echo(cfg) -> dict[str, str]:
     return {f.name: repr(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
-def _write_manifest(out_dir: Path, cfg, seed: int | None, outputs: dict[str, bytes]) -> None:
+def _write_outputs(out_dir: Path, cfg, seed: int | None, outputs: dict[str, bytes]) -> None:
+    """Create ``out_dir`` and write each output into it, then ``manifest.json``
+    with the config, the seed, the versions and each output's SHA-256."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in outputs.items():
+        (out_dir / name).write_bytes(data)
     manifest = {
         "config": _config_echo(cfg),
         "seed": seed,
@@ -168,14 +173,8 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
             raise ValueError(f"unknown signal kind {cfg.signal_kind!r}")
 
         stage = "system setup"
-        system = system_sim.make_blur_subsample_system(
-            n=x.size,
-            kernel_std=cfg.kernel_std,
-            kernel_support=cfg.kernel_support,
-            factor=cfg.subsample_factor,
-            noise_std=cfg.noise_std,
-            seed=cfg.seed,
-        )
+        kernel = system_sim.gaussian_kernel(cfg.kernel_std, cfg.kernel_support)
+        system = system_sim.SystemModel(x.size, kernel, cfg.subsample_factor, cfg.noise_std, cfg.seed)
         w = system_sim.acquire(x, system)
         codec = TreeCodecPlug(depth=cfg.codec_depth, q_bits=cfg.codec_q_bits)
         admm_cfg = AdmmConfig(
@@ -188,7 +187,6 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
         proposed = system_sim.sweep(x, w, system, codec, cfg.sweep_params, "proposed", admm_cfg)
 
         stage = "write outputs"
-        out_dir.mkdir(parents=True, exist_ok=True)
         outputs = {"rd_curve.csv": system_sim.rd_points_to_csv(regular + proposed, cfg.seed).encode()}
         signals = {"source.txt": x, "acquired.txt": w}
         for points in (regular, proposed):
@@ -196,9 +194,7 @@ def cmd_run_experiment(cfg: ExperimentConfig, out_dir: Path) -> None:
                 outputs[f"{point.method}_{i:02d}.bin"] = point.blob
                 signals[f"recon_{point.method}_{i:02d}.txt"] = point.recon
         outputs.update(zip(signals, system_sim.signal_texts(signals.values())))
-        for name, data in outputs.items():
-            (out_dir / name).write_bytes(data)
-        _write_manifest(out_dir, cfg, cfg.seed, outputs)
+        _write_outputs(out_dir, cfg, cfg.seed, outputs)
     except Exception as exc:
         raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
 
@@ -222,10 +218,8 @@ def _read_values(path: str, parse, n: int, field: str) -> np.ndarray:
 def _parse_response(spec: str, n: int, field: str) -> np.ndarray:
     """A response on n bins: the built-in ones as bool masks, ``file:`` as complex."""
     kind, _, arg = spec.partition(":")
-    if kind == "ones":
-        return np.ones(n, dtype=bool)
-    if kind == "zeros":
-        return np.zeros(n, dtype=bool)
+    if kind in ("ones", "zeros"):
+        return np.full(n, kind == "ones")
     if kind == "file":
         return _read_values(arg, complex, n, field)
     try:
@@ -276,9 +270,7 @@ def cmd_theory_curve(cfg: TheoryConfig, out_dir: Path) -> None:
         stage = "curve"
         data = gauss_theory.curve_to_csv(model, sorted(cfg.d_grid)).encode()
         stage = "write outputs"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "theory_curve.csv").write_bytes(data)
-        _write_manifest(out_dir, cfg, None, {"theory_curve.csv": data})
+        _write_outputs(out_dir, cfg, None, {"theory_curve.csv": data})
     except Exception as exc:
         raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
 
@@ -307,10 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     run_p.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
     run_p.add_argument("--seed", type=int, default=None, help="noise seed (overrides config)")
+    run_p.set_defaults(config_class=ExperimentConfig, runner=cmd_run_experiment)
 
     theory_p = sub.add_parser("theory", help="theoretical rate-distortion curve")
     theory_p.add_argument("--config", type=Path, default=None)
     theory_p.add_argument("--out", type=Path, default=None)
+    theory_p.set_defaults(config_class=TheoryConfig, runner=cmd_theory_curve, seed=None)
 
     codec_p = sub.add_parser("codec", help="raw codec on signal files")
     codec_sub = codec_p.add_subparsers(dest="codec_cmd", required=True)
@@ -329,18 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = load_config(ExperimentConfig, args.config) if args.config else ExperimentConfig()
-            if args.seed is not None:
-                cfg.seed = args.seed
-            out_dir = args.out if args.out is not None else Path(cfg.output_dir)
-            cmd_run_experiment(cfg, out_dir)
-        elif args.command == "theory":
-            cfg = load_config(TheoryConfig, args.config) if args.config else TheoryConfig()
-            out_dir = args.out if args.out is not None else Path(cfg.output_dir)
-            cmd_theory_curve(cfg, out_dir)
-        else:
+        if args.command == "codec":
             cmd_codec(args)
+        else:  # run and theory: the config file or the defaults, with the flags on top
+            cfg = load_config(args.config_class, args.config) if args.config else args.config_class()
+            if args.seed is not None:  # only run takes --seed
+                cfg.seed = args.seed
+            args.runner(cfg, args.out if args.out is not None else Path(cfg.output_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,6 @@ on the joint support, coding the pseudoinverse-filtered measurements reduces
 to reverse water-filling against the weighted variances |a_k b_k|^2 *
 lambda_w_tilde_k. Rates are in nats internally and converted to bits only at
 the reporting boundary.
-
-A curve reads only each budget's theta and total rate, so a model gathers
-its curve terms over the joint support and the lost bins, and it builds its
-per-bin rows, as an allocation its ``d_k``, ``r_k`` and ``total_distortion``,
-on first read. The total rate still sums a full-length rate row: numpy sums
-pairwise, so a sum over the active bins alone would round differently.
 """
 
 from __future__ import annotations
@@ -40,34 +34,36 @@ _THETA_FLOOR = 1e-15  # rate evaluation floor when the water level hits zero
 class SpectralModel:
     """Source variances and system responses, all indexed by DFT bin.
 
-    ``k_ab`` marks the joint support, where both responses are nonzero.
-    The per-bin rows ``gain`` = |a_f * b_f|^2, ``lambda_w`` = |a_f|^2 *
-    lambda_x and ``lambda_w_tilde`` = lambda_w / gain on ``k_ab`` (zero
-    elsewhere) are built on first read. A derived value that overflows (or
-    a gain that underflows to zero on ``k_ab``) raises ValueError naming
-    it.
+    ``k_ab`` marks the joint support, where both responses are nonzero. A
+    derived value that overflows (or a gain that underflows to zero on
+    ``k_ab``) raises ValueError naming it.
 
     A response may be a bool mask; any other response is taken as float64
     unless it is complex, then as complex128. The model reads a response
     only through ``!= 0``, ``isfinite`` and its gathers over the support
-    and the lost bins, each gather cast to float64 (complex128 for a
-    complex response), so a mask is never widened to a full float row; the
-    public ``a_f`` and ``b_f`` are those float64 or complex128 rows, built
-    on first read (float64(True) is exactly 1.0). For real x, y and v,
-    (x+0j)(y+0j) = x*y + 0j and |v+0j| = hypot(v, 0) = |v|, so every
-    derived value has the bits that complex casts of real responses would
-    give.
+    and the lost bins (a_f nonzero, b_f zero), off which every row below is
+    zero; each gather is cast to float64 (complex128 for a complex
+    response), so a mask is never widened to a full float row. For real x,
+    y and v, (x+0j)(y+0j) = x*y + 0j and |v+0j| = hypot(v, 0) = |v|, so
+    every derived value has the bits that complex casts of real responses
+    would give.
 
-    The model holds the terms that no budget changes, so that a curve's
-    grid costs only per-budget work: the distortion floor that
-    :func:`expected_min_distortion` returns, and for :func:`water_fill` the
-    support bins ordered by their weighted variance gain * lambda_w_tilde
-    (a stable sort), those variances (the levels) in that order, the
-    running sums of the levels below each one and the count from each one
-    up, the saturation sum, and the water level of a budget beyond it (the
-    largest level, or +0.0 when none is positive, whatever the signs of the
-    zeros). It gathers them with the rows' expressions over the support and
-    the lost bins (a_f nonzero, b_f zero), off which the rows are zero.
+    A curve reads only each budget's theta and total rate, so the model
+    gathers once, with the rows' expressions, the terms that no budget
+    changes: the distortion floor that :func:`expected_min_distortion`
+    returns, and for :func:`water_fill` the support bins ordered by their
+    weighted variance gain * lambda_w_tilde (a stable sort), those variances
+    (the levels) in that order, the running sums of the levels below each
+    one and the count from each one up, the saturation sum, and the water
+    level of a budget beyond it (the largest level, or +0.0 when none is
+    positive, whatever the signs of the zeros). Every per-bin row is built
+    on first read and then kept: the public ``a_f`` and ``b_f`` (float64 or
+    complex128 rows; float64(True) is exactly 1.0), ``gain`` = |a_f *
+    b_f|^2, ``lambda_w`` = |a_f|^2 * lambda_x, ``lambda_w_tilde`` =
+    lambda_w / gain on ``k_ab`` (zero elsewhere), and an allocation's
+    ``d_k``, ``r_k`` and ``total_distortion``. The one n-length row a budget
+    builds is its R_k, summed over all n bins for the total rate: numpy sums
+    pairwise, so a sum over the active bins alone would round differently.
     """
 
     def __init__(self, n: int, lambda_x, a_f, b_f):
@@ -142,12 +138,9 @@ class SpectralAllocation:
     (the constraint target N*D); ``total_rate`` is sum_k R_k in nats.
     ``clamped`` flags a request beyond the zero-rate saturation point;
     ``rate_floored`` flags rates evaluated at the theta floor (theta ~ 0, so
-    the exact rates are unbounded).
-
-    :func:`water_fill` builds it from those four values, its model and
-    ``start``, where the bins below saturation begin in the model's sorted
-    support; ``d_k``, ``r_k`` and ``total_distortion`` are built on first
-    read and then kept.
+    the exact rates are unbounded). :func:`water_fill` builds it from those
+    four values, its model and ``start``, where the bins below saturation
+    begin in the model's sorted support.
     """
 
     def __init__(self, theta: float, total_rate: float, clamped: bool, rate_floored: bool,
@@ -217,13 +210,10 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     / theta); the rest keep D_k = lambda_w_tilde_k, R_k = 0. A budget beyond
     the saturation point sets ``clamped`` and theta to the largest weighted
     variance, where no bin is below saturation, so the same path yields the
-    all-saturated allocation at zero rate.
-
-    Everything that depends on the model alone is built with it (see
-    :class:`SpectralModel`), so the work per budget is the equal shares over
-    the sorted levels and the bins below saturation, which are the suffix
-    of the sorted support with levels above theta. The only n-length row
-    it builds is a temporary R_k, summed over all n bins for ``total_rate``.
+    all-saturated allocation at zero rate. The bins below saturation are the
+    suffix of the model's sorted support with levels above theta. A rate
+    that overflows at theta, or at the theta floor when theta is below it,
+    raises ValueError.
     """
     total_d = float(total_d)
     if not total_d >= 0:  # also rejects NaN
@@ -234,6 +224,11 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
 
     start = int(np.searchsorted(model._levels, theta, side="right"))
     rate_floored = start < model._levels.size and theta < _THETA_FLOOR
+    # the largest ratio in _rates, in Python floats so that it warns of nothing
+    level = max(theta, _THETA_FLOOR)
+    if start < model._levels.size and not math.isfinite(float(model._levels[-1]) / level):
+        at = "the theta floor" if rate_floored else "theta"
+        raise ValueError(f"rate at {at} {level!r} is not finite: the responses or lambda_x are out of range")
     total_rate = float(_rates(model, start, theta).sum())
     return SpectralAllocation(theta, total_rate, clamped, rate_floored, model, start)
 

@@ -25,7 +25,6 @@ __all__ = [
     "RDPoint",
     "make_chirp",
     "gaussian_kernel",
-    "make_blur_subsample_system",
     "acquire",
     "render",
     "psnr",
@@ -136,32 +135,20 @@ def make_chirp(n: int) -> np.ndarray:
     return 0.5 + 0.5 * t * np.sin(2 * np.pi * (2 * t + 30 * t * t))
 
 
-def gaussian_kernel(std: float = 15.0, support: int = 15) -> np.ndarray:
-    """Unit-sum Gaussian taps at integer offsets centered on zero.
-
-    With the default std wide relative to the support the kernel is close to
-    a boxcar, which is the intended strong blur.
-    """
+def gaussian_kernel(std: float, support: int) -> np.ndarray:
+    """Unit-sum Gaussian taps at ``support`` integer offsets centered on zero: a
+    near-boxcar, the experiment's strong blur, when std is wide relative to it.
+    A support or std that is a bool, or a support that is not an integer,
+    raises ValueError."""
+    if not _is_integer(support):
+        raise ValueError(f"support must be an integer, got {support!r}")
     if support < 1 or support % 2 == 0:
         raise ValueError("support must be a positive odd integer")
-    if not 0 < std < np.inf:  # also rejects NaN
+    if isinstance(std, bool) or not 0 < std < np.inf:  # also rejects NaN
         raise ValueError(f"std must be finite and positive, got {std!r}")
     offsets = np.arange(support) - (support - 1) // 2
     taps = np.exp(-(offsets.astype(float) ** 2) / (2 * std * std))
     return taps / taps.sum()
-
-
-def make_blur_subsample_system(
-    n: int = 1024,
-    kernel_std: float = 15.0,
-    kernel_support: int = 15,
-    factor: int = 4,
-    noise_std: float = 1e-3,
-    seed: int = 0,
-) -> SystemModel:
-    """Gaussian blur + subsample acquisition with replicating rendering."""
-    kernel = gaussian_kernel(kernel_std, kernel_support)
-    return SystemModel(n, kernel, factor, float(noise_std), int(seed))
 
 
 def acquire(x, system: SystemModel) -> np.ndarray:

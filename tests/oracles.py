@@ -7,7 +7,8 @@ regularized normal equations, the z-update as one expression, a scalar
 writer of the codec's wire format, reverse water-filling that builds every
 term anew for each budget, the distortion floor from masks built anew, a
 spectral model's water-filling terms derived from full-length per-bin rows,
-and a signal's text formatted one signal at a time.
+a signal's text formatted one signal at a time, and the blur-subsample
+system with the settings many tests share.
 
 Operators act on 1D real signals and are immutable after construction:
 ``apply`` is a pure function of its input, and an input of the wrong length
@@ -28,7 +29,7 @@ import numpy as np
 
 from sysaware.gauss_theory import SpectralModel
 from sysaware.admm import DimensionMismatchError
-from sysaware.system_sim import SystemModel, acquire, kernel_spectrum
+from sysaware.system_sim import SystemModel, acquire, gaussian_kernel, kernel_spectrum
 from sysaware.tree_codec import MAGIC
 
 # Relative magnitude below which a frequency-response entry counts as zero.
@@ -180,6 +181,14 @@ def system_chain(n: int, kernel, factor: int) -> tuple[Compose, Replicate]:
     built from the same arguments: A convolves with ``kernel`` and keeps every
     ``factor``-th sample, and B repeats each coded sample ``factor`` times."""
     return Compose([Convolution(n, kernel), Subsample(n, factor)]), Replicate(n // factor, factor)
+
+
+def blur_subsample_system(
+    n=1024, kernel_std=15.0, kernel_support=15, factor=4, noise_std=1e-3, seed=0
+) -> SystemModel:
+    """The blur-subsample system many tests share: by default the experiment's
+    kernel, factor and noise level, with noise seed 0."""
+    return SystemModel(n, gaussian_kernel(kernel_std, kernel_support), factor, noise_std, seed)
 
 
 def support(op: CirculantSpectral) -> np.ndarray:

@@ -15,8 +15,8 @@ from sysaware.gauss_theory import SpectralModel, expected_min_distortion, water_
 from sysaware.system_sim import (
     SystemModel,
     acquire,
+    gaussian_kernel,
     kernel_spectrum,
-    make_blur_subsample_system,
     make_chirp,
     sweep,
 )
@@ -44,7 +44,8 @@ def test_1_chirp_dominance():
     start = time.monotonic()
     defaults = cli.ExperimentConfig()
     x = make_chirp(defaults.signal_n)
-    system = make_blur_subsample_system(seed=defaults.seed)
+    kernel = gaussian_kernel(defaults.kernel_std, defaults.kernel_support)
+    system = SystemModel(x.size, kernel, defaults.subsample_factor, defaults.noise_std, defaults.seed)
     w = acquire(x, system)
     codec = TreeCodecPlug(q_bits=8)
     admm_cfg = AdmmConfig(beta_tilde=defaults.admm_beta_tilde, max_iters=40, tol=defaults.admm_tol)

@@ -27,6 +27,7 @@ from oracles import (
     Identity,
     Replicate,
     Subsample,
+    blur_subsample_system,
     circulant_symbol,
     dense_matrix,
     system_chain,
@@ -144,9 +145,9 @@ def test_z_update_satisfies_normal_equations():
 
 
 def default_chain_measurements():
-    from sysaware.system_sim import acquire, make_blur_subsample_system, make_chirp
+    from sysaware.system_sim import acquire, make_chirp
 
-    system = make_blur_subsample_system()
+    system = blur_subsample_system()
     return system, acquire(make_chirp(1024), system)
 
 
@@ -220,12 +221,12 @@ def test_run_analyzes_every_new_z_tilde_with_tree_codec_plug(monkeypatch):
 
 
 def test_run_memory_does_not_grow_with_its_iterations(monkeypatch):
-    from sysaware.system_sim import acquire, make_blur_subsample_system, make_chirp
+    from sysaware.system_sim import acquire, make_chirp
 
     # this run stalls at t = 8; a window past the cap lets it reach 10 and 40
     # iterations (it repeats no blob on the way)
     monkeypatch.setattr(admm, "_STALL_WINDOW", 41)
-    system = make_blur_subsample_system(n=1 << 16)
+    system = blur_subsample_system(n=1 << 16)
     w = acquire(make_chirp(1 << 16), system)
     vector_bytes = w.nbytes  # one M-vector, M = 2**14
     # a first run fills the per-shape caches the codec keeps for the process
@@ -312,10 +313,10 @@ def test_non_circulant_chain_raises_before_any_codec_call():
 
 
 def test_chirp_loop_terminates_and_stays_bounded():
-    from sysaware.system_sim import acquire, make_blur_subsample_system, make_chirp
+    from sysaware.system_sim import acquire, make_chirp
 
     x = make_chirp(1024)
-    system = make_blur_subsample_system()
+    system = blur_subsample_system()
     w = acquire(x, system)
     blob, trace, _ = run(w, system.symbol, TreeCodecPlug(), 1e-3, AdmmConfig())
     assert 1 <= len(trace) <= 40
@@ -394,10 +395,18 @@ def test_config_validation():
             AdmmConfig(beta_tilde=beta)
     with pytest.raises(ValueError):
         AdmmConfig(max_iters=0)
+    assert AdmmConfig(max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ValueError):
         AdmmConfig(tol=-1.0)
     with pytest.raises(ValueError):
         AdmmConfig(tol=float("nan"))
+
+
+@pytest.mark.parametrize("max_iters", [2.5, True], ids=["fraction", "bool"])
+def test_config_rejects_a_max_iters_that_is_not_an_integer(max_iters):
+    # 2.5 used to run 3 iterations and True 1
+    with pytest.raises(ValueError, match=f"max_iters must be an integer, got {max_iters!r}"):
+        AdmmConfig(max_iters=max_iters)
 
 
 # ---------------------------------------------------------- d_c and stops #
@@ -422,10 +431,8 @@ def test_system_distortion_dc_dense_oracle():
 
 
 def test_system_distortion_dc_through_the_symbol_matches_the_operators():
-    from sysaware.system_sim import make_blur_subsample_system
-
-    system = make_blur_subsample_system()
-    a, b = system_chain(1024, gaussian_kernel(), 4)
+    system = blur_subsample_system()
+    a, b = system_chain(1024, gaussian_kernel(15.0, 15), 4)
     rng = np.random.default_rng(10)
     for _ in range(5):
         w = rng.normal(size=a.out_dim)

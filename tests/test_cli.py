@@ -14,6 +14,8 @@ import pytest
 from sysaware import admm, cli, system_sim, tree_codec
 from sysaware.system_sim import make_chirp, save_signal
 
+from oracles import blur_subsample_system
+
 
 def write_config(path, text):
     path.write_text(text)
@@ -91,7 +93,7 @@ def test_run_recon_files_render_their_blobs(tmp_path):
     cfg = write_config(tmp_path / "exp.cfg", SMALL_RUN)
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", out]) == 0
-    system = system_sim.make_blur_subsample_system(n=256, factor=4, seed=77)
+    system = blur_subsample_system(n=256, factor=4, seed=77)
     recons = sorted(out.glob("recon_*.txt"))
     assert len(recons) == 6
     for recon in recons:
@@ -685,6 +687,21 @@ def test_theory_sums_that_overflow_exit_1_in_model_setup(tmp_path, capsys, b_res
     assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
     assert f"stage 'model setup' failed: {needle}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["always", "error"], ids=["warnings-shown", "warnings-as-errors"])
+def test_theory_rate_that_overflows_at_the_theta_floor_exits_1_in_curve(tmp_path, capsys, action):
+    # at budget 0 each rate is 0.5 * ln(1e300 / 1e-15), which overflows:
+    # the curve names it instead of writing inf, and numpy warns of nothing
+    cfg = write_config(tmp_path / "t.cfg", "theory.n = 4\ntheory.lambda_x = constant:1e300\ntheory.d_grid = 0, 0.1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert run_cli(["theory", "--config", cfg, "--out", out]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "stage 'curve' failed: rate at the theta floor 1e-15 is not finite" in err
+    assert "RuntimeWarning" not in err and not out.exists()
 
 
 # -------------------------------------------------------------- codec cmd #

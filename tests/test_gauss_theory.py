@@ -242,8 +242,9 @@ def test_masks_give_the_bits_of_their_float_rows():
             for name in ("_levels", "_below", "_saturation", "_ceiling", "_floor"):
                 assert np.array_equal(bits(getattr(m, name)), bits(getattr(terms, name))), name
             assert bits(expected_min_distortion(m)) == bits(terms._floor)
-    # each overflow error is raised with the float rows' message
-    assert set(errors) == {"gain", "lambda_w", "lambda_w_tilde"} and 100 < len(errors) < 300
+    # each overflow error is raised with the float rows' message; a few
+    # curves overflow at the theta floor, and water_fill names their rate
+    assert set(errors) == {"gain", "lambda_w", "lambda_w_tilde", "rate"} and 100 < len(errors) < 300
 
 
 def test_support_gathers_give_the_terms_of_the_full_rows():
@@ -362,6 +363,21 @@ def test_water_fill_zero_budget():
     assert np.array_equal(alloc.d_k, np.zeros(4))
     assert alloc.rate_floored
     assert np.all(alloc.r_k >= 0.5 * math.log(1.0 / 1e-15) - 1e-9)  # floored evaluation
+
+
+def test_water_fill_names_a_rate_that_overflows_at_the_theta_floor():
+    # 1e300 / 1e-15 overflows: the budget-0 rate is unbounded in float64 too,
+    # so water_fill names it instead of summing an inf (numpy warns of nothing)
+    m = SpectralModel(n=4, lambda_x=np.full(4, 1e300), a_f=np.ones(4), b_f=np.ones(4))
+    with pytest.raises(ValueError, match=r"^rate at the theta floor 1e-15 is not finite"):
+        water_fill(m, 0.0)
+    alloc = water_fill(m, 0.1)  # the same model at a budget whose rates are finite
+    assert alloc.theta == 0.1 and not alloc.rate_floored
+    assert alloc.total_rate == pytest.approx(4 * 0.5 * math.log(1e301), rel=1e-14)
+    # a water level above the floor can overflow the ratio too
+    m = SpectralModel(n=2, lambda_x=[0.0, 1.7e308], a_f=np.ones(2), b_f=np.ones(2))
+    with pytest.raises(ValueError, match=r"^rate at theta 0\.5 is not finite"):
+        water_fill(m, 0.25)
 
 
 def test_water_fill_clamps_infeasible_budget():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sysaware.admm import DimensionMismatchError, ZUpdateTerms, solve_regularized
-from sysaware.system_sim import gaussian_kernel, kernel_spectrum, make_blur_subsample_system
+from sysaware.system_sim import gaussian_kernel, kernel_spectrum
 
 from oracles import (
     CirculantSpectral,
@@ -14,6 +14,7 @@ from oracles import (
     LinearMap,
     Replicate,
     Subsample,
+    blur_subsample_system,
     cg_regularized_solve,
     circulant_symbol,
     mask_spectrum,
@@ -374,8 +375,8 @@ def test_circulant_symbol_rejects_shift_variant_and_non_square():
 
 
 def test_solve_default_chain_takes_closed_form():
-    system = make_blur_subsample_system()
-    a, b = system_chain(1024, gaussian_kernel(), 4)
+    system = blur_subsample_system()
+    a, b = system_chain(1024, gaussian_kernel(15.0, 15), 4)
     symbol = circulant_symbol(Compose([b, a]))
     assert symbol is not None and symbol.size == 256
     assert symbol.tobytes() == system.symbol.tobytes()

@@ -14,7 +14,6 @@ from sysaware.system_sim import (
     acquire,
     gaussian_kernel,
     load_signal,
-    make_blur_subsample_system,
     make_chirp,
     psnr,
     rd_points_to_csv,
@@ -27,6 +26,7 @@ from sysaware.tree_codec import TreeCodecPlug
 
 from oracles import (
     Compose,
+    blur_subsample_system,
     circulant_symbol,
     ideal_distortion_check,
     signal_text_reference,
@@ -64,29 +64,42 @@ def test_chirp_range_and_length():
 
 
 def test_gaussian_kernel_shape():
-    k = gaussian_kernel()
+    k = gaussian_kernel(15.0, 15)
     assert k.shape == (15,)
     assert abs(k.sum() - 1.0) <= 1e-12
     assert np.allclose(k, k[::-1])  # symmetric taps
     assert k.max() / k.min() < 1.2  # wide std over short support: near-boxcar
     with pytest.raises(ValueError):
-        gaussian_kernel(support=4)
+        gaussian_kernel(15.0, 4)
     with pytest.raises(ValueError):
-        gaussian_kernel(support=0)
+        gaussian_kernel(15.0, 0)
 
 
 @pytest.mark.parametrize("std", [0.0, -1.0, float("nan"), float("inf")])
 def test_gaussian_kernel_requires_finite_positive_std(std):
     with pytest.raises(ValueError, match="finite and positive"):
-        gaussian_kernel(std)
+        gaussian_kernel(std, 15)
     with pytest.raises(ValueError, match="finite and positive"):
-        make_blur_subsample_system(n=64, kernel_std=std)
+        blur_subsample_system(n=64, kernel_std=std)
+
+
+@pytest.mark.parametrize("support", [3.0, True], ids=["float", "bool"])
+def test_gaussian_kernel_rejects_a_support_that_is_not_an_integer(support):
+    with pytest.raises(ValueError, match=f"support must be an integer, got {support!r}"):
+        gaussian_kernel(15.0, support)
+    assert gaussian_kernel(15.0, np.int64(3)).tobytes() == gaussian_kernel(15.0, 3).tobytes()
+
+
+def test_gaussian_kernel_rejects_a_bool_std():
+    # True used to be taken as a std of 1.0
+    with pytest.raises(ValueError, match="std must be finite and positive, got True"):
+        gaussian_kernel(True, 3)
 
 
 @pytest.mark.parametrize("factor", [0, -4])
 def test_blur_subsample_system_checks_the_factor_before_dividing_by_it(factor):
     with pytest.raises(ValueError, match=f"subsampling factor must be >= 1, got {factor}"):
-        make_blur_subsample_system(n=64, factor=factor)
+        blur_subsample_system(n=64, factor=factor)
 
 
 def test_system_model_validates_loop_closure():
@@ -119,7 +132,7 @@ def test_system_model_requires_a_non_negative_integer_seed(seed):
         assert np.array_equal(acquire(np.zeros(4), system), acquire(np.zeros(4), system))
 
 
-PIN_KERNELS = {1: [0.7], 3: [0.25, 0.5, 0.25], 15: gaussian_kernel().tolist()}
+PIN_KERNELS = {1: [0.7], 3: [0.25, 0.5, 0.25], 15: gaussian_kernel(15.0, 15).tolist()}
 
 
 @pytest.mark.parametrize("taps", sorted(PIN_KERNELS))
@@ -138,7 +151,7 @@ def test_system_model_is_bitwise_the_operator_chain(n, factor, taps):
 
 
 def test_acquire_and_render_reject_a_misshapen_vector():
-    system = make_blur_subsample_system(n=64, factor=4)
+    system = blur_subsample_system(n=64, factor=4)
     for bad in (np.zeros(63), np.zeros(65), np.zeros((4, 16)), 1.0):
         with pytest.raises(DimensionMismatchError, match="acquire: x: expected length 64"):
             acquire(bad, system)
@@ -171,7 +184,7 @@ def test_system_model_rejects_a_degenerate_system(n, kernel, factor, needle):
 
 
 def test_default_system_dimensions():
-    system = make_blur_subsample_system()
+    system = blur_subsample_system()
     assert (system.n, system.factor, system.m) == (1024, 4, 256)
     assert system.response.shape == (1024,) and system.symbol.shape == (256,)
     w = acquire(make_chirp(1024), system)
@@ -182,7 +195,7 @@ def test_default_system_dimensions():
 def test_dimension_chain_for_power_of_two_sizes():
     codec = TreeCodecPlug()
     for n, factor in [(64, 2), (128, 4), (256, 8)]:
-        system = make_blur_subsample_system(n=n, factor=factor, noise_std=1e-3, seed=3)
+        system = blur_subsample_system(n=n, factor=factor, noise_std=1e-3, seed=3)
         w = acquire(make_chirp(n), system)
         assert w.shape == (n // factor,)
         y = render(codec.decompress(codec.compress(w, 1e-3)), system)
@@ -203,14 +216,14 @@ def test_acquire_noiseless_identity():
 
 def test_acquire_deterministic_per_seed():
     x = make_chirp(128)
-    system = make_blur_subsample_system(n=128, factor=4, noise_std=0.01, seed=42)
+    system = blur_subsample_system(n=128, factor=4, noise_std=0.01, seed=42)
     assert np.array_equal(acquire(x, system), acquire(x, system))
-    other = make_blur_subsample_system(n=128, factor=4, noise_std=0.01, seed=43)
+    other = blur_subsample_system(n=128, factor=4, noise_std=0.01, seed=43)
     assert not np.array_equal(acquire(x, system), acquire(x, other))
 
 
 def test_render_examples():
-    system = make_blur_subsample_system(n=8, factor=2, kernel_support=3)
+    system = blur_subsample_system(n=8, factor=2, kernel_support=3)
     assert np.array_equal(render(np.array([1.0, 2, 3, 4]), system), [1, 1, 2, 2, 3, 3, 4, 4])
     ident = identity_system(4)
     v = np.array([0.5, 0.25, 0.125, 1.0])
@@ -233,7 +246,7 @@ def test_psnr_closed_form_case():
 
 def test_psnr_against_two_pass_oracle():
     x = make_chirp(256)
-    system = make_blur_subsample_system(n=256, factor=4, seed=9)
+    system = blur_subsample_system(n=256, factor=4, seed=9)
     w = acquire(x, system)
     codec = TreeCodecPlug()
     y = render(codec.decompress(codec.compress(w, 1e-3)), system)
@@ -248,15 +261,15 @@ def test_psnr_shape_mismatch():
 
 
 def test_ideal_distortion_zero_noise():
-    system = make_blur_subsample_system(n=64, factor=4, noise_std=0.0)
+    system = blur_subsample_system(n=64, factor=4, noise_std=0.0)
     assert ideal_distortion_check(make_chirp(64), system) == 0.0
 
 
 def test_ideal_distortion_matches_realized_noise_exactly():
     x = make_chirp(128)
-    system = make_blur_subsample_system(n=128, factor=4, noise_std=0.01, seed=5)
+    system = blur_subsample_system(n=128, factor=4, noise_std=0.01, seed=5)
     w = acquire(x, system)
-    a, _ = system_chain(128, gaussian_kernel(), 4)
+    a, _ = system_chain(128, gaussian_kernel(15.0, 15), 4)
     realized = w - a.apply(x)
     assert ideal_distortion_check(x, system) == float((realized**2).mean())
 
@@ -264,7 +277,7 @@ def test_ideal_distortion_matches_realized_noise_exactly():
 def test_ideal_distortion_concentrates_near_variance():
     x = make_chirp(4096)
     for seed in range(10):
-        system = make_blur_subsample_system(
+        system = blur_subsample_system(
             n=4096, factor=1, noise_std=1e-3, seed=seed
         )
         d = ideal_distortion_check(x, system)
@@ -294,7 +307,7 @@ def test_sweep_identity_system_matches_regular():
 
 def test_sweep_rate_monotone_in_nu():
     x = make_chirp(256)
-    system = make_blur_subsample_system(n=256, factor=4, seed=2)
+    system = blur_subsample_system(n=256, factor=4, seed=2)
     params = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
     points = sweep(x, acquire(x, system), system, TreeCodecPlug(), params, "regular")
     assert len(points) == 5
@@ -318,7 +331,7 @@ def test_proposed_sweep_probes_the_chain_once(monkeypatch):
 
     monkeypatch.setattr(admm, "solve_regularized", recorded_solve)
     x = make_chirp(128)
-    system = make_blur_subsample_system(n=128, factor=4, seed=3)
+    system = blur_subsample_system(n=128, factor=4, seed=3)
     cfg = AdmmConfig(max_iters=3, tol=0.0)
     points = sweep(x, acquire(x, system), system, TreeCodecPlug(), [1e-4, 1e-3, 1e-2], "proposed", cfg)
     assert len(points) == 3
@@ -328,7 +341,7 @@ def test_proposed_sweep_probes_the_chain_once(monkeypatch):
 
 def test_sweep_points_carry_the_rendered_reconstruction():
     x = make_chirp(1024)
-    system = make_blur_subsample_system(seed=3)
+    system = blur_subsample_system(seed=3)
     codec = TreeCodecPlug()
     w = acquire(x, system)
     for method in ("regular", "proposed"):
@@ -343,7 +356,7 @@ def test_sweep_rejects_unknown_method_and_misshapen_measurements():
     x = make_chirp(32)
     with pytest.raises(ValueError, match="method"):
         sweep(x, x, identity_system(32), TreeCodecPlug(), [1e-3], "fast")
-    system = make_blur_subsample_system(n=32, factor=2, kernel_support=3)
+    system = blur_subsample_system(n=32, factor=2, kernel_support=3)
     for w in (x, x[:16].reshape(2, 8), x[:8]):
         for method in ("regular", "proposed"):
             with pytest.raises(ValueError, match=r"w must have shape \(16,\)"):
@@ -378,7 +391,7 @@ def test_sweep_failing_point_raises_naming_param():
 
 def test_csv_layout_and_determinism():
     x = make_chirp(128)
-    system = make_blur_subsample_system(n=128, factor=4, seed=11)
+    system = blur_subsample_system(n=128, factor=4, seed=11)
     w = acquire(x, system)
     points = sweep(x, w, system, TreeCodecPlug(), [1e-3, 1e-2], "regular")
     text = rd_points_to_csv(points, seed=11)
