@@ -14,37 +14,27 @@ A leaf's cost needs only its segment's sum and second moment about the mean,
 m2, since ||w[leaf] - r||^2 = m2 + width * (mean - r)^2. The encoder reads the
 samples only at level d and merges every shallower node from its two children
 (Chan, Golub & LeVeque, 1983): sums add, and m2 = m2_L + m2_R + (mean_L -
-mean_R)^2 * width_child / 2. The merged moments round differently from a
-direct pass over each segment, so where two trees tie in exact arithmetic the
-computed costs may break the tie either way; the split is kept whenever the
+mean_R)^2 * width_child / 2. Where two trees tie in exact arithmetic, the
+merged moments may break the tie either way; the split is kept whenever the
 computed children's cost does not exceed the computed leaf cost.
 
-The encoder keeps every node of the depth-d tree in one flat heap: level l
-occupies positions [2**l - 1, 2**(l+1) - 1), and node p has children 2p + 1
-and 2p + 2, so each level and its children are plain slices. A numpy call
-has a fixed overhead that outweighs its per-element work on small rows, so
-the work is arranged in few calls: only the recursions from one level to the
-next (the sums, the m2 merge, the pruning, and the top-down marking of
-reached nodes) make a call per level, and everything else (the means, the
-quantization, every leaf cost) runs once over the whole heap. Both run in a
-workspace built once per shape (M, d): five heap-sized float rows (the node
-widths, which the shape alone fixes, and four rows the work reuses in place
-through ``out=``) and each level's slices of them for every recursion, so a
-call neither allocates a heap-sized row nor slices a level. At M = 2**16
-fresh rows cost more in allocation and page faults than the arithmetic they
-feed, and at M = 256 slicing every level on every call would cost about a
-quarter of the work.
+Every node of the depth-d tree sits in one flat heap: level l occupies
+positions [2**l - 1, 2**(l+1) - 1), and node p has children 2p + 1 and 2p + 2.
+Only the level-to-level recursions make a numpy call per level; all other
+work runs once over the whole heap. An encode runs in a workspace built once
+per shape (M, d), which holds the heap rows and each level's views of them,
+so a call neither allocates a heap-sized row nor slices a level.
 
-Only the rate term nu * q_bits depends on nu, so an encode is two steps. The
-analysis, once per signal, builds the sums, m2, means and quantization
-indices and every node's leaf cost without the rate term; it keeps two rows
-(those leaf costs and the indices). The prune, once per nu, adds nu * q_bits
-to a copy of the leaf costs, runs the bottom-up pruning and the top-down
-marking, and lists the leaves. A rate ladder codes one signal at many nu, so
-:class:`TreeCodecPlug` keeps its workspace, and in it its last signal's
-analysis, and only prunes when the same samples come again: the analysis
-reads every sample, while a prune reads only the heap and lists fewer leaves
-the higher nu is.
+An encode is two steps. The analysis, once per signal, builds every node's
+quantization index and its leaf cost without the rate term. The prune, once
+per nu, adds nu * q_bits to those costs, prunes, and lists the leaves in
+left-to-right order. :class:`TreeCodecPlug` keeps its last signal's analysis
+and only prunes when the same samples come again.
+
+The prune's stream is valid by construction: its leaves tile the M samples,
+each aligned to its width and no deeper than d, and every index is in
+[0, 2**q_bits). So it is built without the checks of the :class:`Bitstream`
+constructor, which guards every stream that is hand-built or parsed.
 """
 
 from __future__ import annotations
@@ -85,6 +75,20 @@ def _integer(name: str, value) -> int:
     return operator.index(value)
 
 
+def _split_runs(d0: int, levels: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The split bits written before each leaf in pre-order, given its level and first sample.
+
+    Leaf i is preceded by the splits of the nodes that start at s_i from the
+    shallowest one, at level d0 - ctz(s_i) (0 for s_i = 0), down to its own
+    level: levels[i] - d0 + ctz(s_i | 2**d0) + 1 bits.
+    """
+    low = starts | (1 << d0)
+    low &= -low  # 2**ctz(s_i | 2**d0), whose frexp exponent is ctz + 1
+    runs = levels - d0
+    runs += np.frexp(low)[1]
+    return runs
+
+
 class BitstreamError(ValueError):
     """Malformed serialized stream; ``offset`` is the failing byte position."""
 
@@ -113,7 +117,10 @@ class Bitstream:
     checks the header ranges, that the leaves tile the m samples, each
     aligned to its width and no deeper than d, and that every index is in
     [0, 2**q_bits), and raises ValueError otherwise: a stream that exists
-    serializes to bytes :meth:`from_bytes` reads back unchanged.
+    serializes to bytes :meth:`from_bytes` reads back unchanged. The encoder's
+    prune, whose stream is valid by construction, builds it through
+    :meth:`_valid` without these checks; every other stream, hand-built or
+    parsed, passes them.
     """
 
     def __init__(self, d0: int, d: int, q_bits: int, leaf_levels, leaf_indices):
@@ -135,14 +142,9 @@ class Bitstream:
         ends = np.cumsum(widths)
         if not ends.size or ends[-1] != self.m:
             raise ValueError(f"leaves do not tile the {self.m} samples")
-        starts = ends - widths
-        # In pre-order, leaf i is preceded by the splits of the nodes that start
-        # at s_i from the shallowest one, at level d0 - ctz(s_i) (0 for s_i = 0).
-        # A leaf starting off a multiple of its width (or at a negative level)
-        # would need a run of fewer than one bit.
-        low = starts | self.m
-        first = self.d0 + 1 - np.frexp(low & -low)[1]
-        runs = levels - first + 1
+        runs = _split_runs(self.d0, levels, ends - widths)
+        # a leaf starting off a multiple of its width (or at a negative level)
+        # would need a run of fewer than one bit
         if runs.min() < 1:
             raise ValueError("a leaf does not start at a multiple of its width")
         if levels.max() > self.d:
@@ -151,7 +153,17 @@ class Bitstream:
         # negative index) exactly when some index is outside [0, 2**q_bits)
         if np.bitwise_or.reduce(self.leaf_indices) >> self.q_bits:
             raise ValueError(f"a leaf index is outside [0, 2**q_bits) for q_bits={self.q_bits}")
-        self._runs = runs  # split bits written before each leaf in pre-order
+        self._runs = runs
+
+    @classmethod
+    def _valid(cls, d0: int, d: int, q_bits: int, leaf_levels, leaf_indices, starts) -> "Bitstream":
+        """The stream of int64 rows that the caller guarantees pass every check of
+        the constructor, built without running them; ``starts`` holds each leaf's first sample."""
+        stream = cls.__new__(cls)
+        stream.d0, stream.d, stream.q_bits = d0, d, q_bits
+        stream.leaf_levels, stream.leaf_indices = leaf_levels, leaf_indices
+        stream._runs = _split_runs(d0, leaf_levels, starts)
+        return stream
 
     @property
     def m(self) -> int:
@@ -166,11 +178,14 @@ class Bitstream:
         bit_ends = np.cumsum(self._runs)
         tree = np.ones(int(bit_ends[-1]), dtype=np.uint8)
         tree[bit_ends - 1] = 0
-        index_bytes = self.leaf_indices.astype(">u8").view(np.uint8).reshape(-1, 8)
-        # (-q_bits) // 8 = -ceil(q_bits / 8): unpack only the trailing bytes holding the low q_bits
-        payload = np.unpackbits(index_bytes[:, (-self.q_bits) // 8 :], axis=1)[:, -self.q_bits :]
+        # (-q_bits) // 8 = -ceil(q_bits / 8): an index's trailing bytes hold its low q_bits
+        index_bytes = self.leaf_indices.astype(">u8").view(np.uint8).reshape(-1, 8)[:, (-self.q_bits) // 8 :]
+        if self.q_bits % 8:  # drop each index's unused high bits and pack the rest
+            payload = np.packbits(np.unpackbits(index_bytes, axis=1)[:, -self.q_bits :]).tobytes()
+        else:
+            payload = index_bytes.tobytes()
         header = MAGIC + bytes([self.d0, self.d, self.q_bits]) + struct.pack(">I", self.m)
-        return header + np.packbits(tree).tobytes() + np.packbits(payload).tobytes()
+        return header + np.packbits(tree).tobytes() + payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
@@ -407,17 +422,26 @@ def _prune(ws: _Workspace, nu: float) -> Bitstream:
         np.logical_and(right, parent, out=right)
     reached[0] = True
     reached[1::2] = reached[2::2] = split[:n_parents]
-    pos = np.greater(reached, split, out=reached).nonzero()[0]
-    # p + 1 = (2**l + i) for node i of level l, so frexp gives its level as
-    # the exponent minus 1 and orders the leaves by start i / 2**l through the
-    # mantissa (2**l + i) / 2**(l+1).
-    mantissa, exponent = np.frexp(pos + 1)
-    order = np.argsort(mantissa)
-    return Bitstream(
-        d0=ws.m.bit_length() - 1, d=ws.d, q_bits=q_bits,
-        leaf_levels=exponent[order].astype(np.int64) - 1,
-        leaf_indices=ws.index[pos[order]].astype(np.int64),
-    )
+    number = np.greater(reached, split, out=reached).nonzero()[0]
+    number += 1  # heap number p + 1 = 2**l + i of node i of level l
+    # frexp gives the level as the exponent minus 1 and orders the leaves by
+    # start i / 2**l through the mantissa (2**l + i) / 2**(l+1). nonzero lists
+    # the leaves level by level, so the mantissas are d + 1 ascending runs,
+    # which a stable sort (timsort) merges. Each leaf-sized row is updated in
+    # place or dropped as soon as it can be, which keeps the prune's peak
+    # memory low at high rate.
+    mantissa, exponent = np.frexp(number)
+    order = np.argsort(mantissa, kind="stable")
+    del mantissa
+    number, levels = number[order], exponent[order].astype(np.int64)
+    del exponent, order
+    levels -= 1
+    indices = ws.index[number - 1].astype(np.int64)
+    # node i of level l starts at sample i * 2**(d0 - l) = ((p + 1) << (d0 - l)) - m
+    d0 = ws.m.bit_length() - 1
+    number <<= d0 - levels
+    number -= ws.m
+    return Bitstream._valid(d0, ws.d, q_bits, levels, indices, starts=number)
 
 
 def decode(data: Bitstream | bytes) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Operator tests against dense-matrix oracles built from first principles."""
+"""The operator oracles and the ADMM z-update, checked against dense-matrix
+oracles built from first principles."""
 
 import numpy as np
 import pytest

@@ -126,6 +126,14 @@ def leaf_partition(stream):
     return list(zip(stream.leaf_levels.tolist(), (stops - widths).tolist(), stops.tolist()))
 
 
+def assert_constructor_rebuilds(stream):
+    """The checking constructor accepts ``stream``'s fields and derives the same
+    split runs and bytes: the guard for the checks the prune's own path skips."""
+    rebuilt = Bitstream(stream.d0, stream.d, stream.q_bits, stream.leaf_levels, stream.leaf_indices)
+    assert np.array_equal(rebuilt._runs, stream._runs)
+    assert rebuilt.to_bytes() == stream.to_bytes()
+
+
 def oracle_decode(data):
     """Scalar parser and decoder: header checks, pre-order walk, padding and
     payload read bit by bit."""
@@ -302,6 +310,7 @@ def test_encode_matches_direct_statistics_oracle():
         else:
             w = rng.uniform(size=1 << d0)
         stream = encode(w, nu=nu, d=d, q_bits=q_bits)
+        assert_constructor_rebuilds(stream)
         expected = oracle_encode(w, nu, d, q_bits)
         if stream.to_bytes() == expected.to_bytes():
             continue
@@ -324,7 +333,10 @@ def test_encode_matches_oracle_when_shapes_interleave():
         nu = 1e-5 if m == 1 << 16 else 1e-3
         plug.depth = d
         expected = oracle_encode(w, nu, d, 8)
-        for stream in (encode(w, nu=nu, d=d), Bitstream.from_bytes(plug.compress(w, nu))):
+        blob = plug.compress(w, nu)
+        # the plug's own stream, which it keeps for its blob, and the parsed one
+        for stream in (encode(w, nu=nu, d=d), plug._stream(blob), Bitstream.from_bytes(blob)):
+            assert_constructor_rebuilds(stream)
             assert stream.to_bytes() == expected.to_bytes(), (m, d)
             assert np.array_equal(stream.leaf_levels, expected.leaf_levels), (m, d)
             assert np.array_equal(stream.leaf_indices, expected.leaf_indices), (m, d)
@@ -580,9 +592,11 @@ def test_to_bytes_rejects_streams_from_bytes_would_not_read_back(d0, d, q_bits, 
                   leaf_indices=np.array(indices, dtype=np.int64))
 
 
-# to_bytes unpacks only the trailing ceil(q_bits / 8) bytes of each index:
-# one, two, three and seven of them, each full and partly filled
-@pytest.mark.parametrize("q_bits", [1, 5, 7, 8, 9, 13, 16, 17, MAX_Q_BITS])
+# to_bytes writes the trailing q_bits / 8 bytes of each index when q_bits is
+# a multiple of 8 (one to six of them here), and otherwise unpacks the
+# trailing ceil(q_bits / 8) bytes (one, two, three and seven here) and packs
+# the low q_bits of each
+@pytest.mark.parametrize("q_bits", [1, 5, 7, 8, 9, 13, 16, 17, 24, 32, 40, 48, MAX_Q_BITS])
 def test_payload_bytes_match_scalar_writer(q_bits):
     w = np.random.default_rng(q_bits).uniform(size=128)
     w[:2] = 0.0, 1.0  # the smallest and largest index
