@@ -11,10 +11,10 @@ vector of the wrong shape raises :class:`DimensionMismatchError`.
 The result is always the blob produced by the final iteration's compression.
 What depends only on (symbol, w, beta_tilde) is computed once per run, so
 an iteration takes three FFTs: the z-update's forward and inverse, and
-fft(v_hat), from which the system distortion follows by Parseval. The
-recursion lives in one private generator of each iteration's vectors.
-:func:`run` keeps no iterate vectors, only scalars per iteration and, for
-the repeat stop, the bytes of every distinct blob until it returns.
+fft(v_hat), from which the system distortion follows by Parseval.
+:func:`run` is the loop; it keeps only the current iteration's vectors,
+scalars per iteration and, for the repeat stop, the bytes of every distinct
+blob until it returns.
 
 Every run stops for one of four reasons, checked after each iteration in
 this order, and :func:`run` returns the first that holds as its label:
@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,11 +155,6 @@ class AdmmState:
     d_c: float
 
 
-# The vectors of iteration t. ``u`` is the scaled dual the iteration used, and
-# step = v_hat - z_hat its update, so u[t+1] - u[t] = v_hat[t] - z_hat[t].
-_Iterate = namedtuple("_Iterate", "t z_tilde blob v_hat v_tilde z_hat u step")
-
-
 def system_distortion_dc(terms: ZUpdateTerms, v) -> float:
     """Mean squared system error (1/M) * ||w - A(B(v))||^2.
 
@@ -183,35 +177,14 @@ def stopping_check(state: AdmmState, cfg: AdmmConfig) -> bool:
     return state.t >= cfg.max_iters or _converged(state, cfg)
 
 
-def _iterates(w, terms: ZUpdateTerms, codec, theta: float):
-    """The ADMM recursion on w and its z-update ``terms``, without end: from
-    z_hat = w and u = 0, each iteration compresses z_tilde = z_hat - u,
-    decompresses to v_hat, solves the z-update for target v_tilde = v_hat + u,
-    yields, and adds the primal residual step = v_hat - z_hat to u."""
-    m = terms.symbol.size
-    z_hat, u = np.asarray(w, dtype=float).copy(), np.zeros(m)
-    for t in itertools.count(1):
-        z_tilde = z_hat - u
-        try:
-            blob = codec.compress(z_tilde, theta)
-            v_hat = np.asarray(codec.decompress(blob), dtype=float)
-        except Exception as exc:
-            raise CodecError(f"codec failed: {exc}", iteration=t) from exc
-        if v_hat.shape != (m,):
-            raise CodecError(f"codec returned shape {v_hat.shape}, expected ({m},)", iteration=t)
-        v_tilde = v_hat + u
-        z_hat = solve_regularized(terms, v_tilde)
-        step = v_hat - z_hat
-        yield _Iterate(t, z_tilde, blob, v_hat, v_tilde, z_hat, u, step)
-        u = u + step
-
-
 def run(
     w, symbol: np.ndarray, codec, theta: float, cfg: AdmmConfig
 ) -> tuple[bytes, list[AdmmState], str]:
     """Compress w so that decoding and rendering through B approximates the
-    acquisition inverse of A: run the ``_iterates`` recursion until one of
-    the stops of the module docstring fires, and return the final
+    acquisition inverse of A. From z_hat = w and u = 0, each iteration
+    compresses z_tilde = z_hat - u, decompresses to v_hat, solves the z-update
+    for target v_hat + u, checks the stops of the module docstring and adds
+    the primal residual step v_hat - z_hat to u. Return the final
     iteration's blob, one :class:`AdmmState` of scalars per iteration, and
     the stop's label.
 
@@ -224,17 +197,29 @@ def run(
     ValueError before the codec is first called.
     """
     terms = ZUpdateTerms(symbol, w, cfg.beta_tilde)
+    m = symbol.size
+    z_hat, u = np.asarray(w, dtype=float), np.zeros(m)
     trace: list[AdmmState] = []
     seen: set[bytes] = set()
     best, since_best = math.inf, 0
-    for it in _iterates(w, terms, codec, theta):
-        # sqrt(x @ x) is numpy's 1-D norm bit for bit, and sqrt is monotone
+    for t in itertools.count(1):
+        z_tilde = z_hat - u
+        try:
+            blob = codec.compress(z_tilde, theta)
+            v_hat = np.asarray(codec.decompress(blob), dtype=float)
+        except Exception as exc:
+            raise CodecError(f"codec failed: {exc}", iteration=t) from exc
+        if v_hat.shape != (m,):
+            raise CodecError(f"codec returned shape {v_hat.shape}, expected ({m},)", iteration=t)
+        z_hat = solve_regularized(terms, v_hat + u)
+        step = v_hat - z_hat
+        # sqrt(x @ x) is numpy's norm bit for bit except on z_hat, a strided view; sqrt is monotone
         state = AdmmState(
-            t=it.t,
-            residual=math.sqrt(it.step @ it.step),
-            scale=math.sqrt(max(it.v_hat @ it.v_hat, it.z_hat @ it.z_hat)),
-            rate_bits=int(codec.rate_bits(it.blob)),
-            d_c=system_distortion_dc(terms, it.v_hat),
+            t=t,
+            residual=math.sqrt(step @ step),
+            scale=math.sqrt(max(v_hat @ v_hat, z_hat @ z_hat)),
+            rate_bits=int(codec.rate_bits(blob)),
+            d_c=system_distortion_dc(terms, v_hat),
         )
         trace.append(state)
         relative = state.residual / max(state.scale, _NORM_FLOOR)
@@ -243,11 +228,12 @@ def run(
         else:
             since_best += 1
         if _converged(state, cfg):
-            return it.blob, trace, "converged"
-        if it.blob in seen:
-            return it.blob, trace, "repeat"
+            return blob, trace, "converged"
+        if blob in seen:
+            return blob, trace, "repeat"
         if since_best >= _STALL_WINDOW:
-            return it.blob, trace, "stall"
-        if state.t >= cfg.max_iters:
-            return it.blob, trace, "max_iters"
-        seen.add(it.blob)
+            return blob, trace, "stall"
+        if t >= cfg.max_iters:
+            return blob, trace, "max_iters"
+        seen.add(blob)
+        u += step

@@ -197,17 +197,15 @@ def sweep(
 
     method "regular" compresses w directly; "proposed" runs the ADMM loop on
     the system's symbol with each parameter as theta and the shared loop
-    settings admm_cfg. A w whose shape is not (system.m,) raises
-    ValueError. A failing point raises RuntimeError naming the method and the
+    settings admm_cfg. An x or w that is not a vector of system.n or system.m
+    samples raises DimensionMismatchError, a ValueError, before any point is
+    coded. A failing point raises RuntimeError naming the method and the
     parameter.
     """
     if method not in ("regular", "proposed"):
         raise ValueError(f"method must be 'regular' or 'proposed', got {method!r}")
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (system.m,):
-        raise ValueError(f"w must have shape ({system.m},), got {w.shape}")
-    m = w.size
+    x = admm.vector_of_length(x, system.n, "sweep: x")
+    w = admm.vector_of_length(w, system.m, "sweep: w")
     points = []
     for param in params:
         try:
@@ -222,7 +220,7 @@ def sweep(
             points.append(
                 RDPoint(
                     nu_or_theta=float(param),
-                    rate_bpp=codec.rate_bits(blob) / m,
+                    rate_bpp=codec.rate_bits(blob) / system.m,
                     psnr_db=psnr(x, y),
                     method=method,
                     iterations=iterations,

@@ -293,14 +293,14 @@ class _Workspace:
     ``min_levels`` (the prune's minimization), all from the deepest parents
     up, and ``mark_levels`` (the top-down marking) from the root down.
 
-    ``q_bits`` is that of the analysis the rows hold, and ``source`` is
-    :class:`TreeCodecPlug`'s key for it, None when there is none to reuse.
+    ``q_bits`` is that of the analysis the rows hold; :class:`TreeCodecPlug`
+    keeps the key of that analysis itself.
     """
 
     def __init__(self, m: int, d: int):
         n_nodes = (2 << d) - 1
         n_parents = n_nodes >> 1
-        self.m, self.d, self.q_bits, self.source = m, d, 0, None
+        self.m, self.d, self.q_bits = m, d, 0
         # A plug's rows outlive its calls, so they get their own mapping: held
         # in malloc's heap, a long-lived block of 0.5 MB or more changed how glibc
         # trims it, so later calls took fresh pages and the process held more memory.
@@ -464,9 +464,8 @@ class TreeCodecPlug:
     float64 bytes, its shape, the depth and q_bits: compressing the same bytes
     again only prunes. A changed sample, even 0.0 against -0.0, is a new
     signal. The ADMM loop, which codes a new signal on every iteration, would
-    gain nothing from keeping more analyses. A call takes the workspace out
-    of the plug and puts it back when it is done, and a call made meanwhile,
-    from another thread, codes in a workspace of its own.
+    gain nothing from keeping more analyses. The plug holds that key, and
+    calls take turns: each holds a lock across its analysis and its prune.
 
     The plug also remembers the last blob it produced together with its coded
     tree, so ``decompress`` and ``rate_bits`` on those same bytes skip the
@@ -483,17 +482,16 @@ class TreeCodecPlug:
         if not 1 <= self.q_bits <= MAX_Q_BITS:
             raise ValueError(f"q_bits must be in [1, {MAX_Q_BITS}], got {q_bits}")
         self._workspace: _Workspace | None = None
-        self._taking = threading.Lock()
+        self._source: tuple | None = None  # the key of the workspace's analysis
+        self._lock = threading.Lock()
         self._last: tuple[bytes, Bitstream] | None = None
 
     def compress(self, signal, theta: float) -> bytes:
         w = np.asarray(signal, dtype=float)
         bits = w.view(np.int64)  # compared bit for bit, so 0.0 and -0.0 differ
         key = (w.shape, self.depth, self.q_bits)
-        with self._taking:  # a call made meanwhile finds None and builds its own
-            ws, self._workspace = self._workspace, None
-        try:
-            source = None if ws is None else ws.source
+        with self._lock:
+            source = self._source
             # with the shapes equal and nonempty, the first sample turns away most
             # new signals (one per ADMM iteration) without a pass over all of them
             if (
@@ -502,13 +500,10 @@ class TreeCodecPlug:
                 or source[1].item(0) != bits.item(0)
                 or not np.array_equal(source[1], bits)
             ):
-                if ws is not None:
-                    ws.source = None  # the analysis that follows overwrites the rows
-                ws = _analyze(w, self.depth, self.q_bits, ws)
-                ws.source = (key, bits.copy())
-            stream = _prune(ws, theta)
-        finally:
-            self._workspace = ws
+                self._source = None  # the analysis that follows overwrites the rows
+                self._workspace = _analyze(w, self.depth, self.q_bits, self._workspace)
+                self._source = (key, bits.copy())
+            stream = _prune(self._workspace, theta)
         blob = stream.to_bytes()
         self._last = (blob, stream)
         return blob

@@ -1,7 +1,9 @@
 """Tests for the codec-in-the-loop ADMM driver."""
 
 import itertools
+import math
 import tracemalloc
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -13,21 +15,25 @@ from sysaware.admm import (
     AdmmConfig,
     AdmmState,
     CodecError,
+    DimensionMismatchError,
     ZUpdateTerms,
     run,
+    solve_regularized,
     stopping_check,
     system_distortion_dc,
 )
-from sysaware.system_sim import gaussian_kernel
+from sysaware.system_sim import gaussian_kernel, kernel_spectrum
 from sysaware.tree_codec import Bitstream, TreeCodecPlug
 
 from oracles import (
+    CirculantSpectral,
     Compose,
     Convolution,
     Identity,
     Replicate,
     Subsample,
     blur_subsample_system,
+    cg_regularized_solve,
     circulant_symbol,
     dense_matrix,
     system_chain,
@@ -58,10 +64,29 @@ def make_state(t, residual=0.0, norm=1.0):
     return AdmmState(t=t, residual=residual, scale=norm, rate_bits=8, d_c=0.0)
 
 
+# The vectors of iteration t. ``u`` is the scaled dual the iteration used, and
+# step = v_hat - z_hat its update, so u[t+1] - u[t] = v_hat[t] - z_hat[t].
+Iterate = namedtuple("Iterate", "t z_tilde blob v_hat v_tilde z_hat u step")
+
+
 def iterates(w, symbol, codec, theta, cfg, count):
-    """The first ``count`` iterations' vectors of the recursion ``run`` consumes."""
+    """The first ``count`` iterations' vectors of the ADMM recursion, replayed
+    on ``codec`` through ``admm.solve_regularized``: from z_hat = w and u = 0,
+    each compresses z_tilde = z_hat - u, decompresses to v_hat, solves the
+    z-update for v_tilde = v_hat + u and adds step = v_hat - z_hat to u."""
     terms = ZUpdateTerms(symbol, w, cfg.beta_tilde)
-    return list(itertools.islice(admm._iterates(w, terms, codec, theta), count))
+    z_hat, u = np.asarray(w, dtype=float), np.zeros(symbol.size)
+    vectors = []
+    for t in range(1, count + 1):
+        z_tilde = z_hat - u
+        blob = codec.compress(z_tilde, theta)
+        v_hat = np.asarray(codec.decompress(blob), dtype=float)
+        v_tilde = v_hat + u
+        z_hat = admm.solve_regularized(terms, v_tilde)
+        step = v_hat - z_hat
+        vectors.append(Iterate(t, z_tilde, blob, v_hat, v_tilde, z_hat, u, step))
+        u = u + step
+    return vectors
 
 
 # -------------------------------------------------------------------- run #
@@ -218,6 +243,76 @@ def test_run_analyzes_every_new_z_tilde_with_tree_codec_plug(monkeypatch):
     assert in_run == analyzed == new
     assert len(new) == len(trace) > 1
     assert blob == tree_codec.encode(vectors[-1].z_tilde, 1e-3).to_bytes()
+
+
+def replayed_states(vectors, codec, terms):
+    """Each replayed iteration's scalars. z_hat is the strided real part of
+    ifft's output, and np.linalg.norm sums a contiguous copy of it in another
+    order, which can differ in the last bit, so its norm is sqrt(z_hat @ z_hat)."""
+    return [
+        AdmmState(
+            t=it.t,
+            residual=float(np.linalg.norm(it.step)),
+            scale=max(float(np.linalg.norm(it.v_hat)), math.sqrt(it.z_hat @ it.z_hat)),
+            rate_bits=int(codec.rate_bits(it.blob)),
+            d_c=system_distortion_dc(terms, it.v_hat),
+        )
+        for it in vectors
+    ]
+
+
+def first_stop(states, blobs, cfg):
+    """The iteration and label of the first stop to hold, the four checked in
+    the order of the module docstring."""
+    best, since_best = np.inf, 0
+    for i, state in enumerate(states):
+        relative = state.residual / max(state.scale, 1e-30)
+        best, since_best = (relative, 0) if relative < best else (best, since_best + 1)
+        stops = {
+            "converged": state.residual <= cfg.tol * max(state.scale, 1e-30),
+            "repeat": blobs[i] in blobs[:i],
+            "stall": since_best >= admm._STALL_WINDOW,
+            "max_iters": state.t >= cfg.max_iters,
+        }
+        for label, holds in stops.items():
+            if holds:
+                return state.t, label
+    raise AssertionError("no stop held within the cap")
+
+
+# the stall at t = 9 and the repeat at t = 3 also run with the cap at that t,
+# where the earlier check of the two must name the stop
+@pytest.mark.parametrize(
+    "theta, max_iters, stop",
+    [
+        (1e-4, 40, "converged"),
+        (1e-2, 40, "stall"),
+        (1e-2, 9, "stall"),
+        (1e-2, 8, "max_iters"),
+        (3e-2, 40, "repeat"),
+        (3e-2, 3, "repeat"),
+    ],
+)
+def test_run_is_the_replayed_recursion_bit_for_bit(theta, max_iters, stop):
+    system, w = default_chain_measurements()
+    cfg = AdmmConfig(max_iters=max_iters)
+    plug, inputs, blobs = TreeCodecPlug(), [], []
+
+    def recorded_compress(signal, theta):
+        inputs.append(signal.tobytes())
+        blobs.append(plug.compress(signal, theta))
+        return blobs[-1]
+
+    codec = CodecPlug(recorded_compress, plug.decompress, plug.rate_bits)
+    blob, trace, label = run(w, system.symbol, codec, theta, cfg)
+    replay = TreeCodecPlug()
+    vectors = iterates(w, system.symbol, replay, theta, cfg, max_iters)
+    states = replayed_states(vectors, replay, ZUpdateTerms(system.symbol, w, cfg.beta_tilde))
+    t, expected = first_stop(states, [it.blob for it in vectors], cfg)
+    assert (len(trace), label) == (t, expected) and label == stop
+    assert inputs == [it.z_tilde.tobytes() for it in vectors[:t]]
+    assert blobs == [it.blob for it in vectors[:t]] and blob == blobs[-1]
+    assert trace == states[:t]
 
 
 def test_run_memory_does_not_grow_with_its_iterations(monkeypatch):
@@ -407,6 +502,104 @@ def test_config_rejects_a_max_iters_that_is_not_an_integer(max_iters):
     # 2.5 used to run 3 iterations and True 1
     with pytest.raises(ValueError, match=f"max_iters must be an integer, got {max_iters!r}"):
         AdmmConfig(max_iters=max_iters)
+
+
+# ------------------------------------------------------- solve_regularized #
+
+
+def test_solve_identity_case():
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    v = np.array([0.0, 1.0, 0.0, 1.0])
+    z = solve_regularized(ZUpdateTerms(circulant_symbol(Identity(4)), w, beta_tilde=1.0), v)
+    assert np.allclose(z, (w + v) / 2, atol=1e-12)
+
+
+def test_solve_large_beta_returns_target():
+    rng = np.random.default_rng(5)
+    a = Convolution(8, [0.2, 0.6, 0.2])
+    w = rng.normal(size=8)
+    v = rng.normal(size=8)
+    z = solve_regularized(ZUpdateTerms(a.freq_response, w, beta_tilde=1e8), v)
+    assert np.linalg.norm(z - v) <= 1e-6 * np.linalg.norm(v)
+
+
+def test_solve_cg_dft_dense_agree():
+    rng = np.random.default_rng(17)
+    for n in (8, 16):
+        for _ in range(5):
+            a = CirculantSpectral(kernel_spectrum(n, rng.normal(size=4)))
+            b = CirculantSpectral(kernel_spectrum(n, rng.normal(size=3)))
+            w = rng.normal(size=n)
+            v = rng.normal(size=n)
+            beta = float(rng.uniform(0.2, 2.0))
+            ad, bd = dense_matrix(a), dense_matrix(b)
+            normal = bd.T @ ad.T @ ad @ bd + beta * np.eye(n)
+            dense = np.linalg.solve(normal, bd.T @ ad.T @ w + beta * v)
+            z_dft = solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, beta), v)
+            z_cg = cg_regularized_solve(ad, bd, w, v, beta)
+            scale = np.linalg.norm(dense)
+            assert np.linalg.norm(z_dft - dense) <= 1e-10 * scale
+            assert np.linalg.norm(z_cg - dense) <= 1e-10 * scale
+
+
+def test_solve_closed_form_ignores_operator_types():
+    a = CirculantSpectral(kernel_spectrum(8, [0.5, 0.5]))
+    w = np.ones(8)
+    # the chain is circulant whatever b's type, so both have a symbol
+    z = [
+        solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, 0.5), w)
+        for b in (Identity(8), CirculantSpectral(np.ones(8)))
+    ]
+    assert np.allclose(z[0], z[1], atol=1e-8)
+
+
+def dense_regularized_solve(a, b, w, v, beta):
+    ad, bd = dense_matrix(a), dense_matrix(b)
+    normal = bd.T @ ad.T @ ad @ bd + beta * np.eye(bd.shape[1])
+    return np.linalg.solve(normal, bd.T @ ad.T @ w + beta * v)
+
+
+def test_solve_default_chain_takes_closed_form():
+    system = blur_subsample_system()
+    a, b = system_chain(1024, gaussian_kernel(15.0, 15), 4)
+    symbol = circulant_symbol(Compose([b, a]))
+    assert symbol is not None and symbol.size == 256
+    assert symbol.tobytes() == system.symbol.tobytes()
+    rng = np.random.default_rng(43)
+    w = rng.normal(size=256)
+    v = rng.normal(size=256)
+    z = solve_regularized(ZUpdateTerms(symbol, w, 0.25), v)
+    z_cg = cg_regularized_solve(dense_matrix(a), dense_matrix(b), w, v, 0.25)
+    dense = dense_regularized_solve(a, b, w, v, 0.25)
+    scale = np.linalg.norm(dense)
+    assert np.linalg.norm(z - z_cg) <= 1e-10 * scale
+    assert np.linalg.norm(z - dense) <= 1e-10 * scale
+
+
+def test_solve_satisfies_normal_equations():
+    rng = np.random.default_rng(29)
+    a = Compose([Convolution(16, rng.normal(size=5)), Subsample(16, 2)])
+    b = Replicate(8, 2)
+    w = rng.normal(size=8)
+    v = rng.normal(size=8)
+    beta = 0.25
+    z = solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, beta), v)
+    h = dense_matrix(a) @ dense_matrix(b)
+    lhs = h.T @ (h @ z) + beta * z
+    rhs = h.T @ w + beta * v
+    assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
+def test_solve_dimension_and_argument_errors():
+    symbol = circulant_symbol(Identity(4))
+    w = np.zeros(4)
+    with pytest.raises(DimensionMismatchError):
+        ZUpdateTerms(symbol, np.zeros(3), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        solve_regularized(ZUpdateTerms(symbol, w, 1.0), np.zeros(5))
+    for beta in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ZUpdateTerms(symbol, w, beta_tilde=beta)
 
 
 # ---------------------------------------------------------- d_c and stops #

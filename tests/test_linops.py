@@ -1,11 +1,11 @@
-"""The operator oracles and the ADMM z-update, checked against dense-matrix
-oracles built from first principles."""
+"""The operator oracles and the circulant probe, checked against dense-matrix
+oracles built from first principles; the z-update's tests are in test_admm."""
 
 import numpy as np
 import pytest
 
-from sysaware.admm import DimensionMismatchError, ZUpdateTerms, solve_regularized
-from sysaware.system_sim import gaussian_kernel, kernel_spectrum
+from sysaware.admm import DimensionMismatchError
+from sysaware.system_sim import kernel_spectrum
 
 from oracles import (
     CirculantSpectral,
@@ -15,15 +15,12 @@ from oracles import (
     LinearMap,
     Replicate,
     Subsample,
-    blur_subsample_system,
-    cg_regularized_solve,
     circulant_symbol,
     mask_spectrum,
     pinv_response,
     project_range,
     pseudoinverse_apply,
     support,
-    system_chain,
 )
 
 # ---------------------------------------------------------------- oracles #
@@ -299,59 +296,7 @@ def test_range_decomposition_identity():
         assert abs(lhs - rhs) <= 1e-10 * max(lhs, rhs, 1e-12)
 
 
-# ------------------------------------------------------- solve_regularized #
-
-
-def test_solve_identity_case():
-    w = np.array([1.0, 2.0, 3.0, 4.0])
-    v = np.array([0.0, 1.0, 0.0, 1.0])
-    z = solve_regularized(ZUpdateTerms(circulant_symbol(Identity(4)), w, beta_tilde=1.0), v)
-    assert np.allclose(z, (w + v) / 2, atol=1e-12)
-
-
-def test_solve_large_beta_returns_target():
-    rng = np.random.default_rng(5)
-    a = Convolution(8, [0.2, 0.6, 0.2])
-    w = rng.normal(size=8)
-    v = rng.normal(size=8)
-    z = solve_regularized(ZUpdateTerms(a.freq_response, w, beta_tilde=1e8), v)
-    assert np.linalg.norm(z - v) <= 1e-6 * np.linalg.norm(v)
-
-
-def test_solve_cg_dft_dense_agree():
-    rng = np.random.default_rng(17)
-    for n in (8, 16):
-        for _ in range(5):
-            a = CirculantSpectral(kernel_spectrum(n, rng.normal(size=4)))
-            b = CirculantSpectral(kernel_spectrum(n, rng.normal(size=3)))
-            w = rng.normal(size=n)
-            v = rng.normal(size=n)
-            beta = float(rng.uniform(0.2, 2.0))
-            ad, bd = dense_of(a), dense_of(b)
-            normal = bd.T @ ad.T @ ad @ bd + beta * np.eye(n)
-            dense = np.linalg.solve(normal, bd.T @ ad.T @ w + beta * v)
-            z_dft = solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, beta), v)
-            z_cg = cg_regularized_solve(ad, bd, w, v, beta)
-            scale = np.linalg.norm(dense)
-            assert np.linalg.norm(z_dft - dense) <= 1e-10 * scale
-            assert np.linalg.norm(z_cg - dense) <= 1e-10 * scale
-
-
-def test_solve_closed_form_ignores_operator_types():
-    a = CirculantSpectral(kernel_spectrum(8, [0.5, 0.5]))
-    w = np.ones(8)
-    # the chain is circulant whatever b's type, so both have a symbol
-    z = [
-        solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, 0.5), w)
-        for b in (Identity(8), CirculantSpectral(np.ones(8)))
-    ]
-    assert np.allclose(z[0], z[1], atol=1e-8)
-
-
-def dense_regularized_solve(a, b, w, v, beta):
-    ad, bd = dense_of(a), dense_of(b)
-    normal = bd.T @ ad.T @ ad @ bd + beta * np.eye(bd.shape[1])
-    return np.linalg.solve(normal, bd.T @ ad.T @ w + beta * v)
+# -------------------------------------------------------- circulant_symbol #
 
 
 def test_circulant_symbol_of_circulant_operators():
@@ -373,46 +318,3 @@ def test_circulant_symbol_rejects_shift_variant_and_non_square():
     assert circulant_symbol(Subsample(16, 2)) is None
     # the impulse alone cannot see a window that is 1 at sample 0
     assert circulant_symbol(Window(np.r_[1.0, np.full(15, 2.0)])) is None
-
-
-def test_solve_default_chain_takes_closed_form():
-    system = blur_subsample_system()
-    a, b = system_chain(1024, gaussian_kernel(15.0, 15), 4)
-    symbol = circulant_symbol(Compose([b, a]))
-    assert symbol is not None and symbol.size == 256
-    assert symbol.tobytes() == system.symbol.tobytes()
-    rng = np.random.default_rng(43)
-    w = rng.normal(size=256)
-    v = rng.normal(size=256)
-    z = solve_regularized(ZUpdateTerms(symbol, w, 0.25), v)
-    z_cg = cg_regularized_solve(dense_of(a), dense_of(b), w, v, 0.25)
-    dense = dense_regularized_solve(a, b, w, v, 0.25)
-    scale = np.linalg.norm(dense)
-    assert np.linalg.norm(z - z_cg) <= 1e-10 * scale
-    assert np.linalg.norm(z - dense) <= 1e-10 * scale
-
-
-def test_solve_satisfies_normal_equations():
-    rng = np.random.default_rng(29)
-    a = Compose([Convolution(16, rng.normal(size=5)), Subsample(16, 2)])
-    b = Replicate(8, 2)
-    w = rng.normal(size=8)
-    v = rng.normal(size=8)
-    beta = 0.25
-    z = solve_regularized(ZUpdateTerms(circulant_symbol(Compose([b, a])), w, beta), v)
-    h = dense_of(a) @ dense_of(b)
-    lhs = h.T @ (h @ z) + beta * z
-    rhs = h.T @ w + beta * v
-    assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
-
-
-def test_solve_dimension_and_argument_errors():
-    symbol = circulant_symbol(Identity(4))
-    w = np.zeros(4)
-    with pytest.raises(DimensionMismatchError):
-        ZUpdateTerms(symbol, np.zeros(3), 1.0)
-    with pytest.raises(DimensionMismatchError):
-        solve_regularized(ZUpdateTerms(symbol, w, 1.0), np.zeros(5))
-    for beta in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            ZUpdateTerms(symbol, w, beta_tilde=beta)

@@ -359,8 +359,35 @@ def test_sweep_rejects_unknown_method_and_misshapen_measurements():
     system = blur_subsample_system(n=32, factor=2, kernel_support=3)
     for w in (x, x[:16].reshape(2, 8), x[:8]):
         for method in ("regular", "proposed"):
-            with pytest.raises(ValueError, match=r"w must have shape \(16,\)"):
+            with pytest.raises(ValueError, match=r"sweep: w: expected length 16, got"):
                 sweep(x, w, system, TreeCodecPlug(), [1e-3], method)
+
+
+def test_sweep_rejects_a_misshapen_signal_before_any_codec_call():
+    system = blur_subsample_system(n=32, factor=2, kernel_support=3)
+    x = make_chirp(32)
+    w = acquire(x, system)
+    plug, calls = TreeCodecPlug(), []
+
+    class Counting:
+        def compress(self, signal, theta):
+            calls.append(theta)
+            return plug.compress(signal, theta)
+
+        def decompress(self, blob):
+            return plug.decompress(blob)
+
+        def rate_bits(self, blob):
+            return plug.rate_bits(blob)
+
+    # x used to be checked only when the first point's PSNR was taken, after
+    # coding it, and the error blamed that point's parameter
+    for bad in (x[:30], np.append(x, 0.5), x.reshape(4, 8)):
+        for method in ("regular", "proposed"):
+            with pytest.raises(DimensionMismatchError, match="sweep: x: expected length 32, got"):
+                sweep(bad, w, system, Counting(), [1e-3], method)
+    assert calls == []
+    assert len(sweep(x, w, system, Counting(), [1e-3], "regular")) == len(calls) == 1
 
 
 def test_sweep_failing_point_raises_naming_param():

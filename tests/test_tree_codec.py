@@ -1001,14 +1001,14 @@ def test_plug_keeps_one_analysis_and_only_for_a_valid_signal():
     plug = TreeCodecPlug(q_bits=8)
     w = np.random.default_rng(43).uniform(size=64)
     plug.compress(w, 1e-3)
-    first = plug._workspace.source
+    first = plug._source
     plug.compress(w, 1e-2)
-    assert plug._workspace.source is first
+    assert plug._source is first
     bad = w.copy()
     bad[7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         plug.compress(bad, 1e-3)
-    assert plug._workspace.source is None  # the old analysis went before the new one failed
+    assert plug._source is None  # the old analysis went before the new one failed
     with pytest.raises(ValueError, match="nu"):
         plug.compress(w, -1.0)
     assert plug.compress(w, 1e-3) == encode(w, 1e-3).to_bytes()
@@ -1033,9 +1033,8 @@ def test_plug_alternating_shapes_codes_as_encode_and_keeps_one_workspace_per_sha
 
 
 def test_concurrent_compresses_on_one_plug_match_a_serial_run():
-    # one call takes the plug's workspace, and one made meanwhile codes in its
-    # own; a short switch interval makes the four threads interleave inside
-    # the compresses
+    # calls take turns in the plug's one workspace; a short switch interval
+    # makes the four threads contend for it inside the compresses
     rng = np.random.default_rng(47)
     signals = [rng.uniform(size=1 << 16) for _ in range(4)]
     ladder = (1e-4, 1e-3, 1e-2)
