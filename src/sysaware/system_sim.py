@@ -147,7 +147,10 @@ def gaussian_kernel(std: float, support: int) -> np.ndarray:
     if isinstance(std, bool) or not 0 < std < np.inf:  # also rejects NaN
         raise ValueError(f"std must be finite and positive, got {std!r}")
     offsets = np.arange(support) - (support - 1) // 2
-    taps = np.exp(-(offsets.astype(float) ** 2) / (2 * std * std))
+    # once 2 * std**2 underflows the centre tap is exp(-0/0); its limit 1 gives the impulse
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        taps = np.exp(-(offsets.astype(float) ** 2) / (2 * std * std))
+    taps[(support - 1) // 2] = 1.0
     return taps / taps.sum()
 
 
@@ -215,8 +218,7 @@ def sweep(
             else:
                 blob, trace, stop_reason = admm.run(w, system.symbol, codec, param, admm_cfg)
                 iterations = len(trace)
-            v = np.asarray(codec.decompress(blob), dtype=float)
-            y = render(v, system)
+            y = render(codec.decompress(blob), system)
             points.append(
                 RDPoint(
                     nu_or_theta=float(param),

@@ -65,7 +65,7 @@ MAX_LEN = 1 << 24  # longest signal the codec writes or reads
 # second moment and leaf cost, and no square or sum overflows float64.
 MAX_ABS = (2.0**1022 / MAX_LEN) ** 0.5 / 2
 MAX_Q_BITS = 52  # widest index whose rounding and reconstruction are exact in float64
-_HEADER_LEN = 11  # magic, d0, d, q_bits, M as 4-byte big-endian
+_HEADER = struct.Struct(">4s3BI")  # magic, d0, d, q_bits, M as 4-byte big-endian
 
 
 def _integer(name: str, value) -> int:
@@ -103,12 +103,12 @@ class Bitstream:
     Leaf i sits at level ``leaf_levels[i]``, covering ``m >> leaf_levels[i]``
     of the m = 2**d0 samples, and ``leaf_indices[i]`` is its quantized mean.
 
-    Wire layout: 4 magic bytes "SAC1"; d0, d, q_bits as single bytes; M as a
-    4-byte big-endian integer; the pre-order tree description, one bit per
-    visited node (1 = split, 0 = leaf), MSB-first, zero-padded to a byte
-    boundary; then q_bits per leaf in left-to-right leaf order, MSB-first,
-    zero-padded to a byte boundary. :meth:`from_bytes` rejects nonzero
-    padding bits, so each stream has exactly one encoding.
+    Wire layout: ``_HEADER``, 11 bytes: magic "SAC1", then d0, d and q_bits
+    as single bytes, then M as a 4-byte big-endian integer; the pre-order tree
+    description, one bit per visited node (1 = split, 0 = leaf), MSB-first,
+    zero-padded to a byte boundary; then q_bits per leaf in left-to-right leaf
+    order, MSB-first, zero-padded to a byte boundary. :meth:`from_bytes`
+    rejects nonzero padding bits, so each stream has exactly one encoding.
 
     The constructor takes d0, d and q_bits through ``operator.index``, and a
     bool there raises TypeError naming the field; it takes each row as a 1-D
@@ -184,17 +184,15 @@ class Bitstream:
             payload = np.packbits(np.unpackbits(index_bytes, axis=1)[:, -self.q_bits :]).tobytes()
         else:
             payload = index_bytes.tobytes()
-        header = MAGIC + bytes([self.d0, self.d, self.q_bits]) + struct.pack(">I", self.m)
-        return header + np.packbits(tree).tobytes() + payload
+        return _HEADER.pack(MAGIC, self.d0, self.d, self.q_bits, self.m) + np.packbits(tree).tobytes() + payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
-        if len(data) < _HEADER_LEN:
+        if len(data) < _HEADER.size:
             raise BitstreamError("truncated header", offset=len(data))
-        if data[:4] != MAGIC:
-            raise BitstreamError(f"bad magic {data[:4]!r}", offset=0)
-        d0, d, q_bits = data[4], data[5], data[6]
-        m = struct.unpack(">I", data[7:11])[0]
+        magic, d0, d, q_bits, m = _HEADER.unpack_from(data)
+        if magic != MAGIC:
+            raise BitstreamError(f"bad magic {magic!r}", offset=0)
         if m > MAX_LEN:
             raise BitstreamError(f"signal length {m} exceeds MAX_LEN={MAX_LEN}", offset=7)
         if m != 1 << d0:
@@ -206,7 +204,7 @@ class Bitstream:
 
         levels, n_bits = _parse_tree(data, d)
         n_leaves = levels.size
-        payload_start = _HEADER_LEN + (n_bits + 7) // 8
+        payload_start = _HEADER.size + (n_bits + 7) // 8
         expected_len = payload_start + (q_bits * n_leaves + 7) // 8
         if len(data) < expected_len:
             raise BitstreamError(
@@ -237,7 +235,7 @@ def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
     the full depth-d tree, so it decides within its 2**(d+1) - 1 bits.
     """
     n_bytes = ((1 << (d + 1)) + 6) // 8
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=_HEADER_LEN)[:n_bytes])
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)[:n_bytes])
     # open slots after each bit: +1 per split, -1 per leaf, starting from the root's 1
     open_after = 2 * np.cumsum(bits, dtype=np.int64) - np.arange(bits.size)
     ends = np.flatnonzero(open_after == 0)
@@ -263,7 +261,7 @@ def _parse_tree(data: bytes, d: int) -> tuple[np.ndarray, int]:
     below = nodes[bits[nodes] == 1]
     if below.size:
         raise BitstreamError(
-            "tree bits split below the maximum depth", offset=_HEADER_LEN + int(below.min()) // 8
+            "tree bits split below the maximum depth", offset=_HEADER.size + int(below.min()) // 8
         )
     if not ends.size:
         raise BitstreamError("truncated tree description", offset=len(data))
@@ -492,14 +490,7 @@ class TreeCodecPlug:
         key = (w.shape, self.depth, self.q_bits)
         with self._lock:
             source = self._source
-            # with the shapes equal and nonempty, the first sample turns away most
-            # new signals (one per ADMM iteration) without a pass over all of them
-            if (
-                source is None
-                or source[0] != key
-                or source[1].item(0) != bits.item(0)
-                or not np.array_equal(source[1], bits)
-            ):
+            if source is None or source[0] != key or not np.array_equal(source[1], bits):
                 self._source = None  # the analysis that follows overwrites the rows
                 self._workspace = _analyze(w, self.depth, self.q_bits, self._workspace)
                 self._source = (key, bits.copy())

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,39 @@ def test_gaussian_kernel_rejects_a_bool_std():
         gaussian_kernel(True, 3)
 
 
+IMPULSE, BOXCAR = [0.0, 0.0, 1.0, 0.0, 0.0], [0.2] * 5
+
+
+@pytest.mark.parametrize(
+    "std,limit",
+    [
+        (1e-160, IMPULSE),
+        (1e-300, IMPULSE),
+        (5e-324, IMPULSE),
+        (np.float64(1e-300), IMPULSE),
+        (np.float64(1e200), BOXCAR),
+    ],
+    ids=["1e-160", "1e-300", "5e-324", "np.float64(1e-300)", "np.float64(1e200)"],
+)
+def test_gaussian_kernel_of_a_std_beyond_float64_is_its_limit(std, limit):
+    # 2 * std**2 is subnormal at 1e-160, so the off-centre quotients overflow;
+    # it is 0 from 1e-300 down, so the centre tap's exponent is 0/0; and it
+    # overflows at np.float64(1e200), so every exponent is -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        taps = gaussian_kernel(std, 5)
+    assert taps.tobytes() == np.array(limit).tobytes()
+
+
+def test_system_on_a_vanishing_std_kernel_is_the_one_tap_system():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = SystemModel(64, gaussian_kernel(1e-300, 15), 4, 0.5, 3)
+    one_tap = SystemModel(64, [1.0], 4, 0.5, 3)
+    assert system.response.tobytes() == one_tap.response.tobytes()
+    assert system.symbol.tobytes() == one_tap.symbol.tobytes()
+
+
 @pytest.mark.parametrize("factor", [0, -4])
 def test_blur_subsample_system_checks_the_factor_before_dividing_by_it(factor):
     with pytest.raises(ValueError, match=f"subsampling factor must be >= 1, got {factor}"):
@@ -176,6 +210,7 @@ def test_acquire_and_render_reject_a_misshapen_vector():
         (64, [math.nan, 1.0, 0.5], 2, "kernel taps must be finite"),
         (64, [0.5, math.inf, 0.5], 2, "kernel taps must be finite"),
         (64, [0.5, 1.0, -math.inf], 2, "kernel taps must be finite"),
+        (8, np.ones((3, 1)), 1, "expected a 1D vector, got shape (3, 1)"),
     ],
 )
 def test_system_model_rejects_a_degenerate_system(n, kernel, factor, needle):
