@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,13 @@ class SpectralModel:
 
     A response may be a bool mask; any other response is taken as float64
     unless it is complex, then as complex128. The model reads a response
-    only through ``!= 0``, ``isfinite`` and its gathers over the support
-    and the lost bins (a_f nonzero, b_f zero), off which every row below is
-    zero; each gather is cast to float64 (complex128 for a complex
-    response), so a mask is never widened to a full float row. For real x,
-    y and v, (x+0j)(y+0j) = x*y + 0j and |v+0j| = hypot(v, 0) = |v|, so
-    every derived value has the bits that complex casts of real responses
-    would give.
+    only through its bool cast (a mask's is the mask itself), ``isfinite``
+    (skipped for a mask) and its gathers over the support and the lost bins
+    (a_f nonzero, b_f zero), off which every row below is zero; each gather
+    is cast to float64 (complex128 for a complex response), so a mask is
+    never widened to a full float row. For real x, y and v, (x+0j)(y+0j) =
+    x*y + 0j and |v+0j| = hypot(v, 0) = |v|, so every derived value has the
+    bits that complex casts of real responses would give.
 
     A curve reads only each budget's theta and total rate, so the model
     gathers once, with the rows' expressions, the terms that no budget
@@ -61,24 +62,25 @@ class SpectralModel:
     complex128 rows; float64(True) is exactly 1.0), ``gain`` = |a_f *
     b_f|^2, ``lambda_w`` = |a_f|^2 * lambda_x, ``lambda_w_tilde`` =
     lambda_w / gain on ``k_ab`` (zero elsewhere), and an allocation's
-    ``d_k``, ``r_k`` and ``total_distortion``. The one n-length row a budget
-    builds is its R_k, summed over all n bins for the total rate: numpy sums
-    pairwise, so a sum over the active bins alone would round differently.
+    ``d_k``, ``r_k`` and ``total_distortion``. A bool ``n``, or one that is
+    not an integer, raises ValueError.
     """
 
     def __init__(self, n: int, lambda_x, a_f, b_f):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("n must be >= 1")
-        lam = np.asarray(lambda_x, dtype=float)
+        n, lam = int(n), np.asarray(lambda_x, dtype=float)  # a numpy n would make numpy scalars of the floats
         a_f, b_f = (_response(r) for r in (a_f, b_f))
         if not (lam.shape == a_f.shape == b_f.shape == (n,)):
             raise ValueError(f"lambda_x, a_f, b_f must all have shape ({n},)")
         for name, values in (("lambda_x", lam), ("a_f", a_f), ("b_f", b_f)):
-            if not np.isfinite(values).all():
+            if values.dtype != bool and not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite")
         if np.any(lam < 0):
             raise ValueError("lambda_x must be non-negative")
-        a_nz, b_nz = a_f != 0, b_f != 0  # the finiteness checks excluded NaN
+        a_nz, b_nz = a_f.astype(bool, copy=False), b_f.astype(bool, copy=False)  # != 0, as NaN is excluded
         k_ab = a_nz & b_nz
         support, lost = np.flatnonzero(k_ab), np.flatnonzero(a_nz & ~b_nz)  # b_f cannot reach lost bins
         with np.errstate(all="ignore"):  # overflow is reported below, by name
@@ -135,12 +137,14 @@ class SpectralAllocation:
     """Per-bin distortions and rates from reverse water-filling.
 
     ``total_distortion`` is the weighted sum over bins, sum_k |a_k b_k|^2 D_k
-    (the constraint target N*D); ``total_rate`` is sum_k R_k in nats.
-    ``clamped`` flags a request beyond the zero-rate saturation point;
-    ``rate_floored`` flags rates evaluated at the theta floor (theta ~ 0, so
-    the exact rates are unbounded). :func:`water_fill` builds it from those
-    four values, its model and ``start``, where the bins below saturation
-    begin in the model's sorted support.
+    (the constraint target N*D); ``total_rate`` sums R_k in nats over the
+    bins below saturation in the model's ascending-level order, so it agrees
+    with ``r_k.sum()`` to rounding. ``clamped`` flags a request beyond the
+    zero-rate saturation point; ``rate_floored`` flags rates evaluated at the
+    theta floor (theta ~ 0, so the exact rates are unbounded).
+    :func:`water_fill` builds it from those four values, its model and
+    ``start``, where the bins below saturation begin in the model's sorted
+    support.
     """
 
     def __init__(self, theta: float, total_rate: float, clamped: bool, rate_floored: bool,
@@ -158,7 +162,9 @@ class SpectralAllocation:
 
     @functools.cached_property
     def r_k(self) -> np.ndarray:
-        return _rates(self._model, self._start, self.theta)
+        r_k = np.zeros(self._model.n)
+        r_k[self._model._order[self._start:]] = _active_rates(self._model, self._start, self.theta)
+        return r_k
 
     @functools.cached_property
     def total_distortion(self) -> float:
@@ -210,10 +216,10 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
     / theta); the rest keep D_k = lambda_w_tilde_k, R_k = 0. A budget beyond
     the saturation point sets ``clamped`` and theta to the largest weighted
     variance, where no bin is below saturation, so the same path yields the
-    all-saturated allocation at zero rate. The bins below saturation are the
-    suffix of the model's sorted support with levels above theta. A rate
-    that overflows at theta, or at the theta floor when theta is below it,
-    raises ValueError.
+    all-saturated allocation at zero rate. The bins below saturation, the
+    suffix of the sorted support above theta, give ``total_rate`` as the sum
+    of their rates alone, in that order. A rate that overflows at theta, or
+    at the theta floor when theta is below it, raises ValueError.
     """
     total_d = float(total_d)
     if not total_d >= 0:  # also rejects NaN
@@ -224,23 +230,21 @@ def water_fill(model: SpectralModel, total_d: float) -> SpectralAllocation:
 
     start = int(np.searchsorted(model._levels, theta, side="right"))
     rate_floored = start < model._levels.size and theta < _THETA_FLOOR
-    # the largest ratio in _rates, in Python floats so that it warns of nothing
+    # the largest ratio in _active_rates, in Python floats so that it warns of nothing
     level = max(theta, _THETA_FLOOR)
     if start < model._levels.size and not math.isfinite(float(model._levels[-1]) / level):
         at = "the theta floor" if rate_floored else "theta"
         raise ValueError(f"rate at {at} {level!r} is not finite: the responses or lambda_x are out of range")
-    total_rate = float(_rates(model, start, theta).sum())
+    total_rate = float(_active_rates(model, start, theta).sum())
     return SpectralAllocation(theta, total_rate, clamped, rate_floored, model, start)
 
 
-def _rates(model: SpectralModel, start: int, theta: float) -> np.ndarray:
-    """R_k over all n bins, evaluated at theta or the theta floor if larger."""
-    r_k = np.zeros(model.n)
+def _active_rates(model: SpectralModel, start: int, theta: float) -> np.ndarray:
+    """R_k of the bins below saturation, in ascending-level order, at theta or the floor if larger."""
     rates = model._levels[start:] / max(theta, _THETA_FLOOR)
     np.log(rates, out=rates)
     rates *= 0.5
-    r_k[model._order[start:]] = np.maximum(0.0, rates, out=rates)
-    return r_k
+    return np.maximum(0.0, rates, out=rates)
 
 
 def theoretical_rd_curve(model: SpectralModel, d_grid) -> list[CurvePoint]:

@@ -138,14 +138,19 @@ def make_chirp(n: int) -> np.ndarray:
 def gaussian_kernel(std: float, support: int) -> np.ndarray:
     """Unit-sum Gaussian taps at ``support`` integer offsets centered on zero: a
     near-boxcar, the experiment's strong blur, when std is wide relative to it.
-    A support or std that is a bool, or a support that is not an integer,
-    raises ValueError."""
+    std is read as float64. A support or std that is a bool, a support that
+    is not an integer, or an integer std beyond float64's range raises
+    ValueError."""
     if not _is_integer(support):
         raise ValueError(f"support must be an integer, got {support!r}")
     if support < 1 or support % 2 == 0:
         raise ValueError("support must be a positive odd integer")
     if isinstance(std, bool) or not 0 < std < np.inf:  # also rejects NaN
         raise ValueError(f"std must be finite and positive, got {std!r}")
+    try:
+        std = float(std)
+    except OverflowError:  # an integer beyond float64's range
+        raise ValueError(f"std must be finite and positive, got {std!r}") from None
     offsets = np.arange(support) - (support - 1) // 2
     # once 2 * std**2 underflows the centre tap is exp(-0/0); its limit 1 gives the impulse
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -357,7 +357,9 @@ def water_fill_reference(model: SpectralModel, total_d: float) -> SimpleNamespac
     """Reverse water-filling with every term built from the model's public
     arrays for this one budget: the weighted variances over all bins, their
     sort, running sums and equal shares, and boolean masks over all bins for
-    the bins below saturation. Same operations on the same values as
+    the bins below saturation. The total rate sums the rates of those bins
+    alone, ordered by ascending weighted variance and, among equal ones, by
+    bin. Same operations on the same values as
     :func:`sysaware.gauss_theory.water_fill`, so every float should match
     bit for bit. Returns every field of a
     :class:`~sysaware.gauss_theory.SpectralAllocation`, all built eagerly."""
@@ -388,9 +390,11 @@ def water_fill_reference(model: SpectralModel, total_d: float) -> SimpleNamespac
     rate_floored = bool(active.any()) and theta < 1e-15
     theta_eff = max(theta, 1e-15)
     r_k[active] = np.maximum(0.0, 0.5 * np.log(weighted[active] / theta_eff))
+    bins = np.flatnonzero(active)
+    ascending = bins[np.argsort(weighted[bins], kind="stable")]
     total = float((model.gain * d_k).sum())
     return SimpleNamespace(
-        d_k=d_k, r_k=r_k, theta=theta, total_distortion=total, total_rate=float(r_k.sum()),
+        d_k=d_k, r_k=r_k, theta=theta, total_distortion=total, total_rate=float(r_k[ascending].sum()),
         clamped=clamped, rate_floored=rate_floored,
     )
 

@@ -12,6 +12,8 @@ against it bit for bit.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +129,22 @@ def test_model_validation():
         SpectralModel(n=3, lambda_x=[1.0, 1], a_f=[1, 1], b_f=[1, 1])
     with pytest.raises(ValueError):
         SpectralModel(n=0, lambda_x=[], a_f=[], b_f=[])
+
+
+@pytest.mark.parametrize("n", [4.0, np.float64(4), True, "4", None], ids=["float", "np.float64", "True", "str", "None"])
+def test_model_rejects_an_n_that_is_a_bool_or_not_an_integer(n):
+    # a float n used to pass, and water_fill then failed in np.zeros(n)
+    rows = np.ones(1 if n is True else 4)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an integer, got {n!r}')}$"):
+        SpectralModel(n=n, lambda_x=rows, a_f=rows, b_f=rows)
+
+
+@pytest.mark.parametrize("n", [np.int64(4), np.uint8(4), np.int32(4)], ids=["int64", "uint8", "int32"])
+def test_model_takes_a_numpy_integer_n_as_the_int(n):
+    rows = [4.0, 3.0, 2.0, 1.0], [1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]
+    model, plain = SpectralModel(n, *rows), SpectralModel(4, *rows)
+    assert type(model.n) is int
+    assert curve_to_csv(model, [0.0, 0.1, 10.0]) == curve_to_csv(plain, [0.0, 0.1, 10.0])
 
 
 @pytest.mark.parametrize(
@@ -623,6 +641,34 @@ def test_curve_builds_no_per_bin_array(monkeypatch):
         assert not {"d_k", "r_k", "total_distortion"} & vars(alloc).keys()
     allocations[1].total_distortion  # built on request, with the d_k it reads, and kept
     assert {"d_k", "total_distortion"} <= vars(allocations[1]).keys()
+
+
+def test_curve_traces_under_half_a_float_row():
+    # only the rates of the bins below saturation are built, never an
+    # n-length row per budget
+    model = theory_curve_model()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve_to_csv(model, [0.0, 5.36e-08, 3.56e-07, 2.36e-06, 1.57e-05, 0.000104, 0.000268, 1.0])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * model.n, peak / (8 * model.n)
+
+
+def test_total_rate_is_the_rate_row_summed_to_rounding():
+    rng = np.random.default_rng(34)
+    floored = clamped = 0
+    for model in [*(random_model(rng) for _ in range(40)), theory_curve_model(1 << 12)]:
+        saturation = float((model.gain * model.lambda_w_tilde)[model.k_ab].sum())
+        for d in (0.0, *rng.uniform(0.0, saturation / model.n, size=4), 2 * saturation / model.n + 1.0):
+            alloc = water_fill(model, d)
+            exact = math.fsum(alloc.r_k)
+            assert abs(alloc.total_rate - exact) <= 1e-14 * exact
+            floored += alloc.rate_floored
+            clamped += alloc.clamped
+    assert floored and clamped
 
 
 def test_model_and_curve_build_no_per_bin_row():

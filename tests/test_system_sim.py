@@ -121,6 +121,16 @@ def test_gaussian_kernel_of_a_std_beyond_float64_is_its_limit(std, limit):
     assert taps.tobytes() == np.array(limit).tobytes()
 
 
+def test_gaussian_kernel_reads_an_integer_std_as_float64():
+    # 10**200 passed the range check, then numpy failed to convert 2 * std**2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        taps = gaussian_kernel(10**200, 5)
+        assert taps.tobytes() == gaussian_kernel(1e200, 5).tobytes() == np.array(BOXCAR).tobytes()
+        with pytest.raises(ValueError, match=r"^std must be finite and positive, got 1000"):
+            gaussian_kernel(10**400, 5)
+
+
 def test_system_on_a_vanishing_std_kernel_is_the_one_tap_system():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
