@@ -64,6 +64,12 @@ class SpectralModel:
     lambda_w / gain on ``k_ab`` (zero elsewhere), and an allocation's
     ``d_k``, ``r_k`` and ``total_distortion``. A bool ``n``, or one that is
     not an integer, raises ValueError.
+
+    The model keeps references to ``lambda_x`` and to the responses, not
+    copies, whenever they already are arrays of the dtype it computes with,
+    and reads them again when a per-bin row is first read. A caller who
+    writes into those arrays afterwards gets rows that no longer describe
+    the curve.
     """
 
     def __init__(self, n: int, lambda_x, a_f, b_f):

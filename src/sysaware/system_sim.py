@@ -48,8 +48,11 @@ def kernel_spectrum(n: int, kernel) -> np.ndarray:
     The convolution computes y[i] = sum_j kernel[j] * x[(i + j - center) mod n]
     with center = (len(kernel) - 1) // 2, so a symmetric kernel does not
     shift the signal. The response is built from the real first column via
-    rfft and mirrored, making it exactly conjugate-symmetric.
+    rfft and mirrored, making it exactly conjugate-symmetric. An n that is a
+    bool, not an integer, or below 1 raises ValueError.
     """
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 1:
         raise ValueError(f"expected a 1D vector, got shape {kernel.shape}")
@@ -128,7 +131,10 @@ class RDPoint:
 
 
 def make_chirp(n: int) -> np.ndarray:
-    """Length-n chirp in [0, 1]: 0.5 + 0.5 * t * sin(2*pi*(2t + 30t^2)), t = i/n."""
+    """Length-n chirp in [0, 1]: 0.5 + 0.5 * t * sin(2*pi*(2t + 30t^2)), t = i/n.
+    An n that is a bool, not an integer, or below 2 raises ValueError."""
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
     t = np.arange(n) / n
@@ -138,14 +144,14 @@ def make_chirp(n: int) -> np.ndarray:
 def gaussian_kernel(std: float, support: int) -> np.ndarray:
     """Unit-sum Gaussian taps at ``support`` integer offsets centered on zero: a
     near-boxcar, the experiment's strong blur, when std is wide relative to it.
-    std is read as float64. A support or std that is a bool, a support that
-    is not an integer, or an integer std beyond float64's range raises
-    ValueError."""
+    std is read as float64. A support or std that is a bool (numpy's too), a
+    support that is not an integer, or an integer std beyond float64's range
+    raises ValueError."""
     if not _is_integer(support):
         raise ValueError(f"support must be an integer, got {support!r}")
     if support < 1 or support % 2 == 0:
         raise ValueError("support must be a positive odd integer")
-    if isinstance(std, bool) or not 0 < std < np.inf:  # also rejects NaN
+    if isinstance(std, (bool, np.bool_)) or not 0 < std < np.inf:  # also rejects NaN
         raise ValueError(f"std must be finite and positive, got {std!r}")
     try:
         std = float(std)

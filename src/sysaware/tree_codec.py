@@ -75,18 +75,18 @@ def _integer(name: str, value) -> int:
     return operator.index(value)
 
 
-def _split_runs(d0: int, levels: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The split bits written before each leaf in pre-order, given its level and first sample.
+def _tree_zeros(levels: np.ndarray, heap: np.ndarray) -> np.ndarray:
+    """Each leaf's 0 bit in the pre-order tree description, from its level and heap number.
 
-    Leaf i is preceded by the splits of the nodes that start at s_i from the
-    shallowest one, at level d0 - ctz(s_i) (0 for s_i = 0), down to its own
-    level: levels[i] - d0 + ctz(s_i | 2**d0) + 1 bits.
+    Leaf k, node i of level l (heap number 2**l + i), is preceded by the split
+    bits of its l ancestors and by the popcount(i) whole subtrees to the left
+    of its path, which hold its k predecessors and k - popcount(i) splits. So
+    its 0 bit sits at 2k + l - popcount(i), and popcount(i) = popcount(2**l + i) - 1.
     """
-    low = starts | (1 << d0)
-    low &= -low  # 2**ctz(s_i | 2**d0), whose frexp exponent is ctz + 1
-    runs = levels - d0
-    runs += np.frexp(low)[1]
-    return runs
+    zeros = np.arange(1, 2 * levels.size, 2)
+    zeros += levels
+    zeros -= np.bitwise_count(heap)
+    return zeros
 
 
 class BitstreamError(ValueError):
@@ -142,10 +142,9 @@ class Bitstream:
         ends = np.cumsum(widths)
         if not ends.size or ends[-1] != self.m:
             raise ValueError(f"leaves do not tile the {self.m} samples")
-        runs = _split_runs(self.d0, levels, ends - widths)
-        # a leaf starting off a multiple of its width (or at a negative level)
-        # would need a run of fewer than one bit
-        if runs.min() < 1:
+        starts = ends - widths
+        # a leaf deeper than d0 has width 0, which any start is a multiple of: the depth check rejects it
+        if levels.min() < 0 or (starts % np.maximum(widths, 1)).any():
             raise ValueError("a leaf does not start at a multiple of its width")
         if levels.max() > self.d:
             raise ValueError(f"a leaf level exceeds the depth d={self.d}")
@@ -153,16 +152,17 @@ class Bitstream:
         # negative index) exactly when some index is outside [0, 2**q_bits)
         if np.bitwise_or.reduce(self.leaf_indices) >> self.q_bits:
             raise ValueError(f"a leaf index is outside [0, 2**q_bits) for q_bits={self.q_bits}")
-        self._runs = runs
+        # node i of level l starts at i * 2**(d0 - l), so its heap number 2**l + i is (start + m) >> (d0 - l)
+        self._zeros = _tree_zeros(levels, (starts + self.m) >> (self.d0 - levels))
 
     @classmethod
-    def _valid(cls, d0: int, d: int, q_bits: int, leaf_levels, leaf_indices, starts) -> "Bitstream":
+    def _valid(cls, d0: int, d: int, q_bits: int, leaf_levels, leaf_indices, heap) -> "Bitstream":
         """The stream of int64 rows that the caller guarantees pass every check of
-        the constructor, built without running them; ``starts`` holds each leaf's first sample."""
+        the constructor, built without running them; ``heap`` holds each leaf's heap number 2**l + i."""
         stream = cls.__new__(cls)
         stream.d0, stream.d, stream.q_bits = d0, d, q_bits
         stream.leaf_levels, stream.leaf_indices = leaf_levels, leaf_indices
-        stream._runs = _split_runs(d0, leaf_levels, starts)
+        stream._zeros = _tree_zeros(leaf_levels, heap)
         return stream
 
     @property
@@ -175,9 +175,8 @@ class Bitstream:
         return self.q_bits * len(self.leaf_indices)
 
     def to_bytes(self) -> bytes:
-        bit_ends = np.cumsum(self._runs)
-        tree = np.ones(int(bit_ends[-1]), dtype=np.uint8)
-        tree[bit_ends - 1] = 0
+        tree = np.ones(2 * self.leaf_levels.size - 1, dtype=np.uint8)
+        tree[self._zeros] = 0
         # (-q_bits) // 8 = -ceil(q_bits / 8): an index's trailing bytes hold its low q_bits
         index_bytes = self.leaf_indices.astype(">u8").view(np.uint8).reshape(-1, 8)[:, (-self.q_bits) // 8 :]
         if self.q_bits % 8:  # drop each index's unused high bits and pack the rest
@@ -435,11 +434,7 @@ def _prune(ws: _Workspace, nu: float) -> Bitstream:
     del exponent, order
     levels -= 1
     indices = ws.index[number - 1].astype(np.int64)
-    # node i of level l starts at sample i * 2**(d0 - l) = ((p + 1) << (d0 - l)) - m
-    d0 = ws.m.bit_length() - 1
-    number <<= d0 - levels
-    number -= ws.m
-    return Bitstream._valid(d0, ws.d, q_bits, levels, indices, starts=number)
+    return Bitstream._valid(ws.m.bit_length() - 1, ws.d, q_bits, levels, indices, heap=number)
 
 
 def decode(data: Bitstream | bytes) -> np.ndarray:

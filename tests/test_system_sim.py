@@ -14,6 +14,7 @@ from sysaware.system_sim import (
     SystemModel,
     acquire,
     gaussian_kernel,
+    kernel_spectrum,
     load_signal,
     make_chirp,
     psnr,
@@ -61,6 +62,18 @@ def test_chirp_range_and_length():
         make_chirp(1)
 
 
+@pytest.mark.parametrize("n", [8.5, 2.0, np.float64(64.0), True], ids=["8.5", "2.0", "np.float64", "bool"])
+def test_chirp_rejects_an_n_that_is_not_an_integer(n):
+    # 8.5 used to give 9 samples at t = i / 8.5, and True the "n must be >= 2" of 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            make_chirp(n)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            make_chirp(np.int64(1))
+        assert make_chirp(np.int64(64)).tobytes() == make_chirp(64).tobytes()
+
+
 # ----------------------------------------------------------------- system #
 
 
@@ -95,6 +108,27 @@ def test_gaussian_kernel_rejects_a_bool_std():
     # True used to be taken as a std of 1.0
     with pytest.raises(ValueError, match="std must be finite and positive, got True"):
         gaussian_kernel(True, 3)
+
+
+def test_gaussian_kernel_rejects_a_numpy_bool_std():
+    # np.bool_(True) used to be taken as a std of 1.0, though True raised
+    with pytest.raises(ValueError, match="std must be finite and positive, got np.True_"):
+        gaussian_kernel(np.bool_(True), 3)
+
+
+@pytest.mark.parametrize(
+    "n", [0, -3, 2.5, True, np.float64(8.0), np.int64(0)],
+    ids=["zero", "negative", "float", "bool", "np.float64", "np.int64-zero"],
+)
+def test_kernel_spectrum_rejects_an_n_that_is_not_a_positive_integer(n):
+    # 0 used to warn of a divide by zero and raise IndexError, -3 numpy's
+    # "negative dimensions", and 2.5 or True a TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1, got {n!r}")):
+            kernel_spectrum(n, [1.0])
+        taps = [0.25, 0.5, 0.25]
+        assert kernel_spectrum(np.int64(8), taps).tobytes() == kernel_spectrum(8, taps).tobytes()
 
 
 IMPULSE, BOXCAR = [0.0, 0.0, 1.0, 0.0, 0.0], [0.2] * 5

@@ -128,9 +128,10 @@ def leaf_partition(stream):
 
 def assert_constructor_rebuilds(stream):
     """The checking constructor accepts ``stream``'s fields and derives the same
-    split runs and bytes: the guard for the checks the prune's own path skips."""
+    zero positions (each leaf's 0 bit in the tree description) and bytes: the
+    guard for the checks the prune's own path skips."""
     rebuilt = Bitstream(stream.d0, stream.d, stream.q_bits, stream.leaf_levels, stream.leaf_indices)
-    assert np.array_equal(rebuilt._runs, stream._runs)
+    assert np.array_equal(rebuilt._zeros, stream._zeros)
     assert rebuilt.to_bytes() == stream.to_bytes()
 
 
@@ -574,6 +575,7 @@ def test_hand_built_valid_streams_read_back_unchanged():
         (3, 2, 8, [2, 1, 2], [1, 2, 3], "start at a multiple of its width"),  # level-1 leaf at 2
         (3, 2, 8, [-1, 0], [1, 2], "start at a multiple of its width"),
         (3, 2, 8, [3, 3, 2, 1], [1, 2, 3, 4], r"exceeds the depth d=2"),
+        (3, 3, 8, [1, 4, 1], [1, 2, 3], "exceeds the depth d=3"),  # width 0 at sample 4
         (3, 2, 8, [1, 1], [300, 7], r"outside \[0, 2\*\*q_bits\) for q_bits=8"),  # would write 44
         (3, 2, 8, [1, 1], [7, -1], r"outside \[0, 2\*\*q_bits\)"),
         (3, 0, 8, [0], [7], "header"),
@@ -582,7 +584,7 @@ def test_hand_built_valid_streams_read_back_unchanged():
         (3, 2, MAX_Q_BITS + 1, [1, 1], [7, 7], "header"),
         (25, 2, 8, [1, 1], [7, 7], "header"),  # 2**25 samples exceed MAX_LEN
     ],
-    ids=["short", "long", "no-leaves", "misaligned", "negative-level", "too-deep",
+    ids=["short", "long", "no-leaves", "misaligned", "negative-level", "too-deep", "zero-width",
          "index-too-large", "index-negative", "d-zero", "d-above-d0", "q-zero", "q-too-wide", "too-long"],
 )
 def test_to_bytes_rejects_streams_from_bytes_would_not_read_back(d0, d, q_bits, levels, indices, needle):
